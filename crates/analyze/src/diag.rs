@@ -40,6 +40,7 @@ pub enum Code {
     S506RawColumnAccess,
     S507StrategyDispatchOutsidePlanner,
     S508ShardFilesOutsideShardModule,
+    S509SocketWriteOutsideEncoder,
     H601ShardSplitsCover,
     H602ShardSeversInd,
     H603ShardPinnedRelation,
@@ -79,6 +80,7 @@ impl Code {
             Code::S506RawColumnAccess => "DWC-S506",
             Code::S507StrategyDispatchOutsidePlanner => "DWC-S507",
             Code::S508ShardFilesOutsideShardModule => "DWC-S508",
+            Code::S509SocketWriteOutsideEncoder => "DWC-S509",
             Code::H601ShardSplitsCover => "DWC-H601",
             Code::H602ShardSeversInd => "DWC-H602",
             Code::H603ShardPinnedRelation => "DWC-H603",
@@ -136,6 +138,9 @@ impl Code {
             }
             Code::S508ShardFilesOutsideShardModule => {
                 "shard-manifest write or shard-id construction outside warehouse::shard/storage"
+            }
+            Code::S509SocketWriteOutsideEncoder => {
+                "socket write outside the server's line encoder"
             }
             Code::H601ShardSplitsCover => {
                 "view joins a routed relation but projects away the routing attribute"

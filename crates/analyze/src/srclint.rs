@@ -55,6 +55,14 @@
 //!   other layer addresses shards only through the sharded store's
 //!   API, so the single-commit-point discipline cannot be bypassed. A
 //!   same-line `// lint:allow shard_files -- reason` waives one line.
+//! * `S509` — one reply, one socket write. In `src/serve.rs` the write
+//!   tokens (`write!(`, `writeln!(`, `.write_all(`, `.write(`,
+//!   `.write_fmt(`) may appear only inside the line encoder's own
+//!   functions (`push` renders into the buffer, `flush_to` hands the
+//!   buffer to the socket in one `write_all`), so a reply written as
+//!   text-then-newline — two small writes, the second held by Nagle for
+//!   the peer's delayed ACK — cannot come back. A same-line
+//!   `// lint:allow socket_write -- reason` waives one line.
 //!
 //! Comments, string literals, raw strings and char literals are stripped
 //! by a small lexer before token matching, so a doc-comment mentioning
@@ -156,6 +164,18 @@ const S508_ALLOWED_PREFIX: &str = "crates/warehouse/src/storage/";
 /// Shard-file tokens banned outside those places — all waived by
 /// `shard_files`.
 const S508_BANNED: &[&str] = &["ShardManifest", "shard_segment_name(", "shard_snapshot_name("];
+
+/// The file whose socket writes `S509` polices: the server runtime and
+/// the `dwc connect` client.
+const S509_FILE: &str = "src/serve.rs";
+
+/// The functions of that file allowed to name a write token: the line
+/// encoder's render-into-buffer and its single flush.
+const S509_ALLOWED_FNS: &[&str] = &["push", "flush_to"];
+
+/// Write tokens banned outside those functions — all waived by
+/// `socket_write`.
+const S509_BANNED: &[&str] = &["write!(", "writeln!(", ".write_all(", ".write(", ".write_fmt("];
 
 /// Banned tokens: `(needle, waiver name)`.
 const BANNED: &[(&str, &str)] = &[
@@ -274,6 +294,10 @@ pub fn self_check(root: &Path) -> Report {
             scan_shard_files(&file, &rel, &mut report);
         }
     }
+
+    // --- S509: socket writes in the server runtime confined to the
+    // line encoder.
+    scan_socket_writes(&root.join(S509_FILE), S509_FILE, &mut report);
 
     // --- S503: forbid(unsafe_code) in crate roots.
     let mut lib_roots: Vec<PathBuf> = vec![root.join("src/lib.rs")];
@@ -607,6 +631,55 @@ fn scan_shard_files(path: &Path, rel: &str, report: &mut Report) {
     }
 }
 
+/// Scans one file for write tokens (see `S509_BANNED`) outside the
+/// functions in `S509_ALLOWED_FNS`. A line belongs to the function whose
+/// `fn` header was seen last — the scanned file nests no functions. The
+/// test module at the bottom is exempt.
+fn scan_socket_writes(path: &Path, rel: &str, report: &mut Report) {
+    let Some(lines) = stripped_lines(path, rel, report) else {
+        return;
+    };
+    let mut current_fn = String::new();
+    for (line_no, raw, stripped) in &lines {
+        if raw.trim_start().starts_with("#[cfg(test)]") {
+            break;
+        }
+        if let Some(name) = fn_header_name(stripped) {
+            current_fn = name.to_owned();
+        }
+        if S509_ALLOWED_FNS.contains(&current_fn.as_str()) {
+            continue;
+        }
+        for needle in S509_BANNED {
+            if stripped.contains(needle) && !has_waiver(raw, "socket_write") {
+                report.push(
+                    Code::S509SocketWriteOutsideEncoder,
+                    Severity::Error,
+                    format!("{rel}:{line_no}"),
+                    format!(
+                        "`{needle}` outside the line encoder ({S509_ALLOWED_FNS:?}); encode \
+                         the whole reply into a `LineBuf` and flush it with one write (or \
+                         waive with `// lint:allow socket_write -- reason`)"
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// The name a `fn` item header on this (stripped) line declares, if any.
+fn fn_header_name(stripped: &str) -> Option<&str> {
+    let at = stripped
+        .match_indices("fn ")
+        .map(|(i, _)| i)
+        .find(|&i| !stripped[..i].ends_with(|c: char| c.is_alphanumeric() || c == '_'))?;
+    let name = stripped[at + 3..].trim_start();
+    let end = name
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(name.len());
+    (end > 0).then(|| &name[..end])
+}
+
 fn has_waiver(raw_line: &str, name: &str) -> bool {
     raw_line
         .find("lint:allow")
@@ -921,6 +994,50 @@ call(); /* block panic! comment */ after();
         );
         fs::remove_file(&file).ok();
         fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
+    fn s509_flags_socket_writes_outside_the_encoder() {
+        let dir = std::env::temp_dir().join(format!("dwc-srclint-s509-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("rogue.rs");
+        // `respond` is the parent's reply path verbatim: text, then
+        // newline, as two socket writes.
+        fs::write(
+            &file,
+            "impl LineBuf {\n    pub fn push(&mut self, t: Arguments) {\n        \
+             self.bytes.write_fmt(t).unwrap();\n    }\n    \
+             pub fn flush_to<W: Write>(&mut self, w: &mut W) -> io::Result<()> {\n        \
+             w.write_all(&self.bytes)\n    }\n}\n\
+             fn respond(w: &Mutex<TcpStream>, line: &str) {\n    \
+             writeln!(w.lock().unwrap(), \"{line}\").ok();\n    \
+             w.write_all(b\"x\").ok();\n    \
+             write!(w, \"y\").ok(); // lint:allow socket_write -- exercising the waiver\n    \
+             let s = \"writeln!(\"; // string literal is stripped\n}\n\
+             fn chatty(w: &mut TcpStream) { w.write(b\"z\").ok(); }\n\
+             #[cfg(test)]\nmod t { fn g(w: &mut Vec<u8>) { writeln!(w, \"t\").ok(); } }\n",
+        )
+        .unwrap();
+        let mut report = Report::new();
+        scan_socket_writes(&file, "src/rogue.rs", &mut report);
+        let text = report.to_string();
+        assert_eq!(
+            text.matches("DWC-S509").count(),
+            3,
+            "writeln! + write_all in `respond`, write in `chatty`; the encoder's \
+             two functions, the waiver, the string and the test module exempt:\n{text}"
+        );
+        fs::remove_file(&file).ok();
+        fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
+    fn fn_headers_are_told_from_fn_types_and_suffixes() {
+        assert_eq!(fn_header_name("    pub fn flush_to<W: Write>(&mut self"), Some("flush_to"));
+        assert_eq!(fn_header_name("fn route(acks: &AckRoutes)"), Some("route"));
+        assert_eq!(fn_header_name("let f: fn(u32) -> u32 = g;"), None);
+        assert_eq!(fn_header_name("impl Fn(u32) for X {}"), None);
+        assert_eq!(fn_header_name("let often = 1;"), None);
     }
 
     #[test]

@@ -209,6 +209,19 @@ echo "shard matrix: tests/shard_props.rs"
 cargo test -q --release --test shard_props
 echo "ok: shard matrix green"
 
+# --- 14. reply path: one write per reply, no stall, no leak -------------
+# The line encoder and the ack writer over a counting writer (one
+# `write` per reply and per drained ack batch, bytes identical to the
+# old `writeln!` rendering), then the real acceptor/engine/connection
+# threads on a loopback socket against a client that sets no socket
+# option: 200 round trips in under a second (8.8 s behind the
+# delayed-ACK stall), pipelined acks in order around intact `result`
+# replies, EOF and no leftover thread after `quit`. Step 7's srclint
+# S509 keeps socket writes confined to the encoder.
+echo "wire properties: tests/wire_props.rs"
+cargo test -q --release --test wire_props
+echo "ok: reply path green"
+
 # Clippy is not part of the offline gate, but when a toolchain ships it,
 # run it too (still offline).
 if cargo clippy --version >/dev/null 2>&1; then

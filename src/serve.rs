@@ -11,12 +11,47 @@
 //!   [`ServerCore::next_deadline`] (so a pending batch commits on time
 //!   even when no new envelope arrives — the classic lost-wakeup bug
 //!   the deterministic tests pin down);
-//! * one **acceptor thread** per listener plus a reader/writer pair per
-//!   connection; acks flow back over a per-session channel and reach
-//!   the client asynchronously, strictly after their batch's fsync;
+//! * one **acceptor thread** per listener ([`run`], on its caller's
+//!   thread) plus, per connection, a command thread (`dwc-conn`) and —
+//!   from `hello` on — an ack writer (`dwc-acks`); acks flow back over a
+//!   per-session channel and reach the client asynchronously, strictly
+//!   after their batch's fsync;
 //! * queries never touch the engine thread at all: every connection
 //!   holds a [`QueryClient`] answering against published epoch
 //!   snapshots.
+//!
+//! ## The reply path: one reply, one write
+//!
+//! Accepted sockets are `TCP_NODELAY`, and every reply — header, all
+//! rows, trailing newline — is rendered into the writer's reusable
+//! [`LineBuf`] *before* the socket mutex is taken and leaves in a single
+//! `write_all`. The ack writer blocks for one event, drains whatever
+//! else the engine released meanwhile, and writes the batch the same
+//! way, so a 64-envelope group commit costs its session one write, not
+//! 128. A reply written as text-then-newline (two small writes) is held
+//! by Nagle until the peer's delayed ACK: a flat ~44 ms on every
+//! single-line reply after a connection's first, whatever the verb
+//! (EXPERIMENTS.md E23). srclint S509 confines socket writes to the
+//! encoder so that pattern cannot return; `tests/wire_props.rs` pins the
+//! write counts, the bytes, and the absence of the stall for a client
+//! that sets no socket option. What happens before an ack reaches
+//! `route` — the S505 ack-after-fsync discipline — is untouched.
+//!
+//! ## Who owns the socket, who closes what
+//!
+//! The command thread owns the read half (a `try_clone`) and shares the
+//! write half, behind a mutex, with its ack writer. The engine holds
+//! only the *sender* of each session's ack channel, keyed by session and
+//! tagged with a registration serial. When the command loop ends — `quit`,
+//! EOF, a peer reset, any error — or the connection says `hello` again,
+//! it sends `Disconnect` for its registration; the engine drops the
+//! sender, the ack writer's `recv` fails and it exits, and the last
+//! handle on the socket closes: the peer reads EOF and neither thread
+//! nor descriptor outlives the connection. A source keeps its session id
+//! across reconnects, so the serial is what keeps a late `Disconnect`
+//! from removing the route its successor registered; replacing a route
+//! on reconnect ends the previous writer the same way. Sessions and
+//! cursors stay durable throughout, exactly as for a reaped session.
 //!
 //! ## Line protocol
 //!
@@ -44,7 +79,7 @@
 //! via [`crate::shell::parse_update`], so `dwc connect` feels exactly
 //! like the local REPL with sequencing handled for you.
 
-use crate::relalg::{Catalog, DbState, RaExpr};
+use crate::relalg::{Catalog, DbState, RaExpr, Relation};
 use crate::shell::parse_update;
 use crate::warehouse::integrator::{Integrator, IntegratorConfig};
 use crate::warehouse::server::{
@@ -56,10 +91,11 @@ use crate::warehouse::{
     WarehouseSpec,
 };
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::fmt;
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -194,17 +230,114 @@ pub fn open_or_create_sharded(
     }
 }
 
-/// What the engine pushes down a session's ack channel.
-enum SessionEvent {
+/// What the engine pushes down a session's ack channel; each is one
+/// protocol line.
+pub enum SessionEvent {
+    /// `ack <epoch> <seq> <outcome>`, minted after its batch's fsync.
     Ack(Ack),
+    /// `err <message>`.
     Error(String),
+}
+
+/// The line encoder every socket write in this module goes through.
+/// Protocol lines are rendered into one reusable byte buffer and leave
+/// through [`LineBuf::flush_to`] as a single `write`: one per reply, one
+/// per drained ack batch, one per client request (srclint S509 keeps
+/// socket writes from appearing anywhere else in this file).
+#[derive(Default)]
+pub struct LineBuf {
+    bytes: Vec<u8>,
+}
+
+impl LineBuf {
+    /// An empty buffer.
+    pub fn new() -> LineBuf {
+        LineBuf::default()
+    }
+
+    /// Appends `text` to the line under construction.
+    pub fn push(&mut self, text: fmt::Arguments<'_>) {
+        self.bytes
+            .write_fmt(text)
+            .expect("a Vec accepts every write, so only a broken Display impl fails");
+    }
+
+    /// Appends `text` as one complete line.
+    pub fn line(&mut self, text: fmt::Arguments<'_>) {
+        self.push(text);
+        self.bytes.push(b'\n');
+    }
+
+    /// Appends a whole `result` reply: the header, then one indented
+    /// line per tuple.
+    pub fn result(&mut self, epoch: u64, rel: &Relation) {
+        self.push(format_args!("result {epoch} {} tuple(s)", rel.len()));
+        for t in rel.iter() {
+            self.push(format_args!("\n  {t}"));
+        }
+        self.bytes.push(b'\n');
+    }
+
+    /// Appends the line for one ack-channel event.
+    pub fn event(&mut self, event: &SessionEvent) {
+        match event {
+            SessionEvent::Ack(a) => {
+                self.line(format_args!("ack {} {} {}", a.epoch, a.seq, a.outcome))
+            }
+            SessionEvent::Error(e) => self.line(format_args!("err {e}")),
+        }
+    }
+
+    /// The bytes encoded since the last flush.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Hands everything encoded so far to `w` in one `write_all` and
+    /// empties the buffer, keeping its capacity for the next reply.
+    pub fn flush_to<W: Write>(&mut self, w: &mut W) -> io::Result<()> {
+        let written = w.write_all(&self.bytes);
+        self.bytes.clear();
+        written
+    }
+}
+
+/// Writes the already-rendered `lines` to the shared socket. The lock
+/// covers the one write only, so lines of the connection's two writers
+/// never interleave mid-line and neither waits on the other's rendering.
+fn send<W: Write>(socket: &Mutex<W>, lines: &mut LineBuf) -> io::Result<()> {
+    let mut w = socket.lock().unwrap_or_else(PoisonError::into_inner);
+    lines.flush_to(&mut *w)
+}
+
+/// A session's ack writer: blocks for one event, drains whatever else
+/// the engine has released by then, and writes the lot at once — the
+/// acks of a 64-envelope group commit cost the session one write, not
+/// 64. Returns when the engine drops the session's sender (disconnect
+/// or re-`hello`) or the peer is gone.
+pub fn write_acks<W: Write>(events: mpsc::Receiver<SessionEvent>, socket: &Mutex<W>) {
+    let mut lines = LineBuf::new();
+    while let Ok(first) = events.recv() {
+        lines.event(&first);
+        while let Ok(next) = events.try_recv() {
+            lines.event(&next);
+        }
+        if send(socket, &mut lines).is_err() {
+            return;
+        }
+    }
 }
 
 /// Connection → engine messages.
 enum EngineMsg {
     Connect {
         source: String,
-        reply: mpsc::Sender<(SessionGrant, mpsc::Receiver<SessionEvent>)>,
+        reply: mpsc::Sender<(AckRoute, mpsc::Receiver<SessionEvent>)>,
+    },
+    /// The connection that registered `route` is done with it (closed,
+    /// failed, or said `hello` again).
+    Disconnect {
+        route: AckRoute,
     },
     Deliver {
         session: SessionId,
@@ -223,19 +356,31 @@ enum EngineMsg {
     },
 }
 
-/// Runs the server until the process is killed: binds `addr`, prints
-/// `listening on <addr>` to stdout (scripts parse this to learn the
-/// bound port), and serves connections forever.
-pub fn serve(
+/// One `hello`: the granted session plus the engine's serial number for
+/// this registration of its ack channel. A source keeps its session id
+/// across reconnects, so the serial is what tells a connection's late
+/// `Disconnect` apart from the route its successor registered meanwhile.
+#[derive(Clone)]
+struct AckRoute {
+    grant: SessionGrant,
+    serial: u64,
+}
+
+/// The engine's ack routing table: session → (registration serial,
+/// sender half of that registration's ack channel).
+type AckRoutes = BTreeMap<SessionId, (u64, mpsc::Sender<SessionEvent>)>;
+
+/// Opens (or creates) the store in `dir` for `spec` and wraps it in the
+/// server state machine `options` describe.
+pub fn open_core(
     spec: WarehouseSpec,
     dir: &str,
-    options: ServeOptions,
-) -> Result<(), String> {
+    options: &ServeOptions,
+) -> Result<ServerCore<FsMedium>, String> {
     let config = DurabilityConfig {
         verify_on_open: options.verify_on_open,
         ..DurabilityConfig::default()
     };
-    let catalog = spec.catalog().clone();
     let policy = BatchPolicy {
         max_batch: options.max_batch.max(1),
         max_wait_micros: options.max_wait_micros,
@@ -266,41 +411,68 @@ pub fn serve(
     if options.idle_timeout_micros > 0 {
         core.set_idle_timeout(Some(options.idle_timeout_micros));
     }
-    let query = core.query_client();
+    Ok(core)
+}
 
+/// Runs the server until the process is killed: opens `dir`, binds
+/// `addr`, prints `listening on <addr>` to stdout (scripts parse this to
+/// learn the bound port), and serves connections forever.
+pub fn serve(
+    spec: WarehouseSpec,
+    dir: &str,
+    options: ServeOptions,
+) -> Result<(), String> {
+    let catalog = spec.catalog().clone();
+    let core = open_core(spec, dir, &options)?;
     let listener = TcpListener::bind(&options.addr).map_err(|e| {
         format!("cannot bind {}: {e}", options.addr)
     })?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     println!("listening on {local}");
     std::io::stdout().flush().ok();
+    run(listener, core, catalog).map_err(|e| e.to_string())
+}
 
+/// Serves `core` on an already-bound `listener`: starts the engine
+/// thread, then accepts on the calling thread forever, one connection
+/// thread per client. Returns only if the engine thread cannot start.
+pub fn run(listener: TcpListener, core: ServerCore<FsMedium>, catalog: Catalog) -> io::Result<()> {
+    let query = core.query_client();
     let (engine_tx, engine_rx) = mpsc::channel::<EngineMsg>();
-    thread::spawn(move || run_engine(core, engine_rx));
+    thread::Builder::new()
+        .name("dwc-engine".to_owned())
+        .spawn(move || run_engine(core, engine_rx))?;
 
     for stream in listener.incoming() {
-        match stream {
-            Ok(stream) => {
-                let tx = engine_tx.clone();
-                let query = query.clone();
-                let catalog = catalog.clone();
-                thread::spawn(move || {
-                    if let Err(e) = handle_connection(stream, tx, query, catalog) {
-                        eprintln!("connection error: {e}");
-                    }
-                });
-            }
-            Err(e) => eprintln!("accept error: {e}"),
+        let spawned = stream.and_then(|stream| {
+            let tx = engine_tx.clone();
+            let query = query.clone();
+            let catalog = catalog.clone();
+            thread::Builder::new().name("dwc-conn".to_owned()).spawn(move || {
+                match handle_connection(stream, &tx, &query, &catalog) {
+                    // A client that hangs up mid-reply is an ordinary end.
+                    Err(e) if !peer_gone(&e) => eprintln!("connection error: {e}"),
+                    _ => {}
+                }
+            })
+        });
+        if let Err(e) = spawned {
+            eprintln!("accept error: {e}");
         }
     }
     Ok(())
+}
+
+fn peer_gone(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::ConnectionReset | io::ErrorKind::BrokenPipe)
 }
 
 /// The single-writer commit loop: drains connection events, arms its
 /// sleep from the batcher deadline, and routes acks back per session.
 fn run_engine(mut core: ServerCore<FsMedium>, rx: mpsc::Receiver<EngineMsg>) {
     let start = Instant::now();
-    let mut acks: BTreeMap<SessionId, mpsc::Sender<SessionEvent>> = BTreeMap::new();
+    let mut acks = AckRoutes::new();
+    let mut next_serial = 0u64;
     let now = |start: &Instant| start.elapsed().as_micros() as u64;
     loop {
         let timeout = match core.next_deadline() {
@@ -311,8 +483,20 @@ fn run_engine(mut core: ServerCore<FsMedium>, rx: mpsc::Receiver<EngineMsg>) {
             Ok(EngineMsg::Connect { source, reply }) => {
                 let grant = core.connect_at(SourceId::new(source), now(&start));
                 let (tx, ack_rx) = mpsc::channel();
-                acks.insert(grant.session, tx);
-                let _ = reply.send((grant, ack_rx));
+                next_serial += 1;
+                // Replacing a reconnecting source's previous sender ends
+                // that registration's ack writer.
+                acks.insert(grant.session, (next_serial, tx));
+                let _ = reply.send((AckRoute { grant, serial: next_serial }, ack_rx));
+            }
+            Ok(EngineMsg::Disconnect { route }) => {
+                // Dropping the sender ends the ack writer, and with it
+                // the last handle on the socket. Session and cursors
+                // stay, exactly as for a reaped session.
+                let session = route.grant.session;
+                if acks.get(&session).is_some_and(|(serial, _)| *serial == route.serial) {
+                    acks.remove(&session);
+                }
             }
             Ok(EngineMsg::Deliver { session, envelope }) => {
                 match core.deliver(session, envelope, now(&start)) {
@@ -403,9 +587,9 @@ fn run_engine(mut core: ServerCore<FsMedium>, rx: mpsc::Receiver<EngineMsg>) {
     }
 }
 
-fn route(acks: &BTreeMap<SessionId, mpsc::Sender<SessionEvent>>, released: Vec<Ack>) {
+fn route(acks: &AckRoutes, released: Vec<Ack>) {
     for ack in released {
-        if let Some(tx) = acks.get(&ack.session) {
+        if let Some((_, tx)) = acks.get(&ack.session) {
             // A dead receiver just means the client went away; its acks
             // are durable regardless and the grant survives reconnect.
             let _ = tx.send(SessionEvent::Ack(ack));
@@ -413,93 +597,109 @@ fn route(acks: &BTreeMap<SessionId, mpsc::Sender<SessionEvent>>, released: Vec<A
     }
 }
 
-fn complain(
-    acks: &BTreeMap<SessionId, mpsc::Sender<SessionEvent>>,
-    session: SessionId,
-    message: String,
-) {
-    if let Some(tx) = acks.get(&session) {
+fn complain(acks: &AckRoutes, session: SessionId, message: String) {
+    if let Some((_, tx)) = acks.get(&session) {
         let _ = tx.send(SessionEvent::Error(message));
     } else {
         eprintln!("session {session}: {message}");
     }
 }
 
-/// Serves one client connection: command reader on this thread, ack
-/// writer on a helper thread, both sharing the socket behind a mutex so
-/// protocol lines never interleave mid-line.
+fn engine_stopped() -> io::Error {
+    io::Error::other("engine stopped")
+}
+
+/// Serves one client connection on this thread and, however the
+/// conversation ends, tells the engine to drop the ack route it
+/// registered — that ends the session's ack writer, the last holder of
+/// the socket, so the peer sees EOF and no thread or descriptor outlives
+/// the connection.
 fn handle_connection(
     stream: TcpStream,
-    engine: mpsc::Sender<EngineMsg>,
-    query: QueryClient,
-    catalog: Catalog,
-) -> Result<(), String> {
-    let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let writer = Arc::new(Mutex::new(stream));
-    let mut session: Option<SessionGrant> = None;
+    engine: &mpsc::Sender<EngineMsg>,
+    query: &QueryClient,
+    catalog: &Catalog,
+) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    let reader = BufReader::new(stream.try_clone()?);
+    let socket = Arc::new(Mutex::new(stream));
+    let mut route = None;
+    let outcome = converse(reader, &socket, engine, query, catalog, &mut route);
+    if let Some(route) = route {
+        let _ = engine.send(EngineMsg::Disconnect { route });
+    }
+    outcome
+}
+
+/// The command loop of one connection. Each verb only *encodes* its
+/// reply; the loop hands it to the socket in one write. Acks travel the
+/// other way on a helper thread per `hello`, sharing the socket behind
+/// its mutex. `route` is left holding the ack route to disconnect.
+fn converse(
+    reader: BufReader<TcpStream>,
+    socket: &Arc<Mutex<TcpStream>>,
+    engine: &mpsc::Sender<EngineMsg>,
+    query: &QueryClient,
+    catalog: &Catalog,
+    route: &mut Option<AckRoute>,
+) -> io::Result<()> {
+    let mut reply = LineBuf::new();
     let mut lines = reader.lines();
 
     while let Some(line) = lines.next() {
-        let line = line.map_err(|e| e.to_string())?;
+        let line = line?;
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
         let (verb, rest) = line.split_once(' ').unwrap_or((line, ""));
+        let grant = route.as_ref().map(|r| &r.grant);
         match verb {
+            "hello" if rest.trim().is_empty() => {
+                reply.line(format_args!("err usage: hello <source>"))
+            }
             "hello" => {
-                let source = rest.trim();
-                if source.is_empty() {
-                    respond(&writer, "err usage: hello <source>")?;
-                    continue;
+                // A second `hello` replaces this connection's route:
+                // retire the old one so its writer does not linger.
+                if let Some(route) = route.take() {
+                    engine
+                        .send(EngineMsg::Disconnect { route })
+                        .map_err(|_| engine_stopped())?;
                 }
                 let (reply_tx, reply_rx) = mpsc::channel();
                 engine
-                    .send(EngineMsg::Connect { source: source.to_owned(), reply: reply_tx })
-                    .map_err(|_| "engine stopped".to_owned())?;
-                let (grant, ack_rx) =
-                    reply_rx.recv().map_err(|_| "engine stopped".to_owned())?;
-                respond(
-                    &writer,
-                    &format!("session {} {} {}", grant.session.index(), grant.epoch, grant.resume_seq),
-                )?;
-                let w = Arc::clone(&writer);
-                thread::spawn(move || {
-                    while let Ok(event) = ack_rx.recv() {
-                        let line = match event {
-                            SessionEvent::Ack(a) => {
-                                format!("ack {} {} {}", a.epoch, a.seq, a.outcome)
-                            }
-                            SessionEvent::Error(e) => format!("err {e}"),
-                        };
-                        if respond(&w, &line).is_err() {
-                            break;
-                        }
-                    }
-                });
-                session = Some(grant);
+                    .send(EngineMsg::Connect { source: rest.trim().to_owned(), reply: reply_tx })
+                    .map_err(|_| engine_stopped())?;
+                let (granted, ack_rx) = reply_rx.recv().map_err(|_| engine_stopped())?;
+                let g = &granted.grant;
+                let id = g.session.index();
+                reply.line(format_args!("session {id} {} {}", g.epoch, g.resume_seq));
+                // The grant goes out before the writer exists, so no ack
+                // can overtake it.
+                send(socket, &mut reply)?;
+                *route = Some(granted);
+                let socket = Arc::clone(socket);
+                thread::Builder::new()
+                    .name("dwc-acks".to_owned())
+                    .spawn(move || write_acks(ack_rx, &socket))?;
             }
-            "report" => match &session {
-                None => respond(&writer, "err hello first")?,
-                Some(grant) => match parse_report(&catalog, &grant.source, rest) {
+            "report" => match grant {
+                None => reply.line(format_args!("err hello first")),
+                Some(grant) => match parse_report(catalog, &grant.source, rest) {
                     Ok(envelope) => engine
                         .send(EngineMsg::Deliver { session: grant.session, envelope })
-                        .map_err(|_| "engine stopped".to_owned())?,
-                    Err(e) => respond(&writer, &format!("err {e}"))?,
+                        .map_err(|_| engine_stopped())?,
+                    Err(e) => reply.line(format_args!("err {e}")),
                 },
             },
-            "recover" => match session.clone() {
-                None => respond(&writer, "err hello first")?,
-                Some(grant) => {
-                    // `recover <n>` announces n `report` lines to
-                    // follow: the client's outbox replay, oldest first.
-                    let n: usize = match rest.trim().parse() {
-                        Ok(n) => n,
-                        Err(_) => {
-                            respond(&writer, "err usage: recover <count> (then <count> report lines)")?;
-                            continue;
-                        }
-                    };
+            "recover" => match (grant, rest.trim().parse::<usize>()) {
+                (None, _) => reply.line(format_args!("err hello first")),
+                (Some(_), Err(_)) => reply.line(format_args!(
+                    "err usage: recover <count> (then <count> report lines)"
+                )),
+                // `recover <n>` announces n `report` lines to follow:
+                // the client's outbox replay, oldest first.
+                (Some(grant), Ok(n)) => {
                     let mut log = Vec::with_capacity(n);
                     let mut bad: Option<String> = None;
                     for _ in 0..n {
@@ -507,12 +707,12 @@ fn handle_connection(
                             bad = Some("connection closed mid-recover".to_owned());
                             break;
                         };
-                        let next = next.map_err(|e| e.to_string())?;
+                        let next = next?;
                         let body = next
                             .trim()
                             .strip_prefix("report ")
                             .ok_or(())
-                            .and_then(|b| parse_report(&catalog, &grant.source, b).map_err(|_| ()));
+                            .and_then(|b| parse_report(catalog, &grant.source, b).map_err(|_| ()));
                         match body {
                             Ok(envelope) => log.push(envelope),
                             Err(()) => {
@@ -522,50 +722,47 @@ fn handle_connection(
                         }
                     }
                     match bad {
-                        Some(e) => respond(&writer, &format!("err {e}"))?,
+                        Some(e) => reply.line(format_args!("err {e}")),
                         None => engine
                             .send(EngineMsg::Recover { session: grant.session, log })
-                            .map_err(|_| "engine stopped".to_owned())?,
+                            .map_err(|_| engine_stopped())?,
                     }
                 }
             },
             "query" => match RaExpr::parse(rest) {
                 Ok(q) => match query.answer(&q) {
-                    Ok((epoch, rel)) => {
-                        let mut out = format!("result {epoch} {} tuple(s)", rel.len());
-                        for t in rel.iter() {
-                            out.push_str(&format!("\n  {t}"));
-                        }
-                        respond(&writer, &out)?;
-                    }
-                    Err(e) => respond(&writer, &format!("err {e}"))?,
+                    Ok((epoch, rel)) => reply.result(epoch, &rel),
+                    Err(e) => reply.line(format_args!("err {e}")),
                 },
-                Err(e) => respond(&writer, &format!("err {e}"))?,
+                Err(e) => reply.line(format_args!("err {e}")),
             },
-            "ping" => match &session {
-                None => respond(&writer, "err hello first")?,
+            "ping" => match grant {
+                None => reply.line(format_args!("err hello first")),
                 Some(grant) => {
                     let (reply_tx, reply_rx) = mpsc::channel();
                     engine
                         .send(EngineMsg::Ping { session: grant.session, reply: reply_tx })
-                        .map_err(|_| "engine stopped".to_owned())?;
-                    match reply_rx.recv().map_err(|_| "engine stopped".to_owned())? {
-                        Ok(()) => respond(&writer, "pong")?,
-                        Err(e) => respond(&writer, &format!("err {e}"))?,
+                        .map_err(|_| engine_stopped())?;
+                    match reply_rx.recv().map_err(|_| engine_stopped())? {
+                        Ok(()) => reply.line(format_args!("pong")),
+                        Err(e) => reply.line(format_args!("err {e}")),
                     }
                 }
             },
-            "epoch" => respond(&writer, &format!("epoch {}", query.epoch()))?,
+            "epoch" => reply.line(format_args!("epoch {}", query.epoch())),
             "stats" => {
                 let (reply_tx, reply_rx) = mpsc::channel();
                 engine
                     .send(EngineMsg::Stats { reply: reply_tx })
-                    .map_err(|_| "engine stopped".to_owned())?;
-                let s = reply_rx.recv().map_err(|_| "engine stopped".to_owned())?;
-                respond(&writer, &s)?;
+                    .map_err(|_| engine_stopped())?;
+                let s = reply_rx.recv().map_err(|_| engine_stopped())?;
+                reply.line(format_args!("{s}"));
             }
             "quit" => return Ok(()),
-            other => respond(&writer, &format!("err unknown verb `{other}`"))?,
+            other => reply.line(format_args!("err unknown verb `{other}`")),
+        }
+        if !reply.as_bytes().is_empty() {
+            send(socket, &mut reply)?;
         }
     }
     Ok(())
@@ -589,23 +786,20 @@ fn parse_report(catalog: &Catalog, source: &SourceId, rest: &str) -> Result<Enve
     Ok(Envelope { source: source.clone(), epoch, seq, report })
 }
 
-fn respond(writer: &Arc<Mutex<TcpStream>>, line: &str) -> Result<(), String> {
-    let mut w = writer
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    writeln!(w, "{line}").map_err(|e| e.to_string())
-}
-
 /// The `dwc connect` client REPL: connects, introduces `source`, then
 /// turns `insert`/`delete` lines into sequenced `report` verbs (keeping
 /// a local outbox) and passes every other verb through. Async `ack`
-/// lines from the server print as they arrive.
+/// lines from the server print as they arrive. Requests follow the
+/// server's rule: `TCP_NODELAY`, one write per request — the `recover`
+/// replay, however long, included.
 pub fn connect(addr: &str, source: &str) -> Result<(), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
+    stream.set_nodelay(true).map_err(|e| e.to_string())?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut stream = stream;
+    let mut request = LineBuf::new();
 
-    writeln!(stream, "hello {source}").map_err(|e| e.to_string())?;
+    request.line(format_args!("hello {source}"));
+    request.flush_to(&mut stream).map_err(|e| e.to_string())?;
     let mut greeting = String::new();
     reader.read_line(&mut greeting).map_err(|e| e.to_string())?;
     let mut parts = greeting.split_whitespace();
@@ -620,7 +814,8 @@ pub fn connect(addr: &str, source: &str) -> Result<(), String> {
     println!("(resuming source `{source}` at epoch {epoch} seq {seq})");
     // Surface server health (and per-shard health on a sharded store)
     // right in the connect banner; the reply prints asynchronously.
-    writeln!(stream, "stats").map_err(|e| e.to_string())?;
+    request.line(format_args!("stats"));
+    request.flush_to(&mut stream).map_err(|e| e.to_string())?;
 
     // Server lines print as they arrive, interleaved with the prompt.
     thread::spawn(move || {
@@ -654,22 +849,23 @@ pub fn connect(addr: &str, source: &str) -> Result<(), String> {
         match verb {
             "insert" | "delete" => {
                 let wire = format!("report {epoch} {seq} {verb} {rest}");
-                writeln!(stream, "{wire}").map_err(|e| e.to_string())?;
+                request.line(format_args!("{wire}"));
                 outbox.push(wire);
                 seq += 1;
             }
             "recover" if rest.is_empty() => {
-                writeln!(stream, "recover {}", outbox.len()).map_err(|e| e.to_string())?;
+                request.line(format_args!("recover {}", outbox.len()));
                 for wire in &outbox {
-                    writeln!(stream, "{wire}").map_err(|e| e.to_string())?;
+                    request.line(format_args!("{wire}"));
                 }
             }
-            "quit" => {
-                let _ = writeln!(stream, "quit");
-                break;
-            }
-            _ => writeln!(stream, "{trimmed}").map_err(|e| e.to_string())?,
+            _ => request.line(format_args!("{trimmed}")),
         }
+        let sent = request.flush_to(&mut stream);
+        if verb == "quit" {
+            break;
+        }
+        sent.map_err(|e| e.to_string())?;
     }
     Ok(())
 }
