@@ -9,6 +9,15 @@
 //! cost model (an fsync ≈ 50× an unsynced append), so the headline claim
 //! — batch ≥ 16 sustains ≥ 5× the acks/sec of batch = 1 — is pinned by
 //! accounting even on machines whose fsync is a tmpfs no-op.
+//!
+//! The chain rows above re-deliver one 64-envelope schedule on a toy
+//! spec, so they time the commit path and no maintenance at all. The
+//! `star-batch{1,64}` rows put maintenance back: `dwc serve`'s defaults
+//! on `examples/specs/starschema.dwc` at scale 0.05, fed the wire-to-ack
+//! benchmark's report shape (single-row, FK-ordered, a retire/restore
+//! ring that keeps the state stationary) with fresh sequence numbers
+//! every iteration — the slice-size sweep of one maintenance pass per
+//! group commit. Those rows carry `nproc` and `commit`.
 //! `scripts/bench.sh` collects every line into `BENCH_server.json`.
 
 use dwc_relalg::{Catalog, DbState, Relation, Tuple, Update, Value};
@@ -18,8 +27,10 @@ use dwc_warehouse::channel::{Envelope, SourceId};
 use dwc_warehouse::ingest::{IngestConfig, IngestingIntegrator};
 use dwc_warehouse::integrator::{Integrator, SourceSite};
 use dwc_warehouse::server::{BatchPolicy, ServerCore, SessionId};
+use dwc_warehouse::integrator::IntegratorConfig;
 use dwc_warehouse::{
-    DurabilityConfig, DurableWarehouse, FsMedium, MediumError, StorageMedium, WarehouseSpec,
+    AdaptivePolicy, DurabilityConfig, DurableWarehouse, FsMedium, MediumError, StorageMedium,
+    WarehouseSpec,
 };
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -150,6 +161,130 @@ impl StorageMedium for SimMedium {
     }
 }
 
+/// Orders in the star rows' retire/restore ring, and the steps between
+/// an order's retirement and its restoration (far enough apart that no
+/// 64-report slice sees both).
+const RING: usize = 64;
+const LAG: usize = 16;
+
+/// The endless single-row report stream of the star rows: a retire-only
+/// prologue, then a cycle that returns the state to where it began.
+struct StarStream {
+    prologue: Vec<Update>,
+    cycle: Vec<Update>,
+}
+
+impl StarStream {
+    fn new(base: &DbState) -> StarStream {
+        let orders = base.relation("Orders".into()).expect("base covers catalog");
+        let items = base.relation("Lineitem".into()).expect("base covers catalog");
+        let key_of = |rel: &Relation, t: &Tuple| {
+            t.get(rel.attrs().index_of("orderkey".into()).expect("orderkey")).clone()
+        };
+        let one = |rel: &Relation, t: Tuple| {
+            Relation::from_tuples(rel.attrs().clone(), [t]).expect("one row")
+        };
+        let groups: Vec<(Tuple, Vec<Tuple>)> = orders
+            .iter()
+            .take(RING)
+            .map(|o| {
+                let key = key_of(orders, &o);
+                (o, items.iter().filter(|i| key_of(items, i) == key).collect())
+            })
+            .collect();
+        assert_eq!(groups.len(), RING, "base state too small for the ring");
+        // Line items leave before their order row and return after it.
+        let retire = |g: &(Tuple, Vec<Tuple>), out: &mut Vec<Update>| {
+            out.extend(g.1.iter().map(|i| Update::deleting("Lineitem", one(items, i.clone()))));
+            out.push(Update::deleting("Orders", one(orders, g.0.clone())));
+        };
+        let restore = |g: &(Tuple, Vec<Tuple>), out: &mut Vec<Update>| {
+            out.push(Update::inserting("Orders", one(orders, g.0.clone())));
+            out.extend(g.1.iter().map(|i| Update::inserting("Lineitem", one(items, i.clone()))));
+        };
+        let mut prologue = Vec::new();
+        for g in &groups[..LAG] {
+            retire(g, &mut prologue);
+        }
+        let mut cycle = Vec::new();
+        for j in 0..RING {
+            retire(&groups[(LAG + j) % RING], &mut cycle);
+            restore(&groups[j], &mut cycle);
+        }
+        StarStream { prologue, cycle }
+    }
+
+    fn get(&self, i: u64) -> &Update {
+        match self.prologue.get(i as usize) {
+            Some(u) => u,
+            None => &self.cycle[(i as usize - self.prologue.len()) % self.cycle.len()],
+        }
+    }
+}
+
+/// `acks-per-sec/star-batch{1,64}-src1`: what a group commit costs per
+/// envelope once each envelope's report has to be maintained.
+fn star_rows(scratch_dirs: &mut Vec<PathBuf>) {
+    let spec_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/specs/starschema.dwc");
+    let text = std::fs::read_to_string(spec_path).expect("spec file ships with the repo");
+    let (parsed, report) = dwc_analyze::specfile::parse_spec(&text, spec_path);
+    assert!(!report.has_errors(), "{report}");
+    let spec = WarehouseSpec::new(parsed.catalog, parsed.views).expect("shipped spec is valid");
+    let base = dwc_starschema::generate(&dwc_starschema::ScaleConfig::scaled(0.05), 1999);
+    let stream = StarStream::new(&base);
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    let commit = std::env::var("DWC_BENCH_COMMIT").unwrap_or_else(|_| "unknown".to_owned());
+    let source = SourceId::new("bench");
+
+    for &max_batch in &[1usize, 64] {
+        let dir = scratch(&format!("star-b{max_batch}"));
+        scratch_dirs.push(dir.clone());
+        let aug = spec.clone().augment().expect("star warehouse augments");
+        let state = aug.materialize(&base).expect("W(base)");
+        let integ =
+            Integrator::from_state(aug, state, IntegratorConfig::default()).expect("integrator");
+        let ingest = IngestingIntegrator::new(integ, IngestConfig::default()).expect("ingestor");
+        let mut dw = DurableWarehouse::create(
+            FsMedium::new(&dir).expect("scratch dir"),
+            ingest,
+            DurabilityConfig::default(),
+        )
+        .expect("creates");
+        dw.set_maintenance_policy(AdaptivePolicy::adaptive()).expect("policy persists");
+        let mut core =
+            ServerCore::new(dw, BatchPolicy { max_batch, max_wait_micros: 1_000_000 });
+        let session = core.connect(source.clone()).session;
+        let mut seq = 0u64;
+        let mut deliver = |n: usize| {
+            let mut acks = 0;
+            for _ in 0..n {
+                let envelope =
+                    Envelope { source: source.clone(), epoch: 0, seq, report: stream.get(seq).clone() };
+                acks += core.deliver(session, envelope, 0).expect("deliver").len();
+                seq += 1;
+            }
+            acks += core.flush().expect("flush").len();
+            assert_eq!(acks, n, "every envelope must be acked");
+            acks
+        };
+        deliver(stream.prologue.len());
+        let group = Bench::new("server")
+            .field_num("max_batch", max_batch as u64)
+            .field_num("sources", 1)
+            .field_num("envelopes_per_iter", ENVELOPES as u64)
+            .field_num("nproc", nproc)
+            .field_str("commit", &commit);
+        let stats = group.run(&format!("group-commit/star-batch{max_batch}-src1"), || {
+            black_box(deliver(ENVELOPES))
+        });
+        let acks_per_sec =
+            (ENVELOPES as u128 * 1_000_000_000 / u128::from(stats.median_ns.max(1))) as u64;
+        println!(
+            "{{\"group\":\"server\",\"bench\":\"acks-per-sec/star-batch{max_batch}-src1\",\"acks_per_sec\":{acks_per_sec},\"max_batch\":{max_batch},\"sources\":1,\"nproc\":{nproc},\"commit\":\"{commit}\"}}"
+        );
+    }
+}
+
 fn main() {
     let mut scratch_dirs = Vec::new();
     let mut measured: BTreeMap<(usize, usize), u64> = BTreeMap::new();
@@ -224,6 +359,8 @@ fn main() {
             );
         }
     }
+
+    star_rows(&mut scratch_dirs);
 
     for dir in scratch_dirs {
         let _ = std::fs::remove_dir_all(dir);

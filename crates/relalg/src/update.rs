@@ -71,6 +71,36 @@ impl Delta {
         current.apply_delta(&self.insert, &self.delete)
     }
 
+    /// The cancelling sequential composition `self ; next` of two
+    /// *sequentially normalized* deltas: `self` normalized w.r.t. some
+    /// state `s₀`, `next` w.r.t. `self(s₀)`. A tuple inserted and then
+    /// deleted (or deleted and then re-inserted) cancels to nothing:
+    ///
+    /// ```text
+    /// insert = (self.insert ∖ next.delete) ∪ (next.insert ∖ self.delete)
+    /// delete = (self.delete ∖ next.insert) ∪ (next.delete ∖ self.insert)
+    /// ```
+    ///
+    /// Returns `None` when the pair *shows* that the premise is broken —
+    /// a tuple inserted twice, or deleted twice, with nothing in
+    /// between. See [`Update::then_net`] for the lemma.
+    pub fn then_net(&self, next: &Delta) -> Result<Option<Delta>> {
+        if !self.insert.intersect(&next.insert)?.is_empty()
+            || !self.delete.intersect(&next.delete)?.is_empty()
+        {
+            return Ok(None);
+        }
+        let insert = self
+            .insert
+            .difference(&next.delete)?
+            .union(&next.insert.difference(&self.delete)?)?;
+        let delete = self
+            .delete
+            .difference(&next.insert)?
+            .union(&next.delete.difference(&self.insert)?)?;
+        Ok(Some(Delta { insert, delete }))
+    }
+
     /// The *net effect* relative to `current`: deletions restricted to
     /// tuples actually present (and not re-inserted), insertions restricted
     /// to tuples actually new. Normalized deltas satisfy
@@ -138,6 +168,43 @@ impl Update {
             }
         }
         self
+    }
+
+    /// The cancelled sequential composition `self ; next`: per relation
+    /// [`Delta::then_net`], with deltas that cancel to nothing dropped.
+    ///
+    /// **Lemma.** Let `u₁ … u_k` each be normalized w.r.t. the state it
+    /// meets (`u₁` w.r.t. `s₀`, `u₂` w.r.t. `u₁(s₀)`, …). Then the fold
+    /// `n = u₁.then_net(u₂)….then_net(u_k)` is defined, is normalized
+    /// w.r.t. `s₀` (`delete ⊆ s₀`, `insert ∩ s₀ = ∅`,
+    /// `insert ∩ delete = ∅`), and `n(s₀) = u_k(…u₁(s₀)…)`. Per tuple
+    /// `t`, normalization makes the stream's operations on `t` alternate,
+    /// starting with an insert iff `t ∉ s₀`; the fold keeps `t` in
+    /// `insert` (resp. `delete`) exactly while that alternation stands at
+    /// an odd count from `t ∉ s₀` (resp. `t ∈ s₀`), which is both the
+    /// normal form and the net effect. This is what lets one maintenance
+    /// pass over `n` stand in for `k` passes (Theorem 4.1 holds for an
+    /// arbitrary update, so for `n` as for each `uᵢ`).
+    ///
+    /// Returns `Ok(None)` when the composition can *see* the premise
+    /// fail — some tuple inserted twice or deleted twice with nothing in
+    /// between; callers then apply the updates one at a time.
+    pub fn then_net(mut self, next: &Update) -> Result<Option<Update>> {
+        self.check_valid()?;
+        next.check_valid()?;
+        for (&name, delta) in &next.deltas {
+            let composed = match self.deltas.remove(&name) {
+                None => delta.clone(),
+                Some(first) => match first.then_net(delta)? {
+                    Some(d) => d,
+                    None => return Ok(None),
+                },
+            };
+            if !composed.is_empty() {
+                self.deltas.insert(name, composed);
+            }
+        }
+        Ok(Some(self))
     }
 
     /// The header-mismatch recorded by [`Update::with`], if any.
@@ -302,6 +369,41 @@ mod tests {
             .with("Emp", Delta::insert_only(rel! { ["clerk", "age"] => ("Mary", 23) }));
         let db4 = u.apply(&db).unwrap();
         assert_eq!(db4, db);
+    }
+
+    #[test]
+    fn net_composition_cancels_and_refuses_visible_breaches() {
+        let zoe = rel! { ["clerk", "age"] => ("Zoe", 40) };
+        let mary = rel! { ["clerk", "age"] => ("Mary", 23) };
+        let ins = |r: &Relation| Update::inserting("Emp", r.clone());
+        let del = |r: &Relation| Update::deleting("Emp", r.clone());
+        // insert → delete and delete → re-insert cancel to the no-op
+        // update: no relation touched, not merely an empty delta.
+        let n = ins(&zoe).then_net(&del(&zoe)).unwrap().unwrap();
+        assert_eq!(n, Update::new());
+        let n = del(&mary).then_net(&ins(&mary)).unwrap().unwrap();
+        assert_eq!(n.touched().count(), 0);
+        // insert → delete → insert is one net insert.
+        let n = ins(&zoe)
+            .then_net(&del(&zoe))
+            .and_then(|n| n.unwrap().then_net(&ins(&zoe)))
+            .unwrap()
+            .unwrap();
+        assert_eq!(n, ins(&zoe));
+        // Independent tuples and relations accumulate.
+        let n = ins(&zoe)
+            .then_net(&del(&mary).with("Sale", Delta::insert_only(rel! { ["item"] => ("Mac",) })))
+            .unwrap()
+            .unwrap();
+        assert_eq!(n.len(), 3);
+        assert_eq!(n.touched().count(), 2);
+        // Twice the same way with nothing in between: not sequentially
+        // normalized, and visibly so.
+        assert_eq!(ins(&zoe).then_net(&ins(&zoe)).unwrap(), None);
+        assert_eq!(del(&mary).then_net(&del(&mary)).unwrap(), None);
+        // A recorded header mismatch stays an error.
+        let bad = ins(&zoe).with("Emp", Delta::insert_only(rel! { ["other"] => (1,) }));
+        assert!(ins(&mary).then_net(&bad).is_err());
     }
 
     #[test]

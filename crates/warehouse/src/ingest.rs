@@ -22,6 +22,14 @@
 //!   additionally checked against the Theorem 4.1 criterion
 //!   `w' = W(u(W⁻¹(w)))`, and a failed check heals the same way.
 //!
+//! * **One pass per slice** — envelopes arrive in slices (a group
+//!   commit's batch, a replayed run of the WAL, or just one). Every
+//!   sequencing decision above is taken per envelope, but the reports a
+//!   slice puts in sequence are maintained together, in one pass over
+//!   their net delta ([`IngestingIntegrator::offer_batch`]); Theorem 4.1
+//!   holds for an arbitrary update, so how a stream is sliced never
+//!   shows in the state.
+//!
 //! Every decision is counted in [`IngestStats`], the channel-side
 //! sibling of [`crate::integrator::SourceStats`].
 
@@ -155,6 +163,38 @@ pub(crate) struct Cursor {
     pub(crate) pending: BTreeMap<u64, Update>,
 }
 
+/// The in-sequence reports a coalescing slice has accepted but not yet
+/// maintained.
+struct Accepted {
+    /// Their cancelled sequential composition, normalized w.r.t. the
+    /// pre-slice state ([`Update::then_net`]); `None` once a report
+    /// would not compose.
+    net: Option<Update>,
+    /// Reports folded in — what [`TraceBuf::ok`] counts.
+    reports: u32,
+    /// Of those, the non-empty ones — what
+    /// [`IntegratorStats::updates_processed`] counts.
+    counted: usize,
+    /// Their tuples — what [`IntegratorStats::delta_tuples`] counts.
+    tuples: usize,
+}
+
+impl Accepted {
+    fn push(&mut self, report: &Update) {
+        self.reports += 1;
+        self.counted += usize::from(!report.is_empty());
+        self.tuples += report.len();
+        self.net = self.net.take().and_then(|net| net.then_net(report).ok().flatten());
+    }
+}
+
+/// The sequencing state a slice may have advanced, as it was before.
+struct Checkpoint {
+    cursors: BTreeMap<SourceId, Option<Cursor>>,
+    stats: IngestStats,
+    quarantined: usize,
+}
+
 /// One rejected envelope with the typed error that rejected it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuarantineEntry {
@@ -271,13 +311,98 @@ impl IngestingIntegrator {
         &self.cursors
     }
 
-    /// Offers one envelope from the channel. Infallible at the call
-    /// site: every failure mode is a typed [`IngestOutcome`], recorded
-    /// in the stats and (for rejects) the quarantine log.
+    /// Offers one envelope from the channel: the one-element case of
+    /// [`IngestingIntegrator::offer_batch`].
     pub fn offer(&mut self, envelope: &Envelope) -> IngestOutcome {
+        self.offer_batch(std::slice::from_ref(envelope))
+            .pop()
+            .expect("one outcome per envelope") // lint:allow expect -- offer_batch returns exactly one outcome per envelope offered
+    }
+
+    /// Offers a slice of envelopes in arrival order. Infallible at the
+    /// call site: every failure mode is a typed [`IngestOutcome`] (one
+    /// per envelope), recorded in the stats and (for rejects) the
+    /// quarantine log.
+    ///
+    /// Sequencing — dedup, validation, epochs, the reorder window,
+    /// quarantine — is decided per envelope exactly as if each were
+    /// offered alone, but the slice's in-sequence reports are maintained
+    /// together: composed in order into their net delta
+    /// ([`Update::then_net`]) and run through **one** maintenance pass
+    /// (none when everything cancels). Theorem 4.1 holds for an
+    /// arbitrary update, so the pass lands on the state the per-report
+    /// passes would have reached. If the composition shows a malformed
+    /// stream, or the pass fails, the slice is rolled back and re-run one
+    /// report per pass, so a bad report is quarantined under its own
+    /// sequence number and its neighbours still apply. Paranoid mode
+    /// ([`IngestConfig::verify_invariants`]) and scripted replay observe
+    /// every report on its own and always take that route.
+    pub fn offer_batch(&mut self, envelopes: &[Envelope]) -> Vec<IngestOutcome> {
+        let per_report =
+            self.config.verify_invariants || matches!(self.mode, ApplyMode::Scripted { .. });
+        if !per_report {
+            let undo = self.checkpoint(envelopes);
+            if let Some(outcomes) = self.offer_coalesced(envelopes) {
+                return outcomes;
+            }
+            self.rollback(undo);
+            self.policy.note_fallback();
+        }
+        envelopes.iter().map(|e| self.sequence(e, None)).collect()
+    }
+
+    /// Sequences the whole slice, folding its in-sequence reports into
+    /// one net delta, then maintains that once. `None` — with cursors,
+    /// counters and quarantine possibly advanced, the warehouse state
+    /// not — when the slice has to go one report per pass instead.
+    fn offer_coalesced(&mut self, envelopes: &[Envelope]) -> Option<Vec<IngestOutcome>> {
+        let mut accepted =
+            Accepted { net: Some(Update::new()), reports: 0, counted: 0, tuples: 0 };
+        let mut outcomes = Vec::with_capacity(envelopes.len());
+        for envelope in envelopes {
+            outcomes.push(self.sequence(envelope, Some(&mut accepted)));
+            accepted.net.as_ref()?;
+        }
+        let net = accepted.net.take()?;
+        self.maintain(&net, accepted.counted, accepted.tuples).ok()?;
+        if let ApplyMode::Traced(buf) = &mut self.mode {
+            buf.ok += accepted.reports;
+        }
+        Some(outcomes)
+    }
+
+    /// What [`IngestingIntegrator::rollback`] needs to undo a slice's
+    /// sequencing: the cursors of the sources it names (absent ones as
+    /// `None`), the counters, and the quarantine length.
+    fn checkpoint(&self, envelopes: &[Envelope]) -> Checkpoint {
+        let mut cursors = BTreeMap::new();
+        for e in envelopes {
+            if !cursors.contains_key(&e.source) {
+                cursors.insert(e.source.clone(), self.cursors.get(&e.source).cloned());
+            }
+        }
+        Checkpoint { cursors, stats: self.stats, quarantined: self.quarantine.len() }
+    }
+
+    fn rollback(&mut self, undo: Checkpoint) {
+        for (source, cursor) in undo.cursors {
+            match cursor {
+                Some(c) => self.cursors.insert(source, c),
+                None => self.cursors.remove(&source),
+            };
+        }
+        self.stats = undo.stats;
+        self.quarantine.truncate(undo.quarantined);
+    }
+
+    fn sequence(
+        &mut self,
+        envelope: &Envelope,
+        accepted: Option<&mut Accepted>,
+    ) -> IngestOutcome {
         self.stats.delivered += 1;
         let mut cursor = self.cursors.remove(&envelope.source).unwrap_or_default();
-        let outcome = self.offer_at(&mut cursor, envelope);
+        let outcome = self.sequence_at(&mut cursor, envelope, accepted);
         self.cursors.insert(envelope.source.clone(), cursor);
         outcome
     }
@@ -373,7 +498,12 @@ impl IngestingIntegrator {
         self.stats = ingstats;
     }
 
-    fn offer_at(&mut self, cursor: &mut Cursor, envelope: &Envelope) -> IngestOutcome {
+    fn sequence_at(
+        &mut self,
+        cursor: &mut Cursor,
+        envelope: &Envelope,
+        mut accepted: Option<&mut Accepted>,
+    ) -> IngestOutcome {
         // An older epoch is a stale replay from before the source's
         // sequencer restarted.
         if envelope.epoch < cursor.epoch {
@@ -422,24 +552,33 @@ impl IngestingIntegrator {
             self.stats.buffered += 1;
             return IngestOutcome::Buffered;
         }
-        // In sequence: apply, then drain every parked successor that
+        // In sequence: apply (or, in a coalescing slice, accept for the
+        // slice's one pass), then drain every parked successor that
         // became contiguous.
         let mut applied = 0;
         let mut report = envelope.report.clone();
         loop {
-            if let Err(e) = self.apply_one(&report) {
+            let result = match accepted.as_deref_mut() {
+                Some(accepted) => {
+                    accepted.push(&report);
+                    Ok(())
+                }
+                None => self.apply_one(&report),
+            };
+            if let Err(e) = result {
                 // The report is well-formed but failed evaluation; park
                 // it in quarantine without consuming its sequence so
                 // recovery (or an operator) can deal with it.
-                return self.reject(
-                    &Envelope {
-                        source: envelope.source.clone(),
-                        epoch: cursor.epoch,
-                        seq: cursor.next_seq,
-                        report,
-                    },
-                    e,
-                );
+                let failed = Envelope {
+                    source: envelope.source.clone(),
+                    epoch: cursor.epoch,
+                    seq: cursor.next_seq,
+                    report,
+                };
+                let outcome = self.reject(&failed, e);
+                // A failing *successor* is quarantined under its own
+                // sequence number; the offered envelope itself applied.
+                return if applied > 0 { IngestOutcome::Applied(applied) } else { outcome };
             }
             applied += 1;
             self.stats.applied += 1;
@@ -468,7 +607,11 @@ impl IngestingIntegrator {
             let message = error.take().unwrap_or_default();
             return Err(WarehouseError::Restored { message });
         }
-        let result = self.apply_one_live(report);
+        let result = if self.config.verify_invariants {
+            self.apply_verified(report)
+        } else {
+            self.maintain(report, usize::from(!report.is_empty()), report.len())
+        };
         if let ApplyMode::Traced(buf) = &mut self.mode {
             match &result {
                 Ok(()) => buf.ok += 1,
@@ -478,31 +621,42 @@ impl IngestingIntegrator {
         result
     }
 
-    fn apply_one_live(&mut self, report: &Update) -> Result<()> {
-        if !self.config.verify_invariants {
-            let traced = crate::planner::maintain_with_policy_traced(
-                &mut self.policy,
-                &mut self.integ,
-                report,
-            )?;
-            if let ApplyMode::Traced(buf) = &mut self.mode {
-                match traced {
-                    Some(deltas) => buf.deltas.extend(deltas),
-                    // A reconstruction strategy rewrote the stored
-                    // relations wholesale.
-                    None => buf.reset = true,
-                }
+    /// One maintenance pass over `net`: the cancelled composition of
+    /// `reports` non-empty reports carrying `tuples` tuples between them
+    /// (a lone report is its own net). The integrator's counters advance
+    /// by what was *reported*, not by the one pass over `|net|` tuples,
+    /// so they do not depend on how a stream was sliced or on how replay
+    /// grouped it.
+    fn maintain(&mut self, net: &Update, reports: usize, tuples: usize) -> Result<()> {
+        let before = self.integ.stats();
+        let traced =
+            crate::planner::maintain_with_policy_traced(&mut self.policy, &mut self.integ, net)?;
+        self.integ.restore_stats(IntegratorStats {
+            updates_processed: before.updates_processed + reports,
+            delta_tuples: before.delta_tuples + tuples,
+            ..self.integ.stats()
+        });
+        if let ApplyMode::Traced(buf) = &mut self.mode {
+            match traced {
+                Some(deltas) => buf.deltas.extend(deltas),
+                // A reconstruction strategy rewrote the stored
+                // relations wholesale.
+                None => buf.reset = true,
             }
-            return Ok(());
         }
+        Ok(())
+    }
+
+    /// Paranoid mode: one report, cross-checked against the source-free
+    /// oracle and healed by adopting it when the incremental result
+    /// diverges.
+    fn apply_verified(&mut self, report: &Update) -> Result<()> {
         let expected = self
             .integ
             .warehouse()
             .maintain_by_reconstruction(self.integ.state(), report)?; // lint:allow strategy_dispatch -- verification cross-check oracle
         self.integ.on_report(report)?;
         if self.integ.state() != &expected {
-            // The incremental result diverged from the source-free
-            // oracle: heal by adopting the reconstruction.
             self.stats.invariant_failures += 1;
             self.stats.recoveries += 1;
             self.integ.force_state(expected)?;
@@ -1082,5 +1236,100 @@ mod tests {
         assert_eq!(ing.stats().invariant_failures, 0);
         assert_eq!(ing.stats().recoveries, 0);
         assert_eq!(ing.state(), &oracle(&src, &ing));
+    }
+
+    /// A report that passes [`IngestingIntegrator::validate`] yet fails
+    /// when a reconstruction strategy applies it: [`Update::with`] was
+    /// handed a second `Sale` delta over the wrong header, kept the
+    /// first, and flagged the update for `Update::apply` to report.
+    /// (Incremental plans never call `apply`, so the failure has to be
+    /// met on the reconstruction path.)
+    fn poisoned(mut envelope: Envelope) -> Envelope {
+        envelope.report = envelope
+            .report
+            .with("Sale", dwc_relalg::Delta::insert_only(rel! { ["other"] => (1,) }));
+        envelope
+    }
+
+    #[test]
+    fn failing_parked_successor_does_not_unapply_the_offered_envelope() {
+        use crate::planner::MaintenanceStrategy;
+        let (mut src, mut ing) = setup(IngestConfig::default());
+        ing.set_policy(AdaptivePolicy::fixed(MaintenanceStrategy::Reconstruction));
+        let first = sale_insert(&mut src, "Mac", "Paula");
+        let second = poisoned(sale_insert(&mut src, "Modem", "John"));
+        assert_eq!(ing.offer(&second), IngestOutcome::Buffered);
+        // Seq 0 applies and drains seq 1, whose maintenance fails: the
+        // successor is quarantined under its own sequence number, and
+        // the offered envelope — applied, sequence consumed — says so.
+        assert_eq!(ing.offer(&first), IngestOutcome::Applied(1));
+        assert_eq!(ing.sequencing()[0].next_seq, 1);
+        assert_eq!(ing.quarantine().len(), 1);
+        assert_eq!(ing.quarantine()[0].envelope, second);
+        assert_eq!(ing.stats().applied, 1);
+        assert_eq!(ing.offer(&first), IngestOutcome::Duplicate);
+        // The two reports would not compose into one pass; that is what
+        // sent them one per pass.
+        assert_eq!(ing.policy().stats().fallbacks, 1);
+    }
+
+    #[test]
+    fn slices_run_one_pass_over_their_net_delta() {
+        let (mut src, mut ing) = setup(IngestConfig::default());
+        let envs: Vec<Envelope> =
+            (0..10).map(|i| sale_insert(&mut src, &format!("item{i}"), "Mary")).collect();
+        for slice in envs.chunks(4) {
+            let outcomes = ing.offer_batch(slice);
+            assert!(outcomes.iter().all(|o| *o == IngestOutcome::Applied(1)));
+        }
+        assert_eq!(ing.state(), &oracle(&src, &ing));
+        let p = ing.policy().stats();
+        assert_eq!((p.passes, p.fallbacks), (3, 0)); // ⌈10/4⌉
+        // Counters count reports and reported tuples, not passes.
+        let i = ing.integrator_stats();
+        assert_eq!((i.updates_processed, i.delta_tuples), (10, 10));
+
+        // Insert-then-delete cancels: no pass, the very same relations.
+        let gone = src
+            .apply_update(&Update::deleting("Sale", rel! { ["item", "clerk"] => ("item0", "Mary") }))
+            .unwrap();
+        let back = sale_insert(&mut src, "item0", "Mary");
+        let before: Vec<_> = ing
+            .state()
+            .iter()
+            .map(|(n, _)| ing.state().relation_shared(n).unwrap())
+            .collect();
+        assert_eq!(
+            ing.offer_batch(&[gone, back]),
+            vec![IngestOutcome::Applied(1), IngestOutcome::Applied(1)]
+        );
+        let after = ing.state().iter().map(|(n, _)| ing.state().relation_shared(n).unwrap());
+        assert!(before.iter().zip(after).all(|(b, a)| std::sync::Arc::ptr_eq(b, &a)));
+        assert_eq!(ing.policy().stats().passes, 3);
+        assert_eq!(ing.integrator_stats().updates_processed, 12);
+        assert_eq!(ing.state(), &oracle(&src, &ing));
+    }
+
+    #[test]
+    fn visibly_malformed_slices_go_one_report_per_pass() {
+        let (mut src, mut ing) = setup(IngestConfig::default());
+        let (mut src2, mut alone) = setup(IngestConfig::default());
+        // The same tuple inserted twice with nothing in between: the
+        // second report is not normalized w.r.t. the state it meets.
+        let first = sale_insert(&mut src, "Mac", "Paula");
+        let mut second = sale_insert(&mut src, "Modem", "John");
+        second.report = first.report.clone();
+        let third = sale_insert(&mut src, "Printer", "Mary");
+        let slice = [first, second, third];
+        let outcomes = ing.offer_batch(&slice);
+        let p = ing.policy().stats();
+        assert_eq!((p.passes, p.fallbacks), (3, 1));
+        // Exactly what offering them one by one does today.
+        sale_insert(&mut src2, "Mac", "Paula");
+        let expected: Vec<IngestOutcome> = slice.iter().map(|e| alone.offer(e)).collect();
+        assert_eq!(outcomes, expected);
+        assert_eq!(ing.state(), alone.state());
+        assert_eq!(ing.stats(), alone.stats());
+        assert_eq!(ing.integrator_stats(), alone.integrator_stats());
     }
 }

@@ -355,9 +355,12 @@ impl Integrator {
     /// and failed invariant checks. Still zero source queries.
     pub fn recover_by_reconstruction(&mut self, update: &Update) -> Result<()> {
         let next = self.aug.maintain_by_reconstruction(&self.warehouse, update)?; // lint:allow strategy_dispatch -- the recovery path IS the reconstruction strategy
+        // Counted only once the swap is in: a failed rebuild leaves the
+        // integrator exactly as it was, counters included.
+        self.force_state(next)?;
         self.stats.updates_processed += 1;
         self.stats.delta_tuples += update.len();
-        self.force_state(next)
+        Ok(())
     }
 
     /// Tuples held by the inverse mirrors (0 when caching is off) — the

@@ -64,6 +64,13 @@ pub struct PolicyStats {
     pub chosen_reconstruction: u64,
     /// `DWC-P201` mispredictions observed (each flushes the cache).
     pub mispredictions: u64,
+    /// Maintenance passes dispatched — counted whether or not the policy
+    /// is active. One per non-empty report offered alone; one per
+    /// ingested slice (or replay group) whose net delta is non-empty.
+    pub passes: u64,
+    /// Slices the ingestor rolled back and re-ran one report per pass
+    /// (the coalesced pass failed, or the reports would not compose).
+    pub fallbacks: u64,
 }
 
 /// A cached verdict for one (touched, Δ-class, state-class) key.
@@ -127,6 +134,11 @@ impl AdaptivePolicy {
     /// The policy's counters.
     pub fn stats(&self) -> PolicyStats {
         self.stats
+    }
+
+    /// Counts one slice re-run one report per pass.
+    pub(crate) fn note_fallback(&mut self) {
+        self.stats.fallbacks += 1;
     }
 
     /// Drains the accumulated `DWC-P001`/`P101`/`P201` diagnostics.
@@ -243,7 +255,11 @@ pub(crate) fn maintain_with_policy_traced(
     integ: &mut Integrator,
     report: &Update,
 ) -> Result<Option<Vec<crate::incremental::StoredDelta>>> {
-    if !policy.is_active() || report.is_empty() {
+    if report.is_empty() {
+        return Ok(Some(Vec::new()));
+    }
+    policy.stats.passes += 1;
+    if !policy.is_active() {
         // The integrator's plain path *is* the mirrored incremental
         // strategy (mirrors used when cached), so the detailed variant
         // traces it without changing behavior.
@@ -380,7 +396,8 @@ mod tests {
             b.on_report(&u).unwrap();
         }
         assert_eq!(a.state(), b.state());
-        assert_eq!(policy.stats(), PolicyStats::default());
+        // Inert means no decisions; the pass counter runs regardless.
+        assert_eq!(policy.stats(), PolicyStats { passes: 4, ..PolicyStats::default() });
         assert!(policy.take_diagnostics().is_empty());
     }
 

@@ -1804,91 +1804,9 @@ mod tests {
     use crate::integrator::{Integrator, SourceSite};
     use crate::planner::PolicyMode;
     use crate::storage::{image_of, DurableWarehouse};
-    use crate::testutil::{fig1_spec, fig1_state};
+    use crate::testutil::{fig1_spec, fig1_state, MemMedium};
     use dwc_relalg::rel;
     use std::cell::RefCell;
-
-    /// In-memory medium for unit tests (the crash/fault models live in
-    /// `dwc-testkit` and the root test suite).
-    #[derive(Debug, Default)]
-    struct MemMedium {
-        files: RefCell<BTreeMap<String, Vec<u8>>>,
-        /// Paths with this prefix fail fatally on write/append/sync.
-        dead_prefix: RefCell<Option<String>>,
-    }
-
-    impl MemMedium {
-        fn kill_prefix(&self, prefix: &str) {
-            *self.dead_prefix.borrow_mut() = Some(prefix.to_owned());
-        }
-        fn dead(&self, path: &str) -> bool {
-            self.dead_prefix
-                .borrow()
-                .as_ref()
-                .is_some_and(|p| path.starts_with(p.as_str()))
-        }
-        fn clone_files(&self) -> BTreeMap<String, Vec<u8>> {
-            self.files.borrow().clone()
-        }
-    }
-
-    impl StorageMedium for MemMedium {
-        fn read(&self, path: &str) -> Result<Vec<u8>, MediumError> {
-            self.files
-                .borrow()
-                .get(path)
-                .cloned()
-                .ok_or_else(|| MediumError::fatal("read", path, "not found"))
-        }
-        fn write_all(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-            if self.dead(path) {
-                return Err(MediumError::fatal("write", path, "medium dead"));
-            }
-            self.files.borrow_mut().insert(path.to_owned(), bytes.to_vec());
-            Ok(())
-        }
-        fn append(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-            if self.dead(path) {
-                return Err(MediumError::fatal("append", path, "medium dead"));
-            }
-            self.files
-                .borrow_mut()
-                .entry(path.to_owned())
-                .or_default()
-                .extend_from_slice(bytes);
-            Ok(())
-        }
-        fn sync(&self, path: &str) -> Result<(), MediumError> {
-            if self.dead(path) {
-                return Err(MediumError::fatal("sync", path, "medium dead"));
-            }
-            Ok(())
-        }
-        fn rename(&self, from: &str, to: &str) -> Result<(), MediumError> {
-            if self.dead(to) {
-                return Err(MediumError::fatal("rename", to, "medium dead"));
-            }
-            let mut files = self.files.borrow_mut();
-            let data = files
-                .remove(from)
-                .ok_or_else(|| MediumError::fatal("rename", from, "not found"))?;
-            files.insert(to.to_owned(), data);
-            Ok(())
-        }
-        fn remove(&self, path: &str) -> Result<(), MediumError> {
-            self.files
-                .borrow_mut()
-                .remove(path)
-                .map(drop)
-                .ok_or_else(|| MediumError::fatal("remove", path, "not found"))
-        }
-        fn list(&self) -> Result<Vec<String>, MediumError> {
-            Ok(self.files.borrow().keys().cloned().collect())
-        }
-        fn exists(&self, path: &str) -> bool {
-            self.files.borrow().contains_key(path)
-        }
-    }
 
     fn setup() -> (SequencedSource, IngestingIntegrator) {
         let spec = fig1_spec();

@@ -492,6 +492,9 @@ pub struct RecoveryReport {
     /// that was re-armed on the recovered ingestor. `false` only for
     /// version-1 manifests written before the mode was durable.
     pub policy_restored: bool,
+    /// Maintenance passes the replay ran: one per group of consecutive
+    /// offers with a non-empty net delta, not one per record.
+    pub replay_passes: u64,
 }
 
 /// An [`IngestingIntegrator`] whose every applied envelope is
@@ -579,16 +582,18 @@ impl<M: StorageMedium> DurableWarehouse<M> {
         Ok(outcome)
     }
 
-    /// Offers a batch of envelopes as one **group commit**: each
-    /// envelope is applied in memory and appended as its own WAL frame,
-    /// then the segment is fsynced *once* for the whole batch. When
+    /// Offers a batch of envelopes as one **group commit**: the batch
+    /// is applied in memory as one slice (one maintenance pass over its
+    /// net delta), each envelope is appended as its own WAL frame, then
+    /// the segment is fsynced *once* for the whole batch. When
     /// this returns `Ok`, every envelope in the batch is durable —
     /// regardless of [`DurabilityConfig::sync_every_append`], which
     /// tunes the single-envelope [`DurableWarehouse::offer`] path only.
     /// This is what makes ack-after-fsync affordable: the fsync (the
-    /// ~50× dominant cost of a durable append) is amortized over the
-    /// batch. A crash before the group fsync tears the unsynced frame
-    /// suffix — exactly the envelopes no caller was acked for.
+    /// ~50× dominant cost of a durable append) and the maintenance pass
+    /// (O(|state|) on its own) are both amortized over the batch. A
+    /// crash before the group fsync tears the unsynced frame suffix —
+    /// exactly the envelopes no caller was acked for.
     pub fn offer_batch(
         &mut self,
         envelopes: &[Envelope],
@@ -601,18 +606,17 @@ impl<M: StorageMedium> DurableWarehouse<M> {
         Ok(outcomes)
     }
 
-    /// Applies a batch in memory only: each envelope goes through the
-    /// (infallible) ingestion path and its WAL record is queued, but
-    /// nothing touches storage. Pair with
-    /// [`DurableWarehouse::commit_applied`] — the split lets the server
-    /// park an already-applied batch when the commit fails retryably,
-    /// instead of losing it or applying it twice.
+    /// Applies a batch in memory only: the batch goes through the
+    /// (infallible) ingestion path as one slice — one maintenance pass
+    /// over its net delta, see [`IngestingIntegrator::offer_batch`] —
+    /// and one WAL record per envelope is queued, but nothing touches
+    /// storage. Pair with [`DurableWarehouse::commit_applied`] — the
+    /// split lets the server park an already-applied batch when the
+    /// commit fails retryably, instead of losing it or applying it
+    /// twice.
     pub fn apply_batch(&mut self, envelopes: &[Envelope]) -> Vec<IngestOutcome> {
-        let mut outcomes = Vec::with_capacity(envelopes.len());
-        for envelope in envelopes {
-            outcomes.push(self.ingest.offer(envelope));
-            self.unlogged.push(WalRecord::Offered(envelope.clone()));
-        }
+        let outcomes = self.ingest.offer_batch(envelopes);
+        self.unlogged.extend(envelopes.iter().cloned().map(WalRecord::Offered));
         outcomes
     }
 
@@ -857,16 +861,25 @@ impl<M: StorageMedium> DurableWarehouse<M> {
         if self.dirty {
             return self.roll_generation();
         }
-        while let Some(record) = self.unlogged.first() {
+        let mut appended = 0;
+        let mut failure = None;
+        for record in &self.unlogged {
             match wal::append_record(&self.medium, &self.wal_name, record, false) {
                 Ok(bytes) => {
                     self.stats.wal_appends += 1;
                     self.stats.wal_bytes += bytes as u64;
                     self.records_since_snapshot += 1;
-                    self.unlogged.remove(0);
+                    appended += 1;
                 }
-                Err(e) => return Err(self.note_failure(e)),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
             }
+        }
+        self.unlogged.drain(..appended);
+        if let Some(e) = failure {
+            return Err(self.note_failure(e));
         }
         if sync {
             match self.medium.sync(&self.wal_name) {
@@ -988,6 +1001,13 @@ pub(crate) fn image_of(ingest: &IngestingIntegrator) -> WarehouseImage {
     }
 }
 
+/// Most `Offered` records [`Recovery::open`] replays as one slice.
+/// Composing a run is linear in the delta accumulated so far, so an
+/// unbounded run would be quadratic in the WAL tail, while the pass a
+/// group buys costs the same whatever its size: on the star spec replay
+/// reads 40 µs per record at 64, 14 µs at 256 and no better at 1024.
+const REPLAY_GROUP: usize = 256;
+
 /// Opens a medium holding a committed warehouse and restores it; see
 /// the module docs for the recovery algorithm.
 pub struct Recovery;
@@ -1037,19 +1057,30 @@ impl Recovery {
         let snapshot_used = entries[start_idx].snapshot.clone();
         let mut ingest = Recovery::restore(aug, image)?;
         // Replay the chosen generation's WAL and every newer segment,
-        // in order. Offers are idempotent; repairs are recorded with
-        // their log slice and re-run verbatim.
+        // in order. Offers are idempotent and go through the live slice
+        // entry point, a maximal run of consecutive ones at a time (in
+        // groups of at most `REPLAY_GROUP`): the groups need not be the
+        // live run's batches — Theorem 4.1 lands any slicing on the same
+        // state. Repairs are recorded with their log slice and re-run
+        // verbatim.
         let mut replayed = 0usize;
         let mut torn_tails = 0usize;
+        let mut run: Vec<Envelope> = Vec::new();
         for entry in &entries[start_idx..] {
             let scan = wal::scan_segment(&medium, &entry.wal, entry.generation)?;
             if scan.torn_bytes > 0 {
                 torn_tails += 1;
             }
             for record in scan.records {
+                if !matches!(record, WalRecord::Offered(_)) {
+                    ingest.offer_batch(&std::mem::take(&mut run));
+                }
                 match record {
                     WalRecord::Offered(env) => {
-                        ingest.offer(&env);
+                        run.push(env);
+                        if run.len() == REPLAY_GROUP {
+                            ingest.offer_batch(&std::mem::take(&mut run));
+                        }
                     }
                     WalRecord::Recovered { source, log } => {
                         ingest.recover_from_log(&source, &log)?;
@@ -1080,6 +1111,8 @@ impl Recovery {
                 replayed += 1;
             }
         }
+        ingest.offer_batch(&run);
+        let replay_passes = ingest.policy().stats().passes;
         if config.verify_on_open {
             Recovery::cross_check(&ingest)?;
         }
@@ -1113,6 +1146,7 @@ impl Recovery {
             torn_tails,
             consistency_checked: config.verify_on_open,
             policy_restored: policy.is_some(),
+            replay_passes,
         };
         Ok((dw, report))
     }
@@ -1188,5 +1222,61 @@ impl Recovery {
             });
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::channel::SequencedSource;
+    use crate::ingest::IngestConfig;
+    use crate::integrator::SourceSite;
+    use crate::testutil::{fig1_spec, fig1_state, MemMedium};
+    use dwc_relalg::{rel, Update};
+    use std::cell::RefCell;
+
+    /// Replay goes through the slice entry point: a K-record tail of
+    /// in-order offers costs ⌈K/REPLAY_GROUP⌉ maintenance passes, not K,
+    /// however the live run had batched them — and lands on the same
+    /// state and counters.
+    #[test]
+    fn replay_maintains_once_per_group_of_offers() {
+        let spec = fig1_spec();
+        let site = SourceSite::new(spec.catalog().clone(), fig1_state()).unwrap();
+        let aug = spec.augment().unwrap();
+        let integ = Integrator::initial_load(aug.clone(), &site).unwrap();
+        let mut src = SequencedSource::new("fig1", site);
+        let ingest = IngestingIntegrator::new(integ, IngestConfig::default()).unwrap();
+        let mut dw =
+            DurableWarehouse::create(MemMedium::default(), ingest, DurabilityConfig::default())
+                .unwrap();
+        let k = 2 * REPLAY_GROUP + 5;
+        let envs: Vec<Envelope> = (0..k)
+            .map(|i| {
+                let row = rel! { ["item", "clerk"] => (format!("item{i}"), "Mary") };
+                src.apply_update(&Update::inserting("Sale", row)).unwrap()
+            })
+            .collect();
+        // Live: group commits of 7 — ⌈k/7⌉ passes.
+        for batch in envs.chunks(7) {
+            dw.offer_batch(batch).unwrap();
+        }
+        let live = dw.ingestor().policy().stats();
+        assert_eq!((live.passes, live.fallbacks), (k.div_ceil(7) as u64, 0));
+
+        let files = MemMedium {
+            files: RefCell::new(dw.medium.clone_files()),
+            ..MemMedium::default()
+        };
+        let (rec, report) = Recovery::open(files, aug, DurabilityConfig::default()).unwrap();
+        assert_eq!(report.records_replayed, k);
+        assert_eq!(report.replay_passes, 3); // ⌈k/REPLAY_GROUP⌉
+        assert_eq!(rec.state(), dw.state());
+        assert_eq!(rec.ingestor().stats(), dw.ingestor().stats());
+        let (a, b) = (rec.ingestor().integrator_stats(), dw.ingestor().integrator_stats());
+        assert_eq!(
+            (a.updates_processed, a.delta_tuples),
+            (b.updates_processed, b.delta_tuples)
+        );
     }
 }

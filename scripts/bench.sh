@@ -103,6 +103,7 @@ echo "wrote $(grep -c '^{' "$RECOVERY_OUT") results to $RECOVERY_OUT (incl. shar
 SERVER_OUT="$(dirname "$OUT")/$(basename "$OUT" | sed 's/eval/server/')"
 [ "$SERVER_OUT" = "$OUT" ] && SERVER_OUT="${OUT%.json}_server.json"
 echo "=== server: BENCH group commit ==="
+DWC_BENCH_COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)$(git diff --quiet HEAD 2>/dev/null || echo +)" \
 DWC_THREADS=1 cargo bench -q -p dwc-bench --bench server \
   | grep '^{' | tee "$SERVER_OUT"
 echo "wrote $(grep -c '^{' "$SERVER_OUT") results to $SERVER_OUT"

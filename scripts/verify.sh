@@ -148,6 +148,8 @@ for seeds in "2026 40490 271828182845904523" "11400714819323198485 6364136223846
   echo "schedule sweep: DWC_SCHED_SEEDS=\"$seeds\""
   DWC_SCHED_SEEDS="$seeds" cargo test -q --release --test server_props \
     pinned_scenario_converges_under_every_sweep_seed
+  DWC_SCHED_SEEDS="$seeds" cargo test -q --release --test group_commit_props \
+    pinned_slicing_differential_under_every_sweep_seed
 done
 echo "ok: server differential green, schedule sweep green"
 
@@ -221,6 +223,21 @@ echo "ok: shard matrix green"
 echo "wire properties: tests/wire_props.rs"
 cargo test -q --release --test wire_props
 echo "ok: reply path green"
+
+# --- 15. one pass per group commit: slicing differential ----------------
+# A group commit maintains its batch in one pass over the batch's net
+# delta, and recovery regroups the WAL its own way. Over hostile seeded
+# streams (duplicates, reorders that park and drain, garbage, an epoch
+# bump, cancel pairs) every cut into slices must give the per-envelope
+# outcome stream, fingerprint and counters, and W(u(d)); a failing pass
+# must fall back to exactly today's per-report behaviour; FK-ordered
+# star-schema reports must coalesce. The suite bakes its seed in
+# (SLICE_SEED); step 9's sweep already widened it. The counting tests
+# (⌈K/B⌉ passes live, ⌈K/G⌉ in replay, none for an empty net) are crate
+# unit tests and ran in step 2.
+echo "slicing differential: tests/group_commit_props.rs (pinned seed)"
+cargo test -q --release --test group_commit_props -- slicing fall fk_ordered
+echo "ok: slicing differential green"
 
 # Clippy is not part of the offline gate, but when a toolchain ships it,
 # run it too (still offline).

@@ -195,6 +195,7 @@ fn cmd_recover(args: &[String]) -> ExitCode {
             println!("recovered from {}", rep.snapshot_used);
             println!("  snapshots skipped : {}", rep.snapshots_skipped);
             println!("  records replayed  : {}", rep.records_replayed);
+            println!("  replay passes     : {}", rep.replay_passes);
             println!("  torn WAL tails    : {}", rep.torn_tails);
             println!(
                 "  consistency check : {}",

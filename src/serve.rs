@@ -543,7 +543,8 @@ fn run_engine(mut core: ServerCore<FsMedium>, rx: mpsc::Receiver<EngineMsg>) {
                 let _ = reply.send(format!(
                     "stats epoch={} delivered={} batches={} acks={} wal_syncs={} \
                      group_commits={} generation={} health={} parked={} \
-                     planner=plans:{},incr:{},mirr:{},recon:{},mispredict:{}{shards}",
+                     planner=plans:{},incr:{},mirr:{},recon:{},mispredict:{},passes:{},\
+                     fallbacks:{}{shards}",
                     core.commit_epoch(),
                     s.delivered,
                     s.batches_committed,
@@ -558,6 +559,8 @@ fn run_engine(mut core: ServerCore<FsMedium>, rx: mpsc::Receiver<EngineMsg>) {
                     p.chosen_mirrored,
                     p.chosen_reconstruction,
                     p.mispredictions,
+                    p.passes,
+                    p.fallbacks,
                 ));
             }
             Err(mpsc::RecvTimeoutError::Timeout) => match core.tick(now(&start)) {

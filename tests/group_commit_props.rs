@@ -17,6 +17,11 @@
 //! * **Quarantine triage is durable** — requeue/discard decisions taken
 //!   through the server's commit path are WAL records (`Requeued`,
 //!   `Discarded`) that recovery replays to the identical state.
+//! * **Slicing is invisible** — a group commit maintains its batch in
+//!   one pass over the batch's net delta, so *how* a hostile arrival
+//!   stream is cut into batches (and how recovery regroups the WAL) must
+//!   not show: every partition yields the per-envelope outcome stream,
+//!   the per-envelope fingerprint and counters, and `W(u(d))`.
 
 mod common;
 
@@ -25,21 +30,27 @@ use std::collections::BTreeMap;
 use common::{chain_catalog, chain_state, relation_from, ChainRows, SimMedium};
 use dwc_testkit::crash::{CrashPlan, SimFs};
 use dwc_testkit::prop::Runner;
-use dwc_testkit::sched::Interleaver;
-use dwc_testkit::{tk_ensure, tk_ensure_eq};
-use dwcomplements::relalg::{io, Update};
+use dwc_testkit::sched::{sched_seeds, Interleaver};
+use dwc_testkit::{tk_ensure, tk_ensure_eq, SplitMix64};
+use dwcomplements::relalg::{io, DbState, Delta, RelName, Update};
 use dwcomplements::warehouse::channel::{Envelope, SequencedSource, SourceId};
 use dwcomplements::warehouse::ingest::{
     IngestConfig, IngestOutcome, IngestingIntegrator,
 };
 use dwcomplements::warehouse::integrator::{Integrator, SourceSite};
 use dwcomplements::warehouse::server::{Ack, AckOutcome, BatchPolicy, ServerCore};
+use dwcomplements::warehouse::planner::MaintenanceStrategy;
 use dwcomplements::warehouse::{
-    AugmentedWarehouse, DurabilityConfig, DurableWarehouse, Recovery, WarehouseSpec,
+    AdaptivePolicy, AugmentedWarehouse, DurabilityConfig, DurableWarehouse, Recovery,
+    WarehouseSpec,
 };
 
 /// The pinned seed of the crash sweep; `verify.sh` step 9 replays it.
 const GROUP_SEED: u64 = 0x6C0B_0006_F57C_ACC7;
+
+/// The pinned seed of the slicing differential; `verify.sh` step 15
+/// replays it and step 9's `DWC_SCHED_SEEDS` sweep widens it.
+const SLICE_SEED: u64 = 0x511C_E500_20DE_17A5;
 
 /// The manifest file name (the on-disk name is part of the documented
 /// format; `storage` keeps the constant crate-private).
@@ -443,4 +454,360 @@ fn durable_quarantine_triage_replays_identically() {
     assert_eq!(rec.ingestor().discarded().len(), 1);
     assert_eq!(rec.ingestor().discarded()[0].reason, "channel garbage");
     assert!(rec.ingestor().quarantine().is_empty());
+}
+
+// ---------------------------------------------------------------------
+// Slicing differential: one maintenance pass per group commit
+// ---------------------------------------------------------------------
+
+/// A hostile arrival stream and what it must converge to.
+struct Arrival {
+    init: ChainRows,
+    stream: Vec<Envelope>,
+    /// The sources' final states, each for the relation it owns.
+    sources: DbState,
+    /// Genuine reports in the stream, and the non-empty ones' count and
+    /// tuples (what `updates_processed` / `delta_tuples` must add up to).
+    reports: usize,
+    counted: usize,
+    tuples: usize,
+}
+
+/// Three sources, one chain relation each, over a six-value domain (so
+/// later reports keep deleting and re-inserting what earlier ones
+/// touched), with everything the channel can do to them: an explicit
+/// insert→delete cancel pair and a delete→re-insert pair back to back,
+/// an epoch bump mid-lane, same-lane swaps that park and drain,
+/// duplicates, garbage at the live cursor, and a stale pre-bump replay.
+/// Every genuine envelope arrives at least once and no lane is reordered
+/// across its epoch bump, so the stream must land on `W(u(d))`.
+fn hostile_arrival(seed: u64) -> Arrival {
+    let mut rng = SplitMix64::new(seed);
+    let init = common::gen_chain_rows(&mut rng);
+    let bump_lane = rng.index(3);
+    let mut sources = DbState::new();
+    let mut lanes = Vec::new();
+    for (lane, (name, rel, attrs)) in
+        [("src-r", "R", &["a", "b"][..]), ("src-s", "S", &["b", "c"]), ("src-t", "T", &["c"])]
+            .into_iter()
+            .enumerate()
+    {
+        let site = SourceSite::new(chain_catalog(), chain_state(&init)).expect("site");
+        let mut src = SequencedSource::new(name, site);
+        let steps = 3 + rng.index(8);
+        let bump_at = 1 + rng.index(steps - 1);
+        let mut envs = Vec::new();
+        for step in 0..steps {
+            if lane == bump_lane && step == bump_at {
+                src.begin_epoch();
+            }
+            let rows = |rng: &mut SplitMix64| {
+                relation_from(attrs, &common::gen_rows(rng, attrs.len(), 4))
+            };
+            let delta = Delta::new(rows(&mut rng), rows(&mut rng)).expect("same header");
+            envs.push(src.apply_update(&Update::new().with(rel, delta)).expect("own update"));
+            if rng.chance(1, 3) {
+                // A fresh row in and straight out again, then a present
+                // row out and straight back in.
+                let fresh = relation_from(attrs, &[vec![9; attrs.len()]]);
+                let present = src.oracle_state().relation(RelName::new(rel)).expect("owned");
+                let mut pairs =
+                    vec![Update::inserting(rel, fresh.clone()), Update::deleting(rel, fresh)];
+                if let Some(t) = present.iter().next() {
+                    let row = dwcomplements::relalg::Relation::from_tuples(
+                        present.attrs().clone(),
+                        [t],
+                    )
+                    .expect("one row");
+                    pairs.push(Update::deleting(rel, row.clone()));
+                    pairs.push(Update::inserting(rel, row));
+                }
+                for u in pairs {
+                    envs.push(src.apply_update(&u).expect("own update"));
+                }
+            }
+        }
+        let owned = src.oracle_state().relation(RelName::new(rel)).expect("owned").clone();
+        sources.insert_relation(rel, owned);
+        lanes.push(envs);
+    }
+    let genuine: Vec<&Envelope> = lanes.iter().flatten().collect();
+    let reports = genuine.len();
+    let counted = genuine.iter().filter(|e| !e.report.is_empty()).count();
+    let tuples = genuine.iter().map(|e| e.report.len()).sum();
+    let stale = lanes[bump_lane][0].clone();
+
+    let mut stream: Vec<Envelope> =
+        Interleaver::from_rng(&mut rng).merge(lanes).into_iter().map(|(_, e)| e).collect();
+    for i in 0..stream.len() - 1 {
+        let (a, b) = (&stream[i], &stream[i + 1]);
+        if rng.chance(1, 4) && !(a.source == b.source && a.epoch != b.epoch) {
+            stream.swap(i, i + 1);
+        }
+    }
+    let mut arrival = Vec::new();
+    for env in stream {
+        if rng.chance(1, 6) {
+            // Channel garbage ahead of the pristine copy.
+            let mut garbage = env.clone();
+            garbage.report = Update::inserting("Ghost", relation_from(&["x"], &[vec![1]]));
+            arrival.push(garbage);
+        }
+        arrival.push(env.clone());
+        if rng.chance(1, 6) {
+            arrival.push(env);
+        }
+    }
+    // From before the bump, long after it.
+    arrival.push(stale);
+    Arrival { init, stream: arrival, sources, reports, counted, tuples }
+}
+
+/// What one way of slicing the stream produced.
+#[derive(Debug, PartialEq)]
+struct Sliced {
+    outcomes: Vec<IngestOutcome>,
+    fp: Fingerprint,
+    ingest: dwcomplements::warehouse::ingest::IngestStats,
+    reports_counted: (usize, usize),
+}
+
+fn offer_in_slices(
+    ing: &mut IngestingIntegrator,
+    stream: &[Envelope],
+    mut next_len: impl FnMut() -> usize,
+) -> Sliced {
+    let mut outcomes = Vec::new();
+    let mut rest = stream;
+    while !rest.is_empty() {
+        let (slice, tail) = rest.split_at(next_len().clamp(1, rest.len()));
+        let got = ing.offer_batch(slice);
+        assert_eq!(got.len(), slice.len(), "one outcome per envelope");
+        outcomes.extend(got);
+        rest = tail;
+    }
+    let i = ing.integrator_stats();
+    Sliced {
+        outcomes,
+        fp: fingerprint(ing),
+        ingest: ing.stats(),
+        reports_counted: (i.updates_processed, i.delta_tuples),
+    }
+}
+
+fn slicing_is_invisible(seed: u64) -> Result<(), String> {
+    let arrival = hostile_arrival(seed);
+    let oracle = fresh_aug().materialize(&arrival.sources).expect("W(u(d))");
+
+    let mut alone = fresh_ingest(&arrival.init);
+    let per_envelope = offer_in_slices(&mut alone, &arrival.stream, || 1);
+    tk_ensure_eq!(alone.state(), &oracle);
+    tk_ensure!(alone.sequencing().iter().all(|s| s.parked.is_empty()), "stream left a gap");
+    // Counters count reports: every genuine report applied exactly
+    // once, whatever the channel did and however passes were shared.
+    let applied: usize = per_envelope
+        .outcomes
+        .iter()
+        .map(|o| if let IngestOutcome::Applied(n) = o { *n } else { 0 })
+        .sum();
+    tk_ensure_eq!(applied, arrival.reports);
+    tk_ensure_eq!(per_envelope.ingest.applied, arrival.reports);
+    tk_ensure_eq!(per_envelope.reports_counted, (arrival.counted, arrival.tuples));
+
+    let mut cuts = SplitMix64::new(seed ^ 0xC075);
+    for size in [2, 7, 64, usize::MAX, 0] {
+        let mut ing = fresh_ingest(&arrival.init);
+        // Size 0 stands for a random partition.
+        let sliced = offer_in_slices(&mut ing, &arrival.stream, || {
+            if size == 0 { 1 + cuts.index(9) } else { size }
+        });
+        tk_ensure!(sliced == per_envelope, "slices of {size} diverged from per-envelope");
+        let p = ing.policy().stats();
+        tk_ensure!(p.fallbacks == 0, "a well-formed stream fell back ({size})");
+        tk_ensure!(p.passes <= alone.policy().stats().passes, "slicing added passes ({size})");
+    }
+
+    // The durable leg: group commits of 7, then recovery — which
+    // regroups the WAL its own way — lands on the same fingerprint.
+    let fs = SimFs::new(CrashPlan::none());
+    let mut dw = DurableWarehouse::create(
+        SimMedium(fs.clone()),
+        fresh_ingest(&arrival.init),
+        server_config(),
+    )
+    .map_err(|e| e.to_string())?;
+    let mut outcomes = Vec::new();
+    for batch in arrival.stream.chunks(7) {
+        outcomes.extend(dw.offer_batch(batch).map_err(|e| e.to_string())?);
+    }
+    tk_ensure_eq!(&outcomes, &per_envelope.outcomes);
+    tk_ensure_eq!(fingerprint(dw.ingestor()), per_envelope.fp.clone());
+    let (rec, report) =
+        Recovery::open(SimMedium(SimFs::from_files(fs.survivors())), fresh_aug(), server_config())
+            .map_err(|e| e.to_string())?;
+    tk_ensure_eq!(report.records_replayed, arrival.stream.len());
+    tk_ensure_eq!(rec.ingestor().stats(), per_envelope.ingest);
+    let i = rec.ingestor().integrator_stats();
+    tk_ensure_eq!((i.updates_processed, i.delta_tuples), per_envelope.reports_counted);
+    // Restored quarantine errors are rendered text; compare as such.
+    tk_ensure_eq!(fingerprint(rec.ingestor()), per_envelope.fp);
+    Ok(())
+}
+
+/// Any slicing ≡ per-envelope ≡ oracle, over random hostile streams.
+#[test]
+fn any_slicing_equals_per_envelope_equals_oracle() {
+    Runner::new("any_slicing_equals_per_envelope_equals_oracle")
+        .cases(48)
+        .run_no_shrink(|rng| rng.next_u64(), |seed| slicing_is_invisible(*seed));
+}
+
+/// The same property at the pinned seed and across the schedule sweep.
+#[test]
+fn pinned_slicing_differential_under_every_sweep_seed() {
+    for seed in sched_seeds(&[SLICE_SEED, SLICE_SEED.rotate_left(23), !SLICE_SEED]) {
+        slicing_is_invisible(seed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
+/// When the slice's one pass fails, the slice re-runs one report per
+/// pass and ends exactly where per-envelope delivery does. Here a
+/// tampered stored header fails *every* pass: seq 0 is quarantined under
+/// its own number and its successors park behind it.
+#[test]
+fn failed_pass_falls_back_to_todays_per_report_behaviour() {
+    let init: ChainRows = (vec![vec![1, 101]], vec![vec![101, 201]], vec![]);
+    let (_, envs) = insert_lane(&init, "lane", "R", 5, 10);
+    let tampered = |ing: &mut IngestingIntegrator| {
+        let mut state = ing.state().clone();
+        state.insert_relation("V", relation_from(&["zzz"], &[]));
+        ing.integrator_mut().force_state(state).expect("no mirrors to rebuild");
+    };
+    let mut alone = fresh_ingest(&init);
+    tampered(&mut alone);
+    let per_envelope = offer_in_slices(&mut alone, &envs, || 1);
+    assert!(matches!(per_envelope.outcomes[0], IngestOutcome::Quarantined(_)));
+    assert!(per_envelope.outcomes[1..].iter().all(|o| *o == IngestOutcome::Buffered));
+
+    let mut ing = fresh_ingest(&init);
+    tampered(&mut ing);
+    let whole = offer_in_slices(&mut ing, &envs, || usize::MAX);
+    assert_eq!(whole, per_envelope);
+    assert_eq!(ing.policy().stats().fallbacks, 1);
+}
+
+/// Fallback isolates exactly the bad report: its neighbours in the same
+/// slice apply, it alone is quarantined — under its own sequence number,
+/// which its pristine retransmission then fills, draining what parked
+/// behind it. (The report is bad in the one way that passes validation:
+/// a header mismatch `Update::with` recorded for `Update::apply`, which
+/// only a reconstruction strategy calls.)
+#[test]
+fn fallback_isolates_exactly_the_bad_report() {
+    let init: ChainRows = (vec![vec![1, 101]], vec![vec![101, 201]], vec![]);
+    let (_, envs) = insert_lane(&init, "lane", "R", 4, 10);
+    let mut bad = envs[1].clone();
+    bad.report =
+        bad.report.with("R", Delta::insert_only(relation_from(&["other"], &[vec![1]])));
+    let slice = [envs[0].clone(), bad.clone(), envs[2].clone(), envs[3].clone()];
+
+    let run = |len: usize| {
+        let mut ing = fresh_ingest(&init);
+        ing.set_policy(AdaptivePolicy::fixed(MaintenanceStrategy::Reconstruction));
+        let sliced = offer_in_slices(&mut ing, &slice, || len);
+        (ing, sliced)
+    };
+    let (_, per_envelope) = run(1);
+    let (mut ing, whole) = run(usize::MAX);
+    assert_eq!(whole, per_envelope);
+    assert!(matches!(
+        whole.outcomes[..],
+        [
+            IngestOutcome::Applied(1),
+            IngestOutcome::Quarantined(_),
+            IngestOutcome::Buffered,
+            IngestOutcome::Buffered
+        ]
+    ));
+    assert_eq!(ing.quarantine().len(), 1);
+    assert_eq!(ing.quarantine()[0].envelope, bad);
+    assert_eq!(ing.policy().stats().fallbacks, 1);
+    assert_eq!(ing.offer(&envs[1]), IngestOutcome::Applied(3));
+}
+
+/// Parent/child order on the flagship spec: an order is retired line
+/// items first and restored order row first (the benchmark's report
+/// shape, one row per report), so a slice hands maintenance a
+/// `{Lineitem, Orders}` update whose two halves were only FK-valid in
+/// sequence. However the stream is cut, each prefix lands on `W` of the
+/// sources at that point; cut nowhere, retire and restore cancel and no
+/// pass runs at all.
+#[test]
+fn fk_ordered_reports_coalesce_on_the_star_schema() {
+    use dwcomplements::starschema::{generate, star_warehouse, ScaleConfig};
+    let (catalog, views) = star_warehouse();
+    let aug = WarehouseSpec::new(catalog.clone(), views).expect("static spec").augment().expect("augments");
+    let base = generate(&ScaleConfig::tiny(), 1999);
+    let orders = base.relation(RelName::new("Orders")).expect("Orders");
+    let items = base.relation(RelName::new("Lineitem")).expect("Lineitem");
+    let key = |t: &dwcomplements::relalg::Tuple, rel: &dwcomplements::relalg::Relation| {
+        t.get(rel.attrs().index_of("orderkey".into()).expect("orderkey")).clone()
+    };
+    let one = |rel: &dwcomplements::relalg::Relation, t| {
+        dwcomplements::relalg::Relation::from_tuples(rel.attrs().clone(), [t]).expect("one row")
+    };
+    let mut retire = Vec::new();
+    let mut restore = Vec::new();
+    for order in orders.iter().take(2) {
+        let mine: Vec<_> =
+            items.iter().filter(|i| key(i, items) == key(&order, orders)).collect();
+        assert!(!mine.is_empty(), "generated orders carry line items");
+        retire.extend(mine.iter().map(|i| Update::deleting("Lineitem", one(items, i.clone()))));
+        retire.push(Update::deleting("Orders", one(orders, order.clone())));
+        restore.push(Update::inserting("Orders", one(orders, order)));
+        restore.extend(mine.into_iter().map(|i| Update::inserting("Lineitem", one(items, i))));
+    }
+    let retired = retire.len();
+    let site = SourceSite::new(catalog.clone(), base.clone()).expect("site");
+    let mut src = SequencedSource::new("orders", site);
+    let mut after_retire = None;
+    let envs: Vec<Envelope> = retire
+        .into_iter()
+        .chain(restore)
+        .enumerate()
+        .map(|(i, u)| {
+            if i == retired {
+                after_retire = Some(src.oracle_state().clone());
+            }
+            let env = src.apply_update(&u).expect("own update");
+            assert_eq!(env.report, u, "single-row reports arrive normalized");
+            env
+        })
+        .collect();
+    let w_retired = aug.materialize(&after_retire.expect("restore follows")).expect("W");
+    let w_base = aug.materialize(&base).expect("W");
+
+    let fresh = || {
+        let site = SourceSite::new(catalog.clone(), base.clone()).expect("site");
+        let integ = Integrator::initial_load(aug.clone(), &site).expect("initial load");
+        IngestingIntegrator::new(integ, IngestConfig::default()).expect("ingestor")
+    };
+    for size in [1, 2, 3, 7, usize::MAX] {
+        let mut ing = fresh();
+        let half = offer_in_slices(&mut ing, &envs[..retired], || size);
+        assert!(half.outcomes.iter().all(|o| *o == IngestOutcome::Applied(1)), "size {size}");
+        assert_eq!(ing.state(), &w_retired, "size {size}: retire half diverged from W(u(d))");
+        offer_in_slices(&mut ing, &envs[retired..], || size);
+        assert_eq!(ing.state(), &w_base, "size {size}: restore half diverged from W(u(d))");
+        let p = ing.policy().stats();
+        assert_eq!(p.fallbacks, 0, "size {size}");
+        if size == usize::MAX {
+            assert_eq!(p.passes, 2, "one pass per half");
+        }
+    }
+    let mut ing = fresh();
+    offer_in_slices(&mut ing, &envs, || usize::MAX);
+    assert_eq!(ing.state(), &w_base);
+    assert_eq!(ing.policy().stats().passes, 0, "retire and restore cancel");
+    assert_eq!(ing.integrator_stats().updates_processed, envs.len());
 }

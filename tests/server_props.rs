@@ -195,6 +195,8 @@ fn run_server(
     max_batch: usize,
 ) -> Result<ServerRun, String> {
     let total: usize = lanes.iter().map(Vec::len).sum();
+    let reported = lanes.iter().flatten().filter(|e| !e.report.is_empty()).count();
+    let reported_tuples: usize = lanes.iter().flatten().map(|e| e.report.len()).sum();
     let fs = SimFs::new(CrashPlan::none());
     let dw =
         DurableWarehouse::create(SimMedium(fs.clone()), fresh_ingest(init), server_config())
@@ -295,6 +297,14 @@ fn run_server(
     tk_ensure_eq!(storage.group_commits, stats.batches_committed);
     tk_ensure_eq!(storage.wal_syncs, storage.group_commits);
     tk_ensure_eq!(core.commit_epoch(), 1 + stats.batches_committed);
+    // The integrator counts reports and reported tuples, however the
+    // schedule grouped them into batches (one maintenance pass each).
+    let counted = core.warehouse().ingestor().integrator_stats();
+    tk_ensure_eq!(counted.updates_processed, reported);
+    tk_ensure_eq!(counted.delta_tuples, reported_tuples);
+    let passes = core.warehouse().ingestor().policy().stats();
+    tk_ensure!(passes.passes <= stats.batches_committed, "more passes than batches");
+    tk_ensure_eq!(passes.fallbacks, 0);
 
     let fp = fingerprint(core.warehouse().ingestor());
     let outboxes = sources.iter().map(|s| s.outbox().to_vec()).collect();
@@ -564,4 +574,48 @@ fn max_wait_deadline_is_oldest_based_and_releases_on_tick() {
     assert_eq!(acks.len(), 2, "deadline tick must commit the whole pending batch");
     assert_eq!(fs.syncs(), syncs_before + 1, "one group commit == one fsync");
     assert_eq!(core.next_deadline(), None, "committed batcher still armed");
+}
+
+/// An envelope whose own report applied is acked `applied`, even when a
+/// parked successor it drained then fails: the successor is quarantined
+/// under its own sequence number, and the source is not told to
+/// retransmit a report that is durable. (Paranoid mode applies through
+/// `Update::apply`, which reports the header mismatch `Update::with`
+/// recorded on the successor — the one defect validation lets through.)
+#[test]
+fn applied_envelope_acks_applied_when_a_parked_successor_fails() {
+    let init: ChainRows = (vec![vec![1, 10]], vec![vec![10, 100]], vec![]);
+    let (src, envs) = build_lane(
+        &init,
+        "src-r",
+        "R",
+        &[(vec![vec![2, 20]], vec![]), (vec![vec![3, 30]], vec![])],
+    );
+    let mut successor = envs[1].clone();
+    successor.report = successor
+        .report
+        .with("R", Delta::insert_only(relation_from(&["other"], &[vec![1]])));
+
+    let site = SourceSite::new(chain_catalog(), chain_state(&init)).expect("site");
+    let integ = Integrator::initial_load(fresh_aug(), &site).expect("initial load");
+    let ingest = IngestingIntegrator::new(integ, IngestConfig::paranoid()).expect("ingestor");
+    let fs = SimFs::new(CrashPlan::none());
+    let dw = DurableWarehouse::create(SimMedium(fs), ingest, server_config()).expect("create");
+    let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 1, max_wait_micros: 200 });
+    let session = core.connect(src.id().clone()).session;
+
+    let parked = core.deliver(session, successor, 0).expect("deliver");
+    assert_eq!(parked[0].outcome.to_string(), "buffered");
+    let acks = core.deliver(session, envs[0].clone(), 0).expect("deliver");
+    assert_eq!(acks.len(), 1);
+    assert_eq!((acks[0].epoch, acks[0].seq), (0, 0));
+    assert_eq!(acks[0].outcome.to_string(), "applied 1");
+    assert!(acks[0].outcome.is_durable());
+    let ing = core.warehouse().ingestor();
+    assert_eq!(ing.sequencing()[0].next_seq, 1);
+    assert_eq!(ing.quarantine().len(), 1);
+    assert_eq!(ing.quarantine()[0].envelope.seq, 1);
+    // A retransmission of seq 0 is the duplicate it should be.
+    let again = core.deliver(session, envs[0].clone(), 0).expect("deliver");
+    assert_eq!(again[0].outcome.to_string(), "duplicate");
 }
