@@ -56,8 +56,10 @@ pub struct CostConstants {
 }
 
 impl CostConstants {
-    /// Constants calibrated against the BENCH_eval.json single-thread
-    /// medians after the PR 8 columnar core:
+    /// Constants calibrated against the `BENCH_eval.json` medians
+    /// recorded after the PR 8 columnar core (August, 1 core; the file
+    /// has since been re-recorded on a faster host and the constants
+    /// not refit — only their ratios matter to the planner):
     ///
     /// * `select/1000` ≈ 25 µs ⇒ ~25 ns per input tuple;
     /// * `project/10000` ≈ 779 µs over ~10k tuples ⇒ ~78 ns, rounded to

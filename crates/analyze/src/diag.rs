@@ -122,7 +122,7 @@ impl Code {
             Code::L304DeadSubplan => "view definition simplifies to the empty relation",
             Code::W401CoverSearchTruncated => "cover search hit its source limit",
             Code::S501BannedCall => "panicking call in non-test library code",
-            Code::S502ThreadSpawn => "thread::spawn outside the executor module",
+            Code::S502ThreadSpawn => "thread started outside the server runtime",
             Code::S503MissingForbidUnsafe => "crate root lacks #![forbid(unsafe_code)]",
             Code::S504FsWriteOutsideStorage => {
                 "filesystem write outside the warehouse::storage durability module"

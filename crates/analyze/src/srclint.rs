@@ -9,9 +9,11 @@
 //!   `#[cfg(test)]` line of a file (the repo convention keeps test
 //!   modules at the bottom), and a same-line `// lint:allow <token> --
 //!   reason` comment waives a single occurrence.
-//! * `S502` — no `thread::spawn` outside the sanctioned runtime
-//!   modules: `crates/relalg/src/exec.rs` (the scoped executor) and
-//!   `src/serve.rs` (the server's connection/engine threads).
+//! * `S502` — no thread is started (`thread::spawn`, `thread::scope`,
+//!   `thread::Builder`) outside `src/serve.rs` (the server's
+//!   connection/engine threads): library code runs on its caller's
+//!   thread. Test modules are exempt; a same-line
+//!   `// lint:allow thread_spawn -- reason` waives one line.
 //! * `S503` — every crate root (and the workspace root library) carries
 //!   `#![forbid(unsafe_code)]`.
 //! * `S504` — no `std::fs` *writes* (`fs::write`, `fs::rename`,
@@ -86,9 +88,12 @@ const S501_EXCLUDED: &[&str] = &[
 /// Library trees subject to the `S501` panic-free rule.
 const S501_ROOTS: &[&str] = &["crates/relalg/src", "crates/core/src", "crates/warehouse/src"];
 
-/// The modules allowed to call `thread::spawn`: the scoped executor
-/// and the server runtime (engine, acceptor, per-connection threads).
-const S502_ALLOWED: &[&str] = &["crates/relalg/src/exec.rs", "src/serve.rs"];
+/// The one module allowed to start threads: the server runtime
+/// (engine, acceptor, per-connection threads).
+const S502_ALLOWED: &[&str] = &["src/serve.rs"];
+
+/// Every spelling by which `std` starts a thread.
+const THREAD_STARTS: &[&str] = &["thread::spawn", "thread::scope", "thread::Builder"];
 
 /// The one module tree allowed to write through `std::fs`: the
 /// durability layer, whose writes follow the WAL/snapshot atomicity
@@ -204,7 +209,7 @@ pub fn self_check(root: &Path) -> Report {
         }
     }
 
-    // --- S502: thread::spawn containment. Scan every crate's src tree
+    // --- S502: thread-start containment. Scan every crate's src tree
     // plus the workspace root's own src.
     let mut src_trees: Vec<PathBuf> = vec![root.join("src")];
     src_trees.extend(crate_dirs(root, &mut report).into_iter().map(|d| d.join("src")));
@@ -424,20 +429,28 @@ fn scan_banned(path: &Path, rel: &str, report: &mut Report) {
     }
 }
 
-/// Scans one file for `thread::spawn` (any path spelling ending in
-/// `thread::spawn`).
+/// Scans one file's non-test code for thread starts (any path spelling
+/// ending in one of `THREAD_STARTS`).
 fn scan_spawn(path: &Path, rel: &str, report: &mut Report) {
     let Some(lines) = stripped_lines(path, rel, report) else {
         return;
     };
     for (line_no, raw, stripped) in &lines {
-        if stripped.contains("thread::spawn") && !has_waiver(raw, "thread_spawn") {
-            report.push(
-                Code::S502ThreadSpawn,
-                Severity::Error,
-                format!("{rel}:{line_no}"),
-                format!("thread::spawn outside {S502_ALLOWED:?}; use dwc_relalg::exec"),
-            );
+        if raw.trim_start().starts_with("#[cfg(test)]") {
+            break;
+        }
+        for needle in THREAD_STARTS {
+            if stripped.contains(needle) && !has_waiver(raw, "thread_spawn") {
+                report.push(
+                    Code::S502ThreadSpawn,
+                    Severity::Error,
+                    format!("{rel}:{line_no}"),
+                    format!(
+                        "`{needle}` outside {S502_ALLOWED:?}; library code runs on its \
+                         caller's thread (or waive with `// lint:allow thread_spawn -- reason`)"
+                    ),
+                );
+            }
         }
     }
 }
@@ -964,6 +977,35 @@ call(); /* block panic! comment */ after();
         let mut clean = Report::new();
         scan_ack_discipline(&file, "src/rogue.rs", false, false, false, &mut clean);
         assert!(!clean.has_errors());
+        fs::remove_file(&file).ok();
+        fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
+    fn s502_flags_every_way_to_start_a_thread() {
+        let dir = std::env::temp_dir().join(format!("dwc-srclint-s502-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("rogue.rs");
+        fs::write(
+            &file,
+            "fn f() {\n    std::thread::spawn(|| ());\n    \
+             thread::scope(|s| { s.spawn(|| ()); });\n    \
+             let h = std::thread::Builder::new().spawn(|| ());\n    \
+             thread::spawn(g); // lint:allow thread_spawn -- exercising the waiver\n    \
+             let n = std::thread::available_parallelism();\n    \
+             let s = \"thread::scope\"; // string literal is stripped\n}\n\
+             #[cfg(test)]\nmod t { fn g() { std::thread::scope(|_| ()); } }\n",
+        )
+        .unwrap();
+        let mut report = Report::new();
+        scan_spawn(&file, "src/rogue.rs", &mut report);
+        let text = report.to_string();
+        assert_eq!(
+            text.matches("DWC-S502").count(),
+            3,
+            "spawn + scope + Builder; waiver, available_parallelism, string and \
+             test module exempt:\n{text}"
+        );
         fs::remove_file(&file).ok();
         fs::remove_dir(&dir).ok();
     }

@@ -16,8 +16,8 @@
 use dwc_analyze::cost::CostConstants;
 use dwc_analyze::planner::{choose, PlannerInputs, WorkloadProfile};
 use dwc_bench::experiments::{fig1_catalog, fig1_state};
+use dwc_bench::stamped;
 use dwc_relalg::{RelName, Relation, Tuple, Update, Value};
-use dwc_testkit::Bench;
 use dwc_warehouse::integrator::{Integrator, IntegratorConfig};
 use dwc_warehouse::planner::MaintenanceStrategy;
 use dwc_warehouse::{
@@ -59,7 +59,6 @@ fn warmed(n: usize, clerks: usize, policy: AdaptivePolicy) -> IngestingIntegrato
 }
 
 fn main() {
-    let threads = dwc_relalg::exec::threads() as u64;
     for &n in &[1_000usize, 10_000] {
         let clerks = n / 4;
         let strategies: Vec<(&str, AdaptivePolicy)> = vec![
@@ -74,9 +73,7 @@ fn main() {
         for (tag, policy) in strategies {
             let base = warmed(n, clerks, policy);
             let next = envelope(1, 1, clerks);
-            let group = Bench::new("maintenance-adaptive")
-                .field_num("threads", threads)
-                .field_str("strategy", tag);
+            let group = stamped("maintenance-adaptive").field_str("strategy", tag);
             group.run(&format!("{tag}/{n}"), || {
                 let mut ing = base.clone();
                 black_box(ing.offer(&next))
@@ -85,8 +82,7 @@ fn main() {
         // The clone alone, for reading the common-mode overhead out of
         // the rows above.
         let base = warmed(n, clerks, AdaptivePolicy::off());
-        Bench::new("maintenance-adaptive")
-            .field_num("threads", threads)
+        stamped("maintenance-adaptive")
             .field_str("strategy", "clone-baseline")
             .run(&format!("clone-baseline/{n}"), || black_box(base.clone()));
     }
@@ -114,8 +110,7 @@ fn main() {
         }
         profile.delta_rows.insert(RelName::new("Sale"), 1.0);
         profile.mirrors_cached = true;
-        Bench::new("maintenance-adaptive")
-            .field_num("threads", threads)
+        stamped("maintenance-adaptive")
             .field_str("strategy", "planner")
             .run(&format!("planner-choose/{}", rows as u64), || {
                 black_box(choose(&inputs, &profile, &consts))

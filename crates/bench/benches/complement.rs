@@ -2,16 +2,15 @@
 //! complement materialization cost.
 
 use dwc_bench::experiments::{fig1_catalog, fig1_state};
+use dwc_bench::stamped;
 use dwc_core::constrained::{complement_with, ComplementOptions};
 use dwc_core::psj::{NamedView, PsjView};
 use dwc_starschema::star_warehouse;
-use dwc_testkit::Bench;
 use dwc_warehouse::WarehouseSpec;
 use std::hint::black_box;
 
 fn bench_computation() {
-    let group = Bench::new("complement-computation")
-        .field_num("threads", dwc_relalg::exec::threads() as u64);
+    let group = stamped("complement-computation");
     // Redundant key-projection views: worst case for cover multiplicity.
     for &k in &[4usize, 8, 12] {
         let width = 4;
@@ -47,8 +46,7 @@ fn bench_computation() {
 }
 
 fn bench_materialization() {
-    let group = Bench::new("complement-materialization")
-        .field_num("threads", dwc_relalg::exec::threads() as u64);
+    let group = stamped("complement-materialization");
     for &n in &[1_000usize, 10_000] {
         let catalog = fig1_catalog(false);
         let db = fig1_state(n, n / 4, false, 11);

@@ -3,7 +3,7 @@
 //! engine so the experiment-level comparisons are interpretable.
 
 use dwc_relalg::{AttrSet, DbState, RaExpr, Relation, Tuple, Value};
-use dwc_testkit::Bench;
+use dwc_bench::stamped;
 use std::hint::black_box;
 
 fn two_table_state(n: usize) -> DbState {
@@ -25,8 +25,7 @@ fn two_table_state(n: usize) -> DbState {
 }
 
 fn main() {
-    let group =
-        Bench::new("eval").field_num("threads", dwc_relalg::exec::threads() as u64);
+    let group = stamped("eval");
     for &n in &[1_000usize, 10_000] {
         let db = two_table_state(n);
         let cases = [

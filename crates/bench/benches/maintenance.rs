@@ -4,8 +4,8 @@
 //! metrics).
 
 use dwc_bench::experiments::{fig1_catalog, fig1_state};
+use dwc_bench::stamped;
 use dwc_relalg::{RelName, Relation, Tuple, Update, Value};
-use dwc_testkit::Bench;
 use dwc_warehouse::WarehouseSpec;
 use std::collections::BTreeSet;
 use std::hint::black_box;
@@ -21,8 +21,7 @@ fn insertion(i: usize, clerks: usize) -> Update {
 }
 
 fn main() {
-    let group =
-        Bench::new("maintenance").field_num("threads", dwc_relalg::exec::threads() as u64);
+    let group = stamped("maintenance");
     for &n in &[1_000usize, 10_000] {
         let clerks = n / 4;
         let catalog = fig1_catalog(false);

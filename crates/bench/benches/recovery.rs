@@ -8,19 +8,15 @@
 //! log length. One JSON line per benchmark; `scripts/bench.sh` collects
 //! them into `BENCH_recovery.json`.
 //!
-//! Setting `DWC_BENCH_SHARDS` to a comma-separated list of shard
-//! counts switches the target to the **sharded** cold-recovery sweep
-//! instead: the same warehouse committed under a key-range sharded
-//! layout, reopened via the parallel per-shard recovery. Each row is
+//! The **sharded** cold-recovery sweep follows in the same pass: the
+//! same warehouse committed under a key-range sharded layout at 1, 2
+//! and 4 shards, reopened via the per-shard recovery. Each row is
 //! tagged with a `shards` field so the sweep is directly comparable
-//! against the unsharded `cold-recovery-*` rows. `scripts/bench.sh`
-//! runs the unsharded pass serially (the IO paths are not
-//! thread-scaled) and the shard sweep at the parallel width, where the
-//! per-shard decode/replay fan-out actually buys wall-clock.
+//! against the unsharded `cold-recovery-*` rows.
 
 use dwc_bench::experiments::{fig1_catalog, fig1_state};
+use dwc_bench::stamped;
 use dwc_relalg::{rel, Update};
-use dwc_testkit::Bench;
 use dwc_warehouse::channel::{Envelope, SequencedSource};
 use dwc_warehouse::ingest::{IngestConfig, IngestingIntegrator};
 use dwc_warehouse::integrator::{Integrator, SourceSite};
@@ -101,14 +97,14 @@ fn restore_image(dir: &PathBuf, image: &[(String, Vec<u8>)]) {
 
 /// The sharded cold-recovery sweep: the figure-1 warehouse committed
 /// under `shards` key-range lineages (routed by `clerk`, Emp's key),
-/// reopened through the parallel per-shard recovery. One bench group
-/// per shard count so every row carries a `shards` field.
-fn bench_sharded(counts: &[usize]) {
+/// reopened through the per-shard recovery. One bench group per shard
+/// count so every row carries a `shards` field.
+fn bench_sharded() {
     let mut scratch_dirs = Vec::new();
     for &n in &[1_000usize, 10_000] {
         let (aug, mut src, ing) = rig(n);
         let envelopes = sale_envelopes(&mut src, LOG_LEN);
-        for &shards in counts {
+        for shards in [1usize, 2, 4] {
             let dir = scratch(&format!("shard{shards}-{n}"));
             scratch_dirs.push(dir.clone());
             let medium = FsMedium::new(&dir).expect("scratch dir");
@@ -121,12 +117,11 @@ fn bench_sharded(counts: &[usize]) {
             drop(sw);
             let image = capture_image(&dir);
             // Untimed opens harvest the replay-path telemetry: the
-            // critical path (slowest shard) vs the summed per-shard
-            // work. Their ratio is the parallel-recovery speedup a
-            // host with >= `shards` cores sees, reported alongside the
-            // wall-clock rows so a core-starved bench host cannot hide
-            // it. Best-of-three, because on an oversubscribed host a
-            // worker's wall clock includes preemption.
+            // slowest shard vs the summed per-shard work. Their ratio
+            // models the speedup independent lineages would allow if
+            // replayed side by side (they are replayed in turn).
+            // Best-of-three, because on an oversubscribed host a wall
+            // clock includes preemption.
             let mut best: Option<(u64, u64)> = None;
             for _ in 0..3 {
                 restore_image(&dir, &image);
@@ -143,7 +138,7 @@ fn bench_sharded(counts: &[usize]) {
                 }
             }
             let (critical_ns, total_ns) = best.unwrap_or((0, 0));
-            let group = Bench::new("recovery")
+            let group = stamped("recovery")
                 .field_num("shards", shards as u64)
                 .field_num("replay_critical_ns", critical_ns)
                 .field_num("replay_total_ns", total_ns);
@@ -165,23 +160,7 @@ fn bench_sharded(counts: &[usize]) {
 }
 
 fn main() {
-    // `DWC_BENCH_SHARDS=1,2,4` switches to the sharded sweep so
-    // bench.sh can run it at a parallel width without re-timing the
-    // (serial, IO-bound) unsharded paths.
-    if let Ok(spec) = std::env::var("DWC_BENCH_SHARDS") {
-        let counts: Vec<usize> = spec
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .filter(|&c| c >= 1)
-            .collect();
-        if counts.is_empty() {
-            eprintln!("DWC_BENCH_SHARDS=`{spec}` names no shard counts");
-            std::process::exit(2);
-        }
-        bench_sharded(&counts);
-        return;
-    }
-    let group = Bench::new("recovery");
+    let group = stamped("recovery");
     let mut scratch_dirs = Vec::new();
 
     for &n in &[1_000usize, 10_000] {
@@ -248,4 +227,5 @@ fn main() {
     for dir in scratch_dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
+    bench_sharded();
 }

@@ -232,8 +232,7 @@ fn star_rows(scratch_dirs: &mut Vec<PathBuf>) {
     let spec = WarehouseSpec::new(parsed.catalog, parsed.views).expect("shipped spec is valid");
     let base = dwc_starschema::generate(&dwc_starschema::ScaleConfig::scaled(0.05), 1999);
     let stream = StarStream::new(&base);
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
-    let commit = std::env::var("DWC_BENCH_COMMIT").unwrap_or_else(|_| "unknown".to_owned());
+    let (nproc, commit) = dwc_bench::host_stamp();
     let source = SourceId::new("bench");
 
     for &max_batch in &[1usize, 64] {
@@ -268,12 +267,10 @@ fn star_rows(scratch_dirs: &mut Vec<PathBuf>) {
             acks
         };
         deliver(stream.prologue.len());
-        let group = Bench::new("server")
+        let group = dwc_bench::stamped("server")
             .field_num("max_batch", max_batch as u64)
             .field_num("sources", 1)
-            .field_num("envelopes_per_iter", ENVELOPES as u64)
-            .field_num("nproc", nproc)
-            .field_str("commit", &commit);
+            .field_num("envelopes_per_iter", ENVELOPES as u64);
         let stats = group.run(&format!("group-commit/star-batch{max_batch}-src1"), || {
             black_box(deliver(ENVELOPES))
         });

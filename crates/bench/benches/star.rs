@@ -3,15 +3,13 @@
 
 use dwc_starschema::queries::workload;
 use dwc_starschema::{generate, star_warehouse, ScaleConfig, UpdateStream};
-use dwc_testkit::Bench;
+use dwc_bench::stamped;
 use dwc_warehouse::integrator::{Integrator, SourceSite};
 use dwc_warehouse::WarehouseSpec;
 use std::hint::black_box;
 
 fn bench_star_maintenance() {
-    let group = Bench::new("star-maintenance")
-        .samples(10)
-        .field_num("threads", dwc_relalg::exec::threads() as u64);
+    let group = stamped("star-maintenance").samples(10);
     for &sf in &[0.005f64, 0.02] {
         let (catalog, views) = star_warehouse();
         let spec = WarehouseSpec::new(catalog.clone(), views).expect("static spec");
@@ -36,7 +34,7 @@ fn bench_star_maintenance() {
 }
 
 fn bench_star_queries() {
-    let group = Bench::new("star-queries");
+    let group = stamped("star-queries");
     let sf = 0.02;
     let (catalog, views) = star_warehouse();
     let spec = WarehouseSpec::new(catalog, views).expect("static spec");

@@ -21,3 +21,19 @@
 
 pub mod experiments;
 pub mod report;
+
+/// Where and from what a bench row was recorded: `(nproc, commit)` —
+/// the host's available parallelism and `DWC_BENCH_COMMIT` (set by
+/// `scripts/bench.sh`; `unknown` when a target is run by hand).
+pub fn host_stamp() -> (u64, String) {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    let commit = std::env::var("DWC_BENCH_COMMIT").unwrap_or_else(|_| "unknown".to_owned());
+    (nproc, commit)
+}
+
+/// A bench group whose every JSON line carries [`host_stamp`], so a
+/// committed `BENCH_*.json` row says which host and tree produced it.
+pub fn stamped(group: &str) -> dwc_testkit::Bench {
+    let (nproc, commit) = host_stamp();
+    dwc_testkit::Bench::new(group).field_num("nproc", nproc).field_str("commit", &commit)
+}

@@ -19,7 +19,7 @@ use crate::error::Result;
 use crate::psj::NamedView;
 use dwc_relalg::eval::{eval_cached, EvalCache};
 use dwc_relalg::expr::HeaderResolver;
-use dwc_relalg::{exec, AttrSet, Catalog, DbState, RaExpr, RelName};
+use dwc_relalg::{AttrSet, Catalog, DbState, RaExpr, RelName};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -85,9 +85,9 @@ impl Complement {
             .map(|e| e.name)
     }
 
-    /// Materializes the complement views against a base state. Each `C_i`
-    /// is an independent expression over `db` (Proposition 2.2: one
-    /// difference per base relation), so they evaluate in parallel.
+    /// Materializes the complement views against a base state: one
+    /// expression over `db` per `C_i` (Proposition 2.2: one difference
+    /// per base relation).
     pub fn materialize(&self, db: &DbState) -> Result<DbState> {
         self.materialize_cached(db, &EvalCache::new())
     }
@@ -98,11 +98,10 @@ impl Complement {
     /// shared between the `C_i` themselves — evaluates each repeated
     /// subtree once.
     pub fn materialize_cached(&self, db: &DbState, cache: &EvalCache) -> Result<DbState> {
-        let materialized = exec::try_par_map(&self.entries, |e| {
-            eval_cached(&e.definition, db, cache).map_err(crate::error::CoreError::from)
-        })?;
         let mut out = DbState::new();
-        for (e, rel) in self.entries.iter().zip(materialized) {
+        for e in &self.entries {
+            let rel = eval_cached(&e.definition, db, cache)
+                .map_err(crate::error::CoreError::from)?;
             out.insert_shared(e.name, rel);
         }
         Ok(out)
@@ -114,8 +113,7 @@ impl Complement {
         Ok(self.materialize(db)?.total_tuples())
     }
 
-    /// Materializes the full warehouse state `W(d) = (V(d), C(d))`; the
-    /// views, like the complements, evaluate concurrently.
+    /// Materializes the full warehouse state `W(d) = (V(d), C(d))`.
     pub fn warehouse_state(&self, views: &[NamedView], db: &DbState) -> Result<DbState> {
         self.warehouse_state_cached(views, db, &EvalCache::new())
     }
@@ -129,9 +127,10 @@ impl Complement {
         db: &DbState,
         cache: &EvalCache,
     ) -> Result<DbState> {
-        let evaluated = exec::try_par_map(views, |v| {
-            eval_cached(&v.to_expr(), db, cache).map_err(crate::error::CoreError::from)
-        })?;
+        let evaluated = views
+            .iter()
+            .map(|v| eval_cached(&v.to_expr(), db, cache).map_err(crate::error::CoreError::from))
+            .collect::<Result<Vec<_>>>()?;
         let mut w = self.materialize_cached(db, cache)?;
         for (v, rel) in views.iter().zip(evaluated) {
             w.insert_shared(v.name(), rel);

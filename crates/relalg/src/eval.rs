@@ -6,46 +6,36 @@
 //! predicate once, projections precompute positional mappings. Set
 //! semantics fall out of [`Relation`]'s ordered-set storage.
 //!
-//! ## Parallelism
+//! ## One thread
 //!
-//! Evaluation fans out over [`crate::exec`]'s scoped-thread pool in two
-//! places, both bit-identical to the serial path:
-//!
-//! * **independent subtrees** — every binary operator forks its two
-//!   children through [`exec::join2`] under a per-root thread budget, so
-//!   a bushy expression uses up to [`exec::threads`] cores and a deep
-//!   left-linear one degenerates to the serial walk;
-//! * **large joins** — [`natural_join`] hash-partitions build and probe
-//!   sides by join-key hash and joins the partitions with
-//!   [`exec::par_map`]. Matching keys land in the same partition, and the
-//!   per-partition outputs are merged into one ordered set, so the result
-//!   does not depend on scheduling.
-//!
-//! The memo cache ([`EvalCache`]) is sharded behind mutexes and keyed by
-//! `Arc<RaExpr>` with a precomputed structural hash: workers evaluating
-//! sibling subtrees share one cache without cloning expression trees.
+//! Evaluation runs on the calling thread, children left to right, so
+//! the leftmost error is the one reported. The memo cache
+//! ([`EvalCache`]) is keyed by `Arc<RaExpr>` with a precomputed
+//! structural hash, so a hit or an insert never clones or re-walks an
+//! expression tree. (DESIGN.md, "Evaluation is serial, and why", has
+//! the measurements that retired the fork–join layer.)
 
 use crate::attrs::AttrSet;
 use crate::columns::{Code, Columns, KeyIndex};
 use crate::database::DbState;
 use crate::error::{RelalgError, Result};
-use crate::exec;
 use crate::expr::{rename_header, RaExpr};
 use crate::relation::Relation;
 use crate::tuple::ColSource;
+use std::cell::RefCell;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::AtomicIsize;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Below this total tuple count a join is evaluated serially even when
-/// workers are available — partitioning overhead beats the win on small
-/// inputs.
-const PAR_JOIN_MIN_TUPLES: usize = 1024;
-
-/// Number of lock shards in an [`EvalCache`]; a small power of two well
-/// above any worker count we expect.
-const CACHE_SHARDS: usize = 16;
+/// A process-stable structural hash (SipHash with fixed keys via
+/// [`DefaultHasher::new`]): identical expressions hash identically,
+/// independent of any `RandomState`.
+fn stable_hash(expr: &RaExpr) -> u64 {
+    let mut h = DefaultHasher::new();
+    expr.hash(&mut h);
+    h.finish()
+}
 
 /// A memo-cache key: a shared expression handle plus its precomputed
 /// structural hash. Hashing writes the stored hash (no tree walk), and
@@ -72,55 +62,37 @@ impl PartialEq for CacheKey {
 
 impl Eq for CacheKey {}
 
-/// A sharded memoization cache for [`eval_cached`], shareable across the
-/// worker threads of one evaluation wave. Entries are keyed by shared
+/// A memoization cache for [`eval_cached`]. Entries are keyed by shared
 /// expression handles with precomputed hashes, so a hit or an insert
 /// never clones an expression tree.
 ///
 /// The cache is only valid for the database state it was filled against;
-/// the maintenance layer creates one per update application.
+/// the maintenance layer creates one per update application, on the one
+/// thread that runs the pass (the `RefCell` makes the type `!Sync`).
+#[derive(Default)]
 pub struct EvalCache {
-    shards: Vec<Mutex<HashMap<CacheKey, Arc<Relation>>>>,
-}
-
-impl Default for EvalCache {
-    fn default() -> EvalCache {
-        EvalCache::new()
-    }
+    map: RefCell<HashMap<CacheKey, Arc<Relation>>>,
 }
 
 impl EvalCache {
     /// An empty cache.
     pub fn new() -> EvalCache {
-        EvalCache {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn shard(&self, hash: u64) -> &Mutex<HashMap<CacheKey, Arc<Relation>>> {
-        // Both constructors allocate CACHE_SHARDS shards, so the modulus
-        // is never zero.
-        &self.shards[(hash as usize) % self.shards.len()]
+        EvalCache::default()
     }
 
     fn get(&self, hash: u64, expr: &Arc<RaExpr>) -> Option<Arc<Relation>> {
         let key = CacheKey { hash, expr: Arc::clone(expr) };
-        let shard = self.shard(hash).lock().unwrap_or_else(|p| p.into_inner());
-        shard.get(&key).cloned()
+        self.map.borrow().get(&key).cloned()
     }
 
     fn insert(&self, hash: u64, expr: &Arc<RaExpr>, rel: Arc<Relation>) {
         let key = CacheKey { hash, expr: Arc::clone(expr) };
-        let mut shard = self.shard(hash).lock().unwrap_or_else(|p| p.into_inner());
-        shard.insert(key, rel);
+        self.map.borrow_mut().insert(key, rel);
     }
 
     /// Number of memoized subexpressions.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).len())
-            .sum()
+        self.map.borrow().len()
     }
 
     /// True iff nothing has been memoized.
@@ -131,9 +103,8 @@ impl EvalCache {
     /// Whether a structurally equal expression has been memoized (test
     /// and diagnostics helper — takes the linear-time structural hash).
     pub fn contains(&self, expr: &RaExpr) -> bool {
-        let hash = exec::stable_hash(expr);
-        let shard = self.shard(hash).lock().unwrap_or_else(|p| p.into_inner());
-        shard.keys().any(|k| k.hash == hash && *k.expr == *expr)
+        let hash = stable_hash(expr);
+        self.map.borrow().keys().any(|k| k.hash == hash && *k.expr == *expr)
     }
 }
 
@@ -144,13 +115,10 @@ pub fn eval(expr: &RaExpr, db: &DbState) -> Result<Relation> {
 }
 
 /// Evaluation producing a shareable handle; base references are returned
-/// without copying their tuples. Independent subtrees are evaluated in
-/// parallel when [`exec::threads`] allows.
+/// without copying their tuples.
 pub fn eval_arc(expr: &RaExpr, db: &DbState) -> Result<Arc<Relation>> {
     // Children are Arc-shared, so this clone is a shallow spine copy.
-    let root = Arc::new(expr.clone());
-    let budget = exec::fork_budget();
-    eval_rec(&root, db, None, &budget)
+    eval_rec(&Arc::new(expr.clone()), db, None)
 }
 
 /// Memoizing evaluation: identical subexpressions are evaluated once per
@@ -159,25 +127,17 @@ pub fn eval_arc(expr: &RaExpr, db: &DbState) -> Result<Arc<Relation>> {
 /// repeat large reconstruction subtrees; the cache must not outlive the
 /// database state it was filled against.
 pub fn eval_cached(expr: &RaExpr, db: &DbState, cache: &EvalCache) -> Result<Arc<Relation>> {
-    let root = Arc::new(expr.clone());
-    let budget = exec::fork_budget();
-    eval_rec(&root, db, Some(cache), &budget)
+    eval_rec(&Arc::new(expr.clone()), db, Some(cache))
 }
 
 /// The recursive core shared by [`eval_arc`] and [`eval_cached`]:
-/// consults/fills the optional cache and forks binary operators under the
-/// per-root `budget`. Errors are reported left-first, matching the serial
-/// evaluation order regardless of scheduling.
+/// consults/fills the optional cache around a left-to-right walk.
 fn eval_rec(
     expr: &Arc<RaExpr>,
     db: &DbState,
     cache: Option<&EvalCache>,
-    budget: &AtomicIsize,
 ) -> Result<Arc<Relation>> {
-    let hash = cache.map(|c| {
-        let h = exec::stable_hash(expr.as_ref());
-        (c, h)
-    });
+    let hash = cache.map(|c| (c, stable_hash(expr.as_ref())));
     if let Some((c, h)) = hash {
         if let Some(hit) = c.get(h, expr) {
             return Ok(hit);
@@ -187,31 +147,29 @@ fn eval_rec(
         RaExpr::Base(name) => db.relation_shared(*name)?,
         RaExpr::Empty(attrs) => Arc::new(Relation::empty(attrs.clone())),
         RaExpr::Select(input, pred) => {
-            let rel = eval_rec(input, db, cache, budget)?;
+            let rel = eval_rec(input, db, cache)?;
             let compiled = pred.compile(rel.attrs())?;
             Arc::new(rel.select_compiled(&compiled))
         }
-        RaExpr::Project(input, wanted) => {
-            Arc::new(eval_rec(input, db, cache, budget)?.project(wanted)?)
-        }
+        RaExpr::Project(input, wanted) => Arc::new(eval_rec(input, db, cache)?.project(wanted)?),
         RaExpr::Join(l, r) => {
-            let (l, r) = eval_pair(l, r, db, cache, budget)?;
+            let (l, r) = (eval_rec(l, db, cache)?, eval_rec(r, db, cache)?);
             Arc::new(natural_join(&l, &r)?)
         }
         RaExpr::Union(l, r) => {
-            let (l, r) = eval_pair(l, r, db, cache, budget)?;
+            let (l, r) = (eval_rec(l, db, cache)?, eval_rec(r, db, cache)?);
             Arc::new(l.union(&r)?)
         }
         RaExpr::Diff(l, r) => {
-            let (l, r) = eval_pair(l, r, db, cache, budget)?;
+            let (l, r) = (eval_rec(l, db, cache)?, eval_rec(r, db, cache)?);
             Arc::new(l.difference(&r)?)
         }
         RaExpr::Intersect(l, r) => {
-            let (l, r) = eval_pair(l, r, db, cache, budget)?;
+            let (l, r) = (eval_rec(l, db, cache)?, eval_rec(r, db, cache)?);
             Arc::new(l.intersect(&r)?)
         }
         RaExpr::Rename(input, pairs) => {
-            let rel = eval_rec(input, db, cache, budget)?;
+            let rel = eval_rec(input, db, cache)?;
             Arc::new(rename_relation(&rel, pairs)?)
         }
     };
@@ -219,23 +177,6 @@ fn eval_rec(
         c.insert(h, expr, Arc::clone(&result));
     }
     Ok(result)
-}
-
-/// Evaluates the two children of a binary operator, forking when the
-/// budget allows. The left error wins, as in serial evaluation.
-fn eval_pair(
-    l: &Arc<RaExpr>,
-    r: &Arc<RaExpr>,
-    db: &DbState,
-    cache: Option<&EvalCache>,
-    budget: &AtomicIsize,
-) -> Result<(Arc<Relation>, Arc<Relation>)> {
-    let (rl, rr) = exec::join2(
-        budget,
-        || eval_rec(l, db, cache, budget),
-        || eval_rec(r, db, cache, budget),
-    );
-    Ok((rl?, rr?))
 }
 
 /// Natural join of two relation instances. Degenerates to the cartesian
@@ -246,7 +187,7 @@ fn eval_pair(
 /// repeated joins against a stored relation (maintenance plans, the eval
 /// cache, epoch readers) skip the build entirely. Matched row pairs are
 /// gathered column-wise and canonicalized in one batch, so the result is
-/// independent of probe order and scheduling.
+/// independent of probe order.
 pub fn natural_join(left: &Relation, right: &Relation) -> Result<Relation> {
     if left.attrs() == right.attrs() {
         return left.intersect(right);
@@ -289,22 +230,7 @@ pub fn natural_join(left: &Relation, right: &Relation) -> Result<Relation> {
                     header: small.attrs().clone(),
                 })?;
         let index = bcols.index_for(&big_positions);
-        let workers = exec::threads();
-        if workers > 1 && big.len() + small.len() >= PAR_JOIN_MIN_TUPLES {
-            // Probe in parallel over contiguous chunks of the small side;
-            // chunk results are concatenated in order (and the output is
-            // canonicalized below anyway), so scheduling cannot leak in.
-            let rows: Vec<u32> = (0..scols.len() as u32).collect();
-            let chunk = rows.len().div_ceil(workers).max(1);
-            let chunks: Vec<&[u32]> = rows.chunks(chunk).collect();
-            let parts = exec::par_map(&chunks, |rows| {
-                probe_pairs(bcols, scols, &index, &small_positions, rows)
-            });
-            parts.concat()
-        } else {
-            let rows: Vec<u32> = (0..scols.len() as u32).collect();
-            probe_pairs(bcols, scols, &index, &small_positions, &rows)
-        }
+        probe_pairs(bcols, scols, &index, &small_positions)
     };
 
     // Column-wise gather of the matched pairs, then one canonicalization.
@@ -324,19 +250,18 @@ pub fn natural_join(left: &Relation, right: &Relation) -> Result<Relation> {
     ))
 }
 
-/// Probes the big side's key index with each listed small-side row,
-/// emitting matching `(big_row, small_row)` pairs. Pure `u32` work: the
-/// key scratch is reused and no value is resolved or hashed.
+/// Probes the big side's key index with every small-side row, emitting
+/// matching `(big_row, small_row)` pairs. Pure `u32` work: the key
+/// scratch is reused and no value is resolved or hashed.
 fn probe_pairs(
     big: &Columns,
     small: &Columns,
     index: &KeyIndex,
     small_positions: &[usize],
-    rows: &[u32],
 ) -> Vec<(u32, u32)> {
     let mut key: Vec<Code> = vec![0; small_positions.len()];
     let mut out = Vec::new();
-    for &s in rows {
+    for s in 0..small.len() as u32 {
         for (k, &p) in key.iter_mut().zip(small_positions) {
             *k = small.col(p)[s as usize];
         }
@@ -411,8 +336,6 @@ mod tests {
     use crate::predicate::Predicate;
     use crate::rel;
     use crate::symbol::Attr;
-    use crate::tuple::Tuple;
-    use crate::value::Value;
 
     fn fig1_db() -> DbState {
         let mut d = DbState::new();
@@ -496,28 +419,6 @@ mod tests {
         let p = RaExpr::base("A").join(RaExpr::base("B")).eval(&db).unwrap();
         assert!(p.is_empty());
         assert_eq!(p.attrs(), &AttrSet::from_names(&["x", "y"]));
-    }
-
-    #[test]
-    fn parallel_join_matches_serial_on_large_input() {
-        // Large enough to cross PAR_JOIN_MIN_TUPLES; run the same join at
-        // 1 and 4 workers and require identical results.
-        let mut db = DbState::new();
-        let mut big = Relation::empty(AttrSet::from_names(&["k", "a"]));
-        let mut other = Relation::empty(AttrSet::from_names(&["k", "b"]));
-        // Tuples are in canonical (sorted-header) order: {a, k} / {b, k}.
-        for i in 0..900i64 {
-            big.insert(Tuple::new(vec![Value::int(i), Value::int(i % 211)])).unwrap();
-            other.insert(Tuple::new(vec![Value::int(i * 7), Value::int(i % 211)])).unwrap();
-        }
-        db.insert_relation("Big", big);
-        db.insert_relation("Other", other);
-        let e = RaExpr::base("Big").join(RaExpr::base("Other"));
-        // Serialize against other exec-override users in this binary.
-        let serial = exec::with_threads_for_test(1, || e.eval(&db).unwrap());
-        let parallel = exec::with_threads_for_test(4, || e.eval(&db).unwrap());
-        assert_eq!(serial, parallel);
-        assert!(serial.len() >= 900);
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod display;
 pub mod epoch;
 pub mod error;
 pub mod eval;
-pub mod exec;
 pub mod expr;
 pub mod gen;
 pub mod io;

@@ -83,8 +83,8 @@ impl Bench {
     }
 
     /// Attaches an extra numeric field to every JSON line this group
-    /// emits (e.g. the worker-thread count a run was configured with —
-    /// the testkit itself has no notion of threads, callers supply it).
+    /// emits (e.g. the host's core count or a batch size — the testkit
+    /// knows nothing about what is measured, callers supply it).
     pub fn field_num(mut self, key: &str, value: u64) -> Bench {
         self.extra.push((key.to_owned(), value.to_string()));
         self

@@ -74,12 +74,6 @@ pub enum WarehouseError {
     /// A stored relation has no definition in the augmented warehouse —
     /// the spec/augmentation bookkeeping is inconsistent.
     MissingDefinition(RelName),
-    /// An internal invariant of the compiled maintenance plan was
-    /// violated (reaching this indicates a scheduling bug).
-    PlanInvariant {
-        /// What exactly went wrong.
-        detail: String,
-    },
     /// The static analyzer rejected the warehouse specification before
     /// any relation was materialized (see `WarehouseSpec::verify_static`).
     SpecRejected {
@@ -133,9 +127,6 @@ impl fmt::Display for WarehouseError {
             }
             WarehouseError::MissingDefinition(r) => {
                 write!(f, "stored relation `{r}` has no definition")
-            }
-            WarehouseError::PlanInvariant { detail } => {
-                write!(f, "maintenance-plan invariant violated: {detail}")
             }
             WarehouseError::SpecRejected { diagnostics } => {
                 write!(f, "warehouse spec rejected by static analysis")?;

@@ -23,8 +23,8 @@
 use crate::delta::{self, DeltaExpr, DeltaResolver};
 use crate::error::{Result, WarehouseError};
 use crate::spec::AugmentedWarehouse;
-use dwc_relalg::eval::EvalCache;
-use dwc_relalg::{exec, DbState, RaExpr, RelName, Relation, Update};
+use dwc_relalg::eval::{eval_arc, eval_cached, EvalCache};
+use dwc_relalg::{DbState, RaExpr, RelName, Relation, Update};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -103,11 +103,9 @@ pub struct MaintenancePlan {
     /// Inverse expressions to materialize once per update:
     /// `(base, inverse over warehouse names, also needs @newinv)`.
     inverses: Vec<(RelName, RaExpr, bool)>,
+    /// In application order: a step reads only old stored state plus the
+    /// `@next` values of steps at a strictly smaller index.
     steps: Vec<(RelName, DeltaExpr)>,
-    /// Dependency wave of each step (parallel schedule): step `i` reads
-    /// only old stored state plus `@next` values of steps in *strictly
-    /// earlier* waves, so all steps of one wave evaluate concurrently.
-    waves: Vec<usize>,
     memoize_eval: bool,
 }
 
@@ -188,90 +186,46 @@ impl MaintenancePlan {
             env.insert_relation(delta::del_name(r), d.deleted().clone());
         }
         // Inverse reconstructions reference stored relations only (never
-        // each other), so all of them materialize in parallel against the
-        // same pre-inverse environment.
-        let reconstructed = exec::try_par_map(
-            &self.inverses,
-            |(base, inv, needs_new)| -> Result<(RelName, Arc<Relation>, Option<Relation>)> {
-                let old = match mirrors {
-                    Some(m) => m.relation_shared(*base)?,
-                    None => Arc::new(inv.eval(&env)?),
-                };
-                let new = if *needs_new {
-                    let delta = update
-                        .delta(*base)
-                        .ok_or(WarehouseError::UpdateOutsideSources(*base))?;
-                    Some(delta.apply(&old)?)
-                } else {
-                    None
-                };
-                Ok((*base, old, new))
-            },
-        )?;
-        for (base, old, new) in reconstructed {
-            if let Some(n) = new {
-                env.insert_relation(newinv_name(base), n);
+        // each other's `@inv`), so publishing each as it is built leaves
+        // the later ones' inputs untouched.
+        for (base, inv, needs_new) in &self.inverses {
+            let old = match mirrors {
+                Some(m) => m.relation_shared(*base)?,
+                None => Arc::new(inv.eval(&env)?),
+            };
+            if *needs_new {
+                let delta = update
+                    .delta(*base)
+                    .ok_or(WarehouseError::UpdateOutsideSources(*base))?;
+                env.insert_relation(newinv_name(*base), delta.apply(&old)?);
             }
-            env.insert_shared(inv_name(base), old);
+            env.insert_shared(inv_name(*base), old);
         }
-        // Steps run wave by wave (views before the complements that read
+        // Steps run in plan order (views before the complements that read
         // their `@next` values): each step reads only OLD stored
-        // relations plus the `@next` values of strictly earlier waves,
-        // published into the environment at each wave boundary, so the
-        // steps of one wave evaluate concurrently. One memoization cache
-        // spans all steps: the delta rules repeat large reconstruction
-        // subtrees across views.
+        // relations plus the `@next` values of earlier steps, published
+        // into the environment as each step completes. One memoization
+        // cache spans all steps: the delta rules repeat large
+        // reconstruction subtrees across views.
         let cache = self.memoize_eval.then(EvalCache::new);
         let mut next = warehouse.clone();
-        let mut delta_slots: Vec<Option<StoredDelta>> =
-            self.steps.iter().map(|_| None).collect();
-        let last_wave = self.waves.iter().copied().max().unwrap_or(0);
-        for wave in 0..=last_wave {
-            let members: Vec<usize> =
-                (0..self.steps.len()).filter(|&i| self.waves[i] == wave).collect();
-            let evaluated = exec::try_par_map(
-                &members,
-                |&i| -> Result<(Arc<Relation>, Arc<Relation>)> {
-                    let d = &self.steps[i].1;
-                    Ok(match &cache {
-                        Some(c) => (
-                            dwc_relalg::eval::eval_cached(&d.plus, &env, c)?,
-                            dwc_relalg::eval::eval_cached(&d.minus, &env, c)?,
-                        ),
-                        None => (
-                            dwc_relalg::eval::eval_arc(&d.plus, &env)?,
-                            dwc_relalg::eval::eval_arc(&d.minus, &env)?,
-                        ),
-                    })
-                },
-            )?;
-            // Publish the wave's results in step order, keeping the
-            // environment and delta list identical to the serial schedule.
-            for (&i, (plus, minus)) in members.iter().zip(evaluated) {
-                let name = self.steps[i].0;
-                let old = warehouse.relation(name)?;
-                let new = old.apply_delta(&plus, &minus)?;
-                // Net deltas: the rule invariants give plus ⊆ new and
-                // minus ∩ new = ∅, so new∖old = plus∖old and old∖new = minus∩old.
-                delta_slots[i] = Some(StoredDelta {
-                    name,
-                    inserted: plus.difference(old)?,
-                    deleted: minus.intersect(old)?,
-                });
-                env.insert_relation(next_name(name), new.clone());
-                next.insert_relation(name, new);
-            }
-        }
-        let mut deltas = Vec::with_capacity(delta_slots.len());
-        for (i, slot) in delta_slots.into_iter().enumerate() {
-            match slot {
-                Some(d) => deltas.push(d),
-                None => {
-                    return Err(WarehouseError::PlanInvariant {
-                        detail: format!("step {i} was never scheduled into a wave"),
-                    })
-                }
-            }
+        let mut deltas = Vec::with_capacity(self.steps.len());
+        for (name, d) in &self.steps {
+            let (plus, minus) = match &cache {
+                Some(c) => (eval_cached(&d.plus, &env, c)?, eval_cached(&d.minus, &env, c)?),
+                None => (eval_arc(&d.plus, &env)?, eval_arc(&d.minus, &env)?),
+            };
+            let old = warehouse.relation(*name)?;
+            let new = old.apply_delta(&plus, &minus)?;
+            // Net deltas: the rule invariants give plus ⊆ new and
+            // minus ∩ new = ∅, so new∖old = plus∖old and old∖new = minus∩old.
+            deltas.push(StoredDelta {
+                name: *name,
+                inserted: plus.difference(old)?,
+                deleted: minus.intersect(old)?,
+            });
+            env.insert_relation(next_name(*name), new.clone());
+            next.insert_relation(*name, new);
         }
         Ok((next, deltas))
     }
@@ -395,35 +349,13 @@ impl AugmentedWarehouse {
                 inverses.push((*base, inv.clone(), needs_new));
             }
         }
-        let waves = step_waves(&steps);
         Ok(MaintenancePlan {
             touched: touched.clone(),
             inverses,
             steps,
-            waves,
             memoize_eval: opts.memoize_eval,
         })
     }
-}
-
-/// Groups plan steps into dependency waves: a step lands one wave after
-/// the latest earlier step whose `@next` value it reads (wave 0 when it
-/// reads none). Within a wave no step reads another's output, so waves
-/// are the unit of parallel application.
-fn step_waves(steps: &[(RelName, DeltaExpr)]) -> Vec<usize> {
-    let mut waves: Vec<usize> = Vec::with_capacity(steps.len());
-    for (i, (_, d)) in steps.iter().enumerate() {
-        let mut refs = d.plus.base_relations();
-        refs.extend(d.minus.base_relations());
-        let mut wave = 0;
-        for (j, (earlier, _)) in steps.iter().enumerate().take(i) {
-            if refs.contains(&next_name(*earlier)) {
-                wave = wave.max(waves[j] + 1);
-            }
-        }
-        waves.push(wave);
-    }
-    waves
 }
 
 /// Crate-internal re-export of [`fold_stored`] for the independence

@@ -1,5 +1,5 @@
 //! # Key-range sharded durability: per-shard WAL lineages under one
-//! commit point, with parallel crash recovery
+//! commit point, with per-lineage crash recovery
 //!
 //! The unsharded [`crate::storage::DurableWarehouse`] keeps one WAL and
 //! one snapshot lineage; recovery replays the whole history through the
@@ -26,9 +26,10 @@
 //! ## Recovery
 //!
 //! [`ShardedDurableWarehouse::open`] restores the sequencing lineage's
-//! newest intact snapshot, then scans and applies every shard lineage
-//! **in parallel** (`dwc_relalg::exec::par_map`) — the CPU-heavy decode
-//! and delta application is per-shard-independent by construction. The
+//! newest intact snapshot, then scans and applies the shard lineages one
+//! after another, straight from the medium — the CPU-heavy decode and
+//! delta application is per-shard-independent by construction, and each
+//! shard's share is timed ([`ShardRecoveryReport::replay_critical`]). The
 //! recovered **cut** is `min(seq hi, min over live shards of shard hi)`:
 //! an ordinal some lineage lost (torn tail, unsynced suffix) is
 //! discarded everywhere, so recovery lands on a *strict prefix* of the
@@ -36,7 +37,7 @@
 //! prefix (Theorem 4.1 makes the replayed maintenance path immaterial;
 //! here the data effects replay as recorded deltas and the bookkeeping
 //! replays *scripted*, skipping maintenance recomputation entirely —
-//! which is where the parallel-recovery speedup comes from).
+//! which is where the sharded store's recovery speedup comes from).
 //!
 //! ## Degraded shards
 //!
@@ -54,7 +55,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dwc_relalg::exec::par_map;
 use dwc_relalg::{Attr, AttrSet, Catalog, DbState, Relation, Tuple, Update, Value};
 
 use crate::channel::{Envelope, SourceId};
@@ -287,14 +287,13 @@ pub struct ShardRecoveryReport {
     pub resharded: bool,
     /// Whether an unsharded store was migrated to the sharded layout.
     pub migrated: bool,
-    /// The slowest single shard's decode + replay time: the critical
-    /// path of the parallel data phase, i.e. what a host with at least
-    /// `shards` cores pays for it.
+    /// The slowest single shard's decode + replay time. Lineages are
+    /// independent, so this *models* the data phase's critical path if
+    /// they were replayed side by side; the code replays them in turn.
     pub replay_critical: std::time::Duration,
-    /// Per-shard decode + replay time summed over all shards: what a
-    /// serial replay of the same lineages would pay.
-    /// `replay_total / replay_critical` is the modeled parallel
-    /// speedup, independent of the benching host's core count.
+    /// Per-shard decode + replay time summed over all shards: what the
+    /// data phase actually pays. `replay_total / replay_critical` is the
+    /// modeled speedup independent lineages would allow.
     /// Zero (like `replay_critical`) for a migration, whose data comes
     /// through the unsharded recovery instead.
     pub replay_total: std::time::Duration,
@@ -326,46 +325,7 @@ impl Lineage {
     }
 }
 
-/// A read-only in-memory copy of the shard-lineage files, slurped
-/// sequentially before recovery goes parallel: production media are
-/// [`Sync`], but the fault-injecting test media are deliberately
-/// single-threaded, so the parallel phase only ever reads this image.
-#[derive(Debug, Default)]
-struct MemImage {
-    files: BTreeMap<String, Vec<u8>>,
-}
-
-impl StorageMedium for MemImage {
-    fn read(&self, path: &str) -> Result<Vec<u8>, MediumError> {
-        self.files
-            .get(path)
-            .cloned()
-            .ok_or_else(|| MediumError::fatal("read", path, "not in recovery image"))
-    }
-    fn write_all(&self, path: &str, _bytes: &[u8]) -> Result<(), MediumError> {
-        Err(MediumError::fatal("write", path, "recovery image is read-only"))
-    }
-    fn append(&self, path: &str, _bytes: &[u8]) -> Result<(), MediumError> {
-        Err(MediumError::fatal("append", path, "recovery image is read-only"))
-    }
-    fn sync(&self, path: &str) -> Result<(), MediumError> {
-        Err(MediumError::fatal("sync", path, "recovery image is read-only"))
-    }
-    fn rename(&self, from: &str, _to: &str) -> Result<(), MediumError> {
-        Err(MediumError::fatal("rename", from, "recovery image is read-only"))
-    }
-    fn remove(&self, path: &str) -> Result<(), MediumError> {
-        Err(MediumError::fatal("remove", path, "recovery image is read-only"))
-    }
-    fn list(&self) -> Result<Vec<String>, MediumError> {
-        Ok(self.files.keys().cloned().collect())
-    }
-    fn exists(&self, path: &str) -> bool {
-        self.files.contains_key(path)
-    }
-}
-
-/// What the parallel scan phase learned about one shard.
+/// What the scan phase learned about one shard.
 #[derive(Debug)]
 struct ShardScan {
     parked_at: Option<u64>,
@@ -495,8 +455,7 @@ impl<M: StorageMedium> ShardedDurableWarehouse<M> {
     }
 
     /// Opens a medium holding a committed warehouse. On a sharded
-    /// medium this runs the parallel recovery described in the module
-    /// docs; on an unsharded one it **migrates** (full unsharded
+    /// medium this runs the recovery described in the module docs; on an unsharded one it **migrates** (full unsharded
     /// recovery, then re-commit under the sharded layout) when `shards`
     /// is given, and fails closed with `DWC-S304` otherwise. A `shards`
     /// count different from the stored one re-cuts the key domain
@@ -566,42 +525,25 @@ impl<M: StorageMedium> ShardedDurableWarehouse<M> {
             }
         }
 
-        // Shard lineages: fail closed on a missing WAL segment, then
-        // slurp everything into a read-only image so the decode and
-        // apply phases can go wide even over single-threaded media.
-        let mut mem = MemImage::default();
+        // Shard lineages: fail closed on a missing WAL segment of any
+        // shard before scanning one.
         for (k, lineage) in sm.lineages.iter().enumerate() {
-            for entry in &lineage.entries {
-                if !medium.exists(&entry.wal) {
-                    return Err(StorageError::ShardLineageMissing {
-                        shard: k,
-                        file: entry.wal.clone(),
-                    });
-                }
-                mem.files.insert(entry.wal.clone(), medium.read(&entry.wal)?);
-                if medium.exists(&entry.snapshot) {
-                    if let Ok(bytes) = medium.read(&entry.snapshot) {
-                        mem.files.insert(entry.snapshot.clone(), bytes);
-                    }
-                }
+            if let Some(entry) = lineage.entries.iter().find(|e| !medium.exists(&e.wal)) {
+                return Err(StorageError::ShardLineageMissing {
+                    shard: k,
+                    file: entry.wal.clone(),
+                });
             }
         }
-        let tasks: Vec<(usize, ShardLineage)> =
-            sm.lineages.iter().cloned().enumerate().collect();
-        let manifest_sqn = sm.sqn;
-        let scanned = par_map(&tasks, |(k, lineage)| {
-            let t = std::time::Instant::now();
-            let r = scan_shard(&mem, *k, lineage, manifest_sqn);
-            (r, t.elapsed())
-        });
         let mut scans: Vec<ShardScan> = Vec::with_capacity(count);
         let mut per_shard_time: Vec<std::time::Duration> = Vec::with_capacity(count);
-        for (s, spent) in scanned {
-            let s = s?;
+        for lineage in &sm.lineages {
+            let t = std::time::Instant::now();
+            let s = scan_shard(&medium, lineage, sm.sqn)?;
+            per_shard_time.push(t.elapsed());
             skipped += s.skipped;
             torn_tails += s.torn;
             scans.push(s);
-            per_shard_time.push(spent);
         }
 
         // The recovered cut: parked shards are certified untouched past
@@ -613,17 +555,13 @@ impl<M: StorageMedium> ShardedDurableWarehouse<M> {
             .min();
         let cut = live_min.map_or(seq_hi, |m| m.min(seq_hi));
 
-        // Parallel apply, then canonical union back to the full state.
-        let applied = par_map(&scans, |scan| {
-            let t = std::time::Instant::now();
-            let r = apply_shard(scan, cut);
-            (r, t.elapsed())
-        });
+        // Apply per shard, then canonical union back to the full state.
         let mut shard_replayed = 0usize;
         let mut merged: BTreeMap<String, Relation> = BTreeMap::new();
-        for (k, (r, spent)) in applied.into_iter().enumerate() {
-            per_shard_time[k] += spent;
-            let (n_applied, rels) = r?;
+        for (scan, spent) in scans.iter().zip(&mut per_shard_time) {
+            let t = std::time::Instant::now();
+            let (n_applied, rels) = apply_shard(scan, cut)?;
+            *spent += t.elapsed();
             shard_replayed += n_applied;
             for (name, rel) in rels {
                 let next = match merged.get(&name) {
@@ -1700,11 +1638,11 @@ impl<M: StorageMedium> ShardedDurableWarehouse<M> {
     }
 }
 
-/// Parallel-phase shard scan: newest intact slice, then every newer WAL
-/// record, with the lineage's durable high-water mark.
-fn scan_shard(
-    mem: &MemImage,
-    _shard: usize,
+/// Shard scan: newest intact slice (an unreadable or corrupt one falls
+/// back a generation), then every newer WAL record, with the lineage's
+/// durable high-water mark. A WAL read error propagates.
+fn scan_shard<M: StorageMedium>(
+    medium: &M,
     lineage: &ShardLineage,
     manifest_sqn: u64,
 ) -> Result<ShardScan, StorageError> {
@@ -1713,7 +1651,7 @@ fn scan_shard(
     let mut start: Option<(usize, SliceImage)> = None;
     for (i, entry) in lineage.entries.iter().enumerate().rev() {
         tried.push(entry.snapshot.clone());
-        match snapshot::read_slice_snapshot(mem, &entry.snapshot, entry.generation) {
+        match snapshot::read_slice_snapshot(medium, &entry.snapshot, entry.generation) {
             Ok(slice) => {
                 start = Some((i, slice));
                 break;
@@ -1730,7 +1668,7 @@ fn scan_shard(
     let mut torn = 0usize;
     let mut records = Vec::new();
     for entry in &lineage.entries[idx..] {
-        let (recs, torn_bytes) = wal::scan_shard_segment(mem, &entry.wal, entry.generation)?;
+        let (recs, torn_bytes) = wal::scan_shard_segment(medium, &entry.wal, entry.generation)?;
         if torn_bytes > 0 {
             torn += 1;
         }
@@ -1742,7 +1680,7 @@ fn scan_shard(
     Ok(ShardScan { parked_at: lineage.parked_at, slice, records, hi, skipped, torn })
 }
 
-/// Parallel-phase shard apply: every record in `(slice.sqn, bound]`
+/// Shard apply: every record in `(slice.sqn, bound]`
 /// replays onto the slice, where the bound is the recovered cut —
 /// clamped, on a parked shard, to its park stamp (records past the
 /// stamp are strays of rolled-back operations).

@@ -15,7 +15,7 @@ use dwc_core::unionfact::{complement_for, UnionFactView};
 use dwc_core::{Complement, NamedView, PsjView};
 use dwc_relalg::eval::{eval_cached, EvalCache};
 use dwc_relalg::expr::HeaderResolver;
-use dwc_relalg::{exec, AttrSet, Catalog, DbState, RaExpr, RelName};
+use dwc_relalg::{AttrSet, Catalog, DbState, RaExpr, RelName};
 use std::collections::BTreeMap;
 
 /// The pair (D, V): sources and view definitions (plain PSJ views plus
@@ -91,19 +91,15 @@ impl WarehouseSpec {
     }
 
     /// Materializes the *unaugmented* warehouse state `⟨V1(d), …, Vk(d)⟩`.
-    /// The views are independent queries over `db`, so they evaluate in
-    /// parallel.
     pub fn materialize(&self, db: &DbState) -> Result<DbState> {
-        let exprs: Vec<(RelName, RaExpr)> = self
+        let exprs = self
             .views
             .iter()
             .map(|v| (v.name(), v.to_expr()))
-            .chain(self.union_facts.iter().map(|u| (u.name(), u.to_expr())))
-            .collect();
-        let evaluated = exec::try_par_map(&exprs, |(_, e)| e.eval(db))?;
+            .chain(self.union_facts.iter().map(|u| (u.name(), u.to_expr())));
         let mut w = DbState::new();
-        for ((name, _), rel) in exprs.iter().zip(evaluated) {
-            w.insert_relation(*name, rel);
+        for (name, e) in exprs {
+            w.insert_relation(name, e.eval(db)?);
         }
         Ok(w)
     }
@@ -198,11 +194,8 @@ impl AugmentedWarehouse {
         let mut w = self
             .complement
             .warehouse_state_cached(self.views(), db, &cache)?;
-        let evaluated = exec::try_par_map(self.spec.union_facts(), |u| {
-            eval_cached(&u.to_expr(), db, &cache)
-        })?;
-        for (u, rel) in self.spec.union_facts().iter().zip(evaluated) {
-            w.insert_shared(u.name(), rel);
+        for u in self.spec.union_facts() {
+            w.insert_shared(u.name(), eval_cached(&u.to_expr(), db, &cache)?);
         }
         Ok(w)
     }
@@ -255,14 +248,12 @@ impl AugmentedWarehouse {
     }
 
     /// Reconstructs the full database state from a warehouse state via
-    /// `W⁻¹` (the paper's Step 1.2 artifact put to work). One independent
-    /// inverse expression per base relation — they evaluate in parallel.
+    /// `W⁻¹` (the paper's Step 1.2 artifact put to work): one inverse
+    /// expression per base relation.
     pub fn reconstruct_sources(&self, warehouse: &DbState) -> Result<DbState> {
-        let inverses: Vec<(&RelName, &RaExpr)> = self.inverse().iter().collect();
-        let evaluated = exec::try_par_map(&inverses, |(_, inv)| inv.eval(warehouse))?;
         let mut db = DbState::new();
-        for ((base, _), rel) in inverses.iter().zip(evaluated) {
-            db.insert_relation(**base, rel);
+        for (base, inv) in self.inverse() {
+            db.insert_relation(*base, inv.eval(warehouse)?);
         }
         Ok(db)
     }

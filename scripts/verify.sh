@@ -60,20 +60,11 @@ for seed in 8234113119275560397 1157442765409226768; do
   DWC_TESTKIT_SEED="$seed" cargo test -q --test chaos_props
 done
 
-# --- 5. parallel-execution differential replay -------------------------
-# The partitioned joins, fork-join evaluator, and wave-parallel
-# maintenance must reproduce the serial results bit-for-bit. Step 1 ran
-# the suite at the ambient seed; replay it pinned so every verify run
-# also exercises one fixed set of databases and updates.
-for seed in 7155805680888831834; do
-  echo "parallel replay: DWC_TESTKIT_SEED=$seed"
-  DWC_TESTKIT_SEED="$seed" cargo test -q --test parallel_props
-done
+# --- 5. (retired with relalg::exec, see E25) ---------------------------
 
 # --- 6. the bench sweep driver runs end-to-end -------------------------
-# Smoke the thread-scaling sweep (serial + 4 workers) into a scratch
-# file; real numbers are recorded by `scripts/bench.sh` into
-# BENCH_eval.json and never touched here.
+# Smoke the bench sweep into a scratch file; real numbers are recorded
+# by `scripts/bench.sh` into BENCH_eval.json and never touched here.
 SWEEP_OUT=$(mktemp)
 # bench.sh drops the durability, server, and fault suites into sibling
 # files; mktemp names carry no "eval", so those siblings are
@@ -123,16 +114,10 @@ echo "ok: srclint self-check clean"
 # pinned-seed ingestion run (tests/crash_props.rs bakes its own seeds in,
 # so no env pinning is needed) and proves recovery lands bit-identical to
 # a never-crashed oracle. Release mode: the sweep recovers the warehouse
-# a few hundred times. The thread-config gate must also fail closed —
-# binaries refuse to start under a malformed DWC_THREADS rather than
-# silently running serial.
+# a few hundred times.
 echo "crash matrix: tests/crash_props.rs"
 cargo test -q --release --test crash_props
-if DWC_THREADS=0 "$DWC" analyze --self-check >/dev/null 2>&1; then
-  echo "FAIL: dwc must refuse to run under DWC_THREADS=0" >&2
-  exit 1
-fi
-echo "ok: crash matrix green, DWC_THREADS=0 refused"
+echo "ok: crash matrix green"
 
 # --- 9. server: concurrency differential + group-commit accounting -----
 # The server suites drive ServerCore (sessions, batcher, group commit,
@@ -200,7 +185,7 @@ echo "ok: planner differential + cost analyzer green"
 # lineage under one root manifest. The suite kills the store at every
 # IO boundary across all lineages (recovery must land on the acked
 # prefix and converge bit-identically to a never-crashed unsharded
-# oracle), crashes it again *during* parallel recovery, injects a
+# oracle), crashes it again *during* recovery, injects a
 # transient fault at every boundary, scopes a permanent fault to one
 # shard's files (only that key range may park; the rest keep
 # committing), and covers torn/corrupt root manifests, missing shard

@@ -83,7 +83,7 @@ backoff, permanent failures turn the server read-only (queries keep
 answering from the last published epoch).
 
 --shards N partitions the store into N key-range shards, each with its
-own WAL lineage recovered in parallel on restart; a fatal fault on one
+own WAL lineage recovered independently on restart; a fatal fault on one
 shard parks only its key range while the rest keep committing (`stats`
 shows shards=N shard_parked=K shard_health=live,parked,...). Opening
 an unsharded directory with --shards migrates it; a different N re-cuts
@@ -100,12 +100,6 @@ durable `ack` lines stream back asynchronously. Other verbs (`query`,
 `epoch`, `stats`, `recover`, `quit`) pass through the line protocol.";
 
 fn main() -> ExitCode {
-    // Surface a malformed DWC_THREADS once, up front, instead of letting
-    // every parallel operation silently degrade to serial.
-    if let Err(e) = dwcomplements::relalg::exec::thread_config() {
-        eprintln!("invalid DWC_THREADS: {e}");
-        return ExitCode::from(2);
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => cmd_analyze(&args[1..]),

@@ -343,6 +343,37 @@ fn repeated_joins_reuse_indexes_soundly() {
     );
 }
 
+/// Joins of ≥ 1024 tuples in total, with uniform keys and with one hot
+/// key owning half of the probe side, match the nested-loop reference
+/// row-for-row — the sizes at which the index probe emits many pairs
+/// per key and the batch canonicalization does real work.
+#[test]
+fn large_joins_match_reference() {
+    Runner::new("large_joins_match_reference").cases(8).run(
+        |rng| (rng.next_u64(), 8 + rng.index(90) as i64, rng.bool()),
+        |&(seed, modulus, skewed)| {
+            // Canonical (sorted-header) tuple order: {a, k} and {b, k}.
+            let mut left = Relation::empty(AttrSet::from_names(&["k", "a"]));
+            let mut right = Relation::empty(AttrSet::from_names(&["k", "b"]));
+            for i in 0..600i64 {
+                let salt = (seed % 1_000) as i64 + i;
+                let lk = if skewed && i % 2 == 0 { 0 } else { salt % modulus };
+                left.insert(Tuple::new(vec![Value::int(i), Value::int(lk)])).expect("arity");
+                right
+                    .insert(Tuple::new(vec![Value::int(i * 3), Value::int(i % modulus)]))
+                    .expect("arity");
+            }
+            let mut db = DbState::new();
+            db.insert_relation("L", left);
+            db.insert_relation("Rr", right);
+            let e = RaExpr::base("L").join(RaExpr::base("Rr"));
+            let col = e.eval(&db).expect("evaluates");
+            ensure_same!(&col, &naive_eval(&e, &naive_env(&db)));
+            Ok(())
+        },
+    );
+}
+
 // ---------------------------------------------------------------------
 // Complements and the four maintenance strategies
 // ---------------------------------------------------------------------

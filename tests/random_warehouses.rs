@@ -5,7 +5,7 @@
 //! seed-deterministic; the testkit runner drives the seeds.
 
 use dwc_testkit::prop::Runner;
-use dwc_testkit::tk_ensure_eq;
+use dwc_testkit::{tk_ensure, tk_ensure_eq};
 use dwcomplements::core::constrained::{complement_with, ComplementOptions};
 use dwcomplements::core::psj::{NamedView, PsjView};
 use dwcomplements::relalg::gen::{random_state, SplitMix64, StateGenConfig};
@@ -197,11 +197,72 @@ fn pipeline_commutes_on_random_warehouses() {
             }
             let update = update.normalize(&db).expect("consistent");
             if !update.is_empty() {
-                let w_next = aug.maintain(&w, &update).expect("maintains");
+                let plan = aug.compile_plan(&update.touched().collect()).expect("compiles");
+                let (w_next, deltas) = plan.apply_detailed(&w, &update).expect("maintains");
                 let oracle = aug
                     .materialize(&update.apply(&db).expect("applies"))
                     .expect("materializes");
-                tk_ensure_eq!(w_next, oracle);
+                tk_ensure_eq!(&w_next, &oracle);
+                let reconstructed =
+                    aug.maintain_by_reconstruction(&w, &update).expect("reconstructs");
+                tk_ensure_eq!(&reconstructed, &oracle);
+                // The reported net deltas are exactly new ∖ old / old ∖ new,
+                // one per stored relation in plan order.
+                let stepped: Vec<RelName> = deltas.iter().map(|d| d.name).collect();
+                tk_ensure_eq!(stepped, aug.stored_relations());
+                for d in &deltas {
+                    let old = w.relation(d.name).expect("stored");
+                    let new = oracle.relation(d.name).expect("stored");
+                    tk_ensure_eq!(&d.inserted, &new.difference(old).expect("same header"));
+                    tk_ensure_eq!(&d.deleted, &old.difference(new).expect("same header"));
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Plan order is a valid schedule: for random specs and touched sets,
+/// every step's `plus`/`minus` reads `X@next` only for `X` at a strictly
+/// smaller step index, so applying steps in order never reads a value
+/// that has not been published yet.
+#[test]
+fn plan_steps_read_next_only_from_earlier_steps() {
+    Runner::new("plan_steps_read_next_only_from_earlier_steps").cases(64).run(
+        |rng| (rng.next_u64(), rng.next_u64(), rng.next_u64()),
+        |&(cat_seed, view_seed, touch_seed)| {
+            use dwcomplements::warehouse::incremental::next_name;
+            use dwcomplements::warehouse::WarehouseSpec;
+            use std::collections::{BTreeMap, BTreeSet};
+
+            let catalog = random_catalog(cat_seed);
+            let views = random_views(&catalog, view_seed);
+            let aug = WarehouseSpec::new(catalog.clone(), views)
+                .expect("no collisions")
+                .augment()
+                .expect("augments");
+            let mut rng = SplitMix64::new(touch_seed);
+            let names: Vec<RelName> = catalog.relation_names().collect();
+            let mut touched: BTreeSet<RelName> =
+                names.iter().filter(|_| rng.chance(1, 2)).copied().collect();
+            touched.insert(names[rng.index(names.len())]);
+
+            let plan = aug.compile_plan(&touched).expect("compiles");
+            let position: BTreeMap<RelName, usize> = plan
+                .steps()
+                .iter()
+                .enumerate()
+                .map(|(i, (name, _))| (next_name(*name), i))
+                .collect();
+            for (i, (name, d)) in plan.steps().iter().enumerate() {
+                for r in d.plus.base_relations().into_iter().chain(d.minus.base_relations()) {
+                    if r.as_str().ends_with("@next") {
+                        tk_ensure!(
+                            position.get(&r).is_some_and(|&j| j < i),
+                            "step {i} ({name}) reads {r}, which no earlier step publishes"
+                        );
+                    }
+                }
             }
             Ok(())
         },

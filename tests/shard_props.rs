@@ -3,7 +3,7 @@
 //! The sharded store's claim sharpens the unsharded one: a warehouse
 //! partitioned into per-shard WAL lineages under a single root
 //! manifest, killed at **every** mutating IO boundary (including
-//! during its own parallel recovery), recovers to a state that — after
+//! during its own recovery), recovers to a state that — after
 //! the source redelivers its outbox — is bit-identical to a
 //! never-crashed *unsharded* oracle; what it acked before the crash is
 //! always a strict prefix of what the oracle acked. Medium faults
@@ -271,8 +271,8 @@ fn open_sharded(
 // ---------------------------------------------------------------------
 
 /// The clean sharded run matches the unsharded oracle bit-for-bit, and
-/// still does after a crash-free reopen (parallel recovery of a
-/// healthy disk is the identity).
+/// still does after a crash-free reopen (recovery of a healthy disk is
+/// the identity).
 #[test]
 fn sharded_run_matches_unsharded_oracle_across_reopen() {
     let sc = build_scenario();
@@ -347,7 +347,7 @@ fn kill_at_every_io_boundary_recovers_a_prefix_then_converges() {
     }
 }
 
-/// Crashing *during the parallel recovery itself* must leave a disk a
+/// Crashing *during the per-shard recovery itself* must leave a disk a
 /// second recovery opens cleanly: the recovery commits a fresh
 /// generation before pruning, so the root manifest always binds
 /// durable files.
@@ -647,6 +647,41 @@ fn missing_shard_segment_is_s303() {
         .expect_err("missing shard segment opened");
     assert_eq!(err.code(), "DWC-S303", "{err}");
     assert!(err.to_string().contains(&victim), "{err} does not name {victim}");
+}
+
+/// An unreadable *snapshot* is not fatal the way a missing WAL segment
+/// is: when the read of shard 1's newest slice fails, recovery falls
+/// back one generation on that lineage alone, replays the older slice's
+/// WAL forward, and lands on the same state.
+#[test]
+fn unreadable_newest_slice_falls_back_a_generation() {
+    let sc = build_scenario();
+    let want = oracle();
+    let (fs, clean) = run_sharded_on(CrashPlan::none(), &sc);
+    clean.expect("clean run");
+    let files = fs.survivors();
+    let newest = files
+        .keys()
+        .filter(|f| f.starts_with("s1-snap-"))
+        .max()
+        .expect("shard 1 has a slice snapshot")
+        .clone();
+    assert!(
+        files.keys().filter(|f| f.starts_with("s1-snap-")).count() >= 2,
+        "scenario retains no older generation to fall back to"
+    );
+
+    // The first operation on that file — recovery's read — fails once.
+    let plan = MediumFaultPlan { transient_at_op: Some(0), ..MediumFaultPlan::clean() }
+        .scoped_to(&newest);
+    let faulty = FaultyFs::new(SimFs::from_files(files), plan);
+    let (sw, report) =
+        ShardedDurableWarehouse::open(FaultyMedium(faulty.clone()), fresh_aug(), config(), None)
+            .expect("recovery tolerates an unreadable slice");
+    assert_eq!(faulty.injected(), 1, "the read fault never fired");
+    assert!(report.snapshots_skipped >= 1, "{report:?}");
+    assert!(report.consistency_checked);
+    assert_eq!(fingerprint(sw.ingestor()), want);
 }
 
 /// Opening across layouts fails closed with `DWC-S304` in both
