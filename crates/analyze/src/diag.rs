@@ -39,11 +39,7 @@ pub enum Code {
     S505AckOutsideCommitLoop,
     S506RawColumnAccess,
     S507StrategyDispatchOutsidePlanner,
-    S508ShardFilesOutsideShardModule,
     S509SocketWriteOutsideEncoder,
-    H601ShardSplitsCover,
-    H602ShardSeversInd,
-    H603ShardPinnedRelation,
     P001CostEstimate,
     P101StrategyChosen,
     P201Misprediction,
@@ -79,11 +75,7 @@ impl Code {
             Code::S505AckOutsideCommitLoop => "DWC-S505",
             Code::S506RawColumnAccess => "DWC-S506",
             Code::S507StrategyDispatchOutsidePlanner => "DWC-S507",
-            Code::S508ShardFilesOutsideShardModule => "DWC-S508",
             Code::S509SocketWriteOutsideEncoder => "DWC-S509",
-            Code::H601ShardSplitsCover => "DWC-H601",
-            Code::H602ShardSeversInd => "DWC-H602",
-            Code::H603ShardPinnedRelation => "DWC-H603",
             Code::P001CostEstimate => "DWC-P001",
             Code::P101StrategyChosen => "DWC-P101",
             Code::P201Misprediction => "DWC-P201",
@@ -136,20 +128,8 @@ impl Code {
             Code::S507StrategyDispatchOutsidePlanner => {
                 "maintenance-strategy dispatch outside the planner modules"
             }
-            Code::S508ShardFilesOutsideShardModule => {
-                "shard-manifest write or shard-id construction outside warehouse::shard/storage"
-            }
             Code::S509SocketWriteOutsideEncoder => {
                 "socket write outside the server's line encoder"
-            }
-            Code::H601ShardSplitsCover => {
-                "view joins a routed relation but projects away the routing attribute"
-            }
-            Code::H602ShardSeversInd => {
-                "inclusion dependency spans routed and unrouted relations"
-            }
-            Code::H603ShardPinnedRelation => {
-                "relation lacks the routing attribute and is pinned whole to shard 0"
             }
             Code::P001CostEstimate => "per-view maintenance cost estimate",
             Code::P101StrategyChosen => "maintenance strategy chosen with predicted costs",

@@ -51,7 +51,6 @@ pub mod cost;
 pub mod diag;
 pub mod lints;
 pub mod planner;
-pub mod shard;
 pub mod specfile;
 pub mod srclint;
 pub mod typecheck;
@@ -82,10 +81,6 @@ pub struct AnalyzeOptions {
     /// exceeding it degrades certification to `W401`, never to `O(2^n)`
     /// work.
     pub max_cover_sources: usize,
-    /// When set, additionally certify that key-range sharding by this
-    /// routing attribute respects the key/IND structure (`H` codes, see
-    /// [`shard::certify_sharding`]).
-    pub shard_attr: Option<String>,
 }
 
 impl Default for AnalyzeOptions {
@@ -100,7 +95,6 @@ impl AnalyzeOptions {
         AnalyzeOptions {
             gate: Gate::Certify,
             max_cover_sources: DEFAULT_MAX_SOURCES,
-            shard_attr: None,
         }
     }
 
@@ -109,14 +103,7 @@ impl AnalyzeOptions {
         AnalyzeOptions {
             gate: Gate::Accept,
             max_cover_sources: DEFAULT_MAX_SOURCES,
-            shard_attr: None,
         }
-    }
-
-    /// The same options with shard certification by `attr` enabled.
-    pub fn with_shard_attr(mut self, attr: impl Into<String>) -> AnalyzeOptions {
-        self.shard_attr = Some(attr.into());
-        self
     }
 }
 
@@ -180,15 +167,6 @@ pub fn analyze(
     }
 
     lints::lint_views(catalog, &all_views, opts, &mut report);
-
-    // Optional key-range sharding certification (`H` codes): only over
-    // a well-formed catalog — on a broken one the partition question is
-    // moot and the report already rejects.
-    if let Some(attr) = &opts.shard_attr {
-        if !catalog_broken {
-            shard::certify_sharding(catalog, &all_views, attr, &mut report);
-        }
-    }
     report
 }
 

@@ -49,14 +49,6 @@
 //!   same-line `// lint:allow strategy_dispatch -- reason` waives one
 //!   line (recovery and verification oracles legitimately pin
 //!   reconstruction).
-//! * `S508` — shard-file encapsulation. Writing the sharded root
-//!   manifest or constructing per-shard file identities
-//!   (`ShardManifest`, `shard_segment_name(`, `shard_snapshot_name(`)
-//!   is confined to the sharded store (`crates/warehouse/src/shard.rs`)
-//!   and the storage layer (`crates/warehouse/src/storage/`); every
-//!   other layer addresses shards only through the sharded store's
-//!   API, so the single-commit-point discipline cannot be bypassed. A
-//!   same-line `// lint:allow shard_files -- reason` waives one line.
 //! * `S509` — one reply, one socket write. In `src/serve.rs` the write
 //!   tokens (`write!(`, `writeln!(`, `.write_all(`, `.write(`,
 //!   `.write_fmt(`) may appear only inside the line encoder's own
@@ -157,18 +149,6 @@ const S507_ALLOWED: &[&str] = &[
 /// Strategy-dispatch tokens banned outside the planner modules — all
 /// waived by `strategy_dispatch`.
 const S507_BANNED: &[&str] = &["maintain_by_", "MaintenanceStrategy::"];
-
-/// The places allowed to write the sharded root manifest or construct
-/// per-shard file identities: the sharded store itself and the storage
-/// layer that owns the on-disk formats (`S508`).
-const S508_ALLOWED: &[&str] = &["crates/warehouse/src/shard.rs"];
-
-/// The tree prefix also allowed for `S508` (the storage layer).
-const S508_ALLOWED_PREFIX: &str = "crates/warehouse/src/storage/";
-
-/// Shard-file tokens banned outside those places — all waived by
-/// `shard_files`.
-const S508_BANNED: &[&str] = &["ShardManifest", "shard_segment_name(", "shard_snapshot_name("];
 
 /// The file whose socket writes `S509` polices: the server runtime and
 /// the `dwc connect` client.
@@ -283,20 +263,6 @@ pub fn self_check(root: &Path) -> Report {
                 continue;
             }
             scan_strategy_dispatch(&file, &rel, &mut report);
-        }
-    }
-
-    // --- S508: shard-file encapsulation. Same tree set; the sharded
-    // store and the storage layer are exempt.
-    let mut src_trees: Vec<PathBuf> = vec![root.join("src")];
-    src_trees.extend(crate_dirs(root, &mut report).into_iter().map(|d| d.join("src")));
-    for tree in src_trees {
-        for file in rust_files(&tree, &mut report) {
-            let rel = rel_path(root, &file);
-            if S508_ALLOWED.contains(&rel.as_str()) || rel.starts_with(S508_ALLOWED_PREFIX) {
-                continue;
-            }
-            scan_shard_files(&file, &rel, &mut report);
         }
     }
 
@@ -608,35 +574,6 @@ fn scan_strategy_dispatch(path: &Path, rel: &str, report: &mut Report) {
                         "`{needle}` outside {S507_ALLOWED:?}; route the choice through the \
                          cost-based planner (or waive with \
                          `// lint:allow strategy_dispatch -- reason`)"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Scans one file for shard-manifest writes or shard-id construction
-/// outside the sharded store (see `S508_BANNED`). Test modules at the
-/// bottom of a file are exempt (crash suites legitimately forge shard
-/// files to corrupt them).
-fn scan_shard_files(path: &Path, rel: &str, report: &mut Report) {
-    let Some(lines) = stripped_lines(path, rel, report) else {
-        return;
-    };
-    for (line_no, raw, stripped) in &lines {
-        if raw.trim_start().starts_with("#[cfg(test)]") {
-            break;
-        }
-        for needle in S508_BANNED {
-            if stripped.contains(needle) && !has_waiver(raw, "shard_files") {
-                report.push(
-                    Code::S508ShardFilesOutsideShardModule,
-                    Severity::Error,
-                    format!("{rel}:{line_no}"),
-                    format!(
-                        "`{needle}` outside {S508_ALLOWED:?}/{S508_ALLOWED_PREFIX}; address \
-                         shards through the sharded store's API (or waive with \
-                         `// lint:allow shard_files -- reason`)"
                     ),
                 );
             }
@@ -1005,34 +942,6 @@ call(); /* block panic! comment */ after();
             3,
             "spawn + scope + Builder; waiver, available_parallelism, string and \
              test module exempt:\n{text}"
-        );
-        fs::remove_file(&file).ok();
-        fs::remove_dir(&dir).ok();
-    }
-
-    #[test]
-    fn s508_flags_shard_file_tokens_outside_shard_module() {
-        let dir = std::env::temp_dir().join(format!("dwc-srclint-s508-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("rogue.rs");
-        fs::write(
-            &file,
-            "fn f(m: &M) {\n    let name = shard_segment_name(1, 2);\n    \
-             let snap = shard_snapshot_name(1, 2);\n    \
-             let sm = ShardManifest { attr, cuts, lineages };\n    \
-             let w = shard_segment_name(0, 0); // lint:allow shard_files -- exercising the waiver\n\
-             \n    let s = \"shard_segment_name(\"; // string literal is stripped\n}\n\
-             #[cfg(test)]\nmod t { fn g() { shard_segment_name(9, 9); } }\n",
-        )
-        .unwrap();
-        let mut report = Report::new();
-        scan_shard_files(&file, "src/rogue.rs", &mut report);
-        let text = report.to_string();
-        assert_eq!(
-            text.matches("DWC-S508").count(),
-            3,
-            "segment + snapshot + manifest; waiver, string and test module \
-             exempt:\n{text}"
         );
         fs::remove_file(&file).ok();
         fs::remove_dir(&dir).ok();

@@ -7,12 +7,6 @@
 //! replay → consistency cross-check) as a function of state size and
 //! log length. One JSON line per benchmark; `scripts/bench.sh` collects
 //! them into `BENCH_recovery.json`.
-//!
-//! The **sharded** cold-recovery sweep follows in the same pass: the
-//! same warehouse committed under a key-range sharded layout at 1, 2
-//! and 4 shards, reopened via the per-shard recovery. Each row is
-//! tagged with a `shards` field so the sweep is directly comparable
-//! against the unsharded `cold-recovery-*` rows.
 
 use dwc_bench::experiments::{fig1_catalog, fig1_state};
 use dwc_bench::stamped;
@@ -21,8 +15,7 @@ use dwc_warehouse::channel::{Envelope, SequencedSource};
 use dwc_warehouse::ingest::{IngestConfig, IngestingIntegrator};
 use dwc_warehouse::integrator::{Integrator, SourceSite};
 use dwc_warehouse::{
-    AugmentedWarehouse, DurabilityConfig, DurableWarehouse, FsMedium, Recovery,
-    ShardedDurableWarehouse, WarehouseSpec,
+    AugmentedWarehouse, DurabilityConfig, DurableWarehouse, FsMedium, Recovery, WarehouseSpec,
 };
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -95,70 +88,6 @@ fn restore_image(dir: &PathBuf, image: &[(String, Vec<u8>)]) {
     }
 }
 
-/// The sharded cold-recovery sweep: the figure-1 warehouse committed
-/// under `shards` key-range lineages (routed by `clerk`, Emp's key),
-/// reopened through the per-shard recovery. One bench group per shard
-/// count so every row carries a `shards` field.
-fn bench_sharded() {
-    let mut scratch_dirs = Vec::new();
-    for &n in &[1_000usize, 10_000] {
-        let (aug, mut src, ing) = rig(n);
-        let envelopes = sale_envelopes(&mut src, LOG_LEN);
-        for shards in [1usize, 2, 4] {
-            let dir = scratch(&format!("shard{shards}-{n}"));
-            scratch_dirs.push(dir.clone());
-            let medium = FsMedium::new(&dir).expect("scratch dir");
-            let mut sw =
-                ShardedDurableWarehouse::create(medium, ing.clone(), config(true), shards, None)
-                    .expect("creates");
-            for env in &envelopes {
-                sw.offer(env).expect("offer logs");
-            }
-            drop(sw);
-            let image = capture_image(&dir);
-            // Untimed opens harvest the replay-path telemetry: the
-            // slowest shard vs the summed per-shard work. Their ratio
-            // models the speedup independent lineages would allow if
-            // replayed side by side (they are replayed in turn).
-            // Best-of-three, because on an oversubscribed host a wall
-            // clock includes preemption.
-            let mut best: Option<(u64, u64)> = None;
-            for _ in 0..3 {
-                restore_image(&dir, &image);
-                let medium = FsMedium::new(&dir).expect("scratch dir");
-                let (_, report) =
-                    ShardedDurableWarehouse::open(medium, aug.clone(), config(true), None)
-                        .expect("recovers");
-                let pair = (
-                    report.replay_critical.as_nanos() as u64,
-                    report.replay_total.as_nanos() as u64,
-                );
-                if best.is_none_or(|(c, _)| pair.0 < c) {
-                    best = Some(pair);
-                }
-            }
-            let (critical_ns, total_ns) = best.unwrap_or((0, 0));
-            let group = stamped("recovery")
-                .field_num("shards", shards as u64)
-                .field_num("replay_critical_ns", critical_ns)
-                .field_num("replay_total_ns", total_ns);
-            let aug = aug.clone();
-            let dir = dir.clone();
-            group.run(&format!("cold-recovery-sharded/{n}"), move || {
-                restore_image(&dir, &image);
-                let medium = FsMedium::new(&dir).expect("scratch dir");
-                let (sw, report) =
-                    ShardedDurableWarehouse::open(medium, aug.clone(), config(true), None)
-                        .expect("recovers");
-                black_box((sw.shards(), report.shard_records_replayed))
-            });
-        }
-    }
-    for dir in scratch_dirs {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
 fn main() {
     let group = stamped("recovery");
     let mut scratch_dirs = Vec::new();
@@ -227,5 +156,4 @@ fn main() {
     for dir in scratch_dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
-    bench_sharded();
 }

@@ -20,10 +20,10 @@
 //! * **latency** — per-op-class modeled delays advancing a shared
 //!   [`sched::VirtualClock`], so "the fsync stalls for 50 ms" is a
 //!   schedulable, reproducible event rather than a real sleep.
-//! * **scoping** — an optional path prefix confining the whole plan to
-//!   one slice of the medium (one shard's WAL lineage, say), so the
-//!   shard fault matrix can break disk `s1-*` while the rest of the
-//!   files stay healthy.
+//! * **scoping** — an optional file-name prefix confining the whole plan
+//!   to one slice of the medium (every `wal-*` segment, or one snapshot
+//!   file), so a test can break exactly those files while the rest stay
+//!   healthy.
 //!
 //! The whole simulation is a pure function of the plan and the
 //! operation sequence: one [`SplitMix64`] stream drawn from the plan's
@@ -96,9 +96,9 @@ pub struct MediumFaultPlan {
     /// Restricts the whole plan to paths starting with this prefix:
     /// operations on other paths pass through untouched and do **not**
     /// consume faultable-operation indexes. `None` scopes to every
-    /// path. The shard fault matrix uses this to break exactly one
-    /// shard's WAL lineage (e.g. prefix `"s1-"`) while the rest of the
-    /// medium stays healthy.
+    /// path. A file-name prefix (e.g. `"wal-"`, or one snapshot's full
+    /// name) breaks exactly those files while the rest of the medium
+    /// stays healthy.
     pub scope_prefix: Option<String>,
     /// Modeled latency of a read, in virtual microseconds.
     pub read_latency_micros: u64,

@@ -35,52 +35,10 @@
 
 use crate::channel::{Envelope, SourceId};
 use crate::error::{Result, WarehouseError};
-use crate::incremental::StoredDelta;
 use crate::integrator::{Integrator, IntegratorStats};
 use crate::planner::AdaptivePolicy;
 use dwc_relalg::{DbState, RaExpr, Relation, Update};
 use std::collections::BTreeMap;
-
-/// How [`IngestingIntegrator::apply_one`] executes maintenance — the
-/// hook the sharded durability layer uses to capture (and later replay)
-/// per-operation effects without changing any live semantics.
-#[derive(Clone, Debug, Default)]
-enum ApplyMode {
-    /// Normal operation: maintenance runs and nothing extra is recorded.
-    #[default]
-    Live,
-    /// Maintenance runs exactly as live, and the traced stored-relation
-    /// deltas (or a reset marker for non-incremental paths) accumulate
-    /// for the caller.
-    Traced(TraceBuf),
-    /// Scripted replay: maintenance does **not** run — the next `ok`
-    /// applies succeed as bookkeeping no-ops, then one fails with the
-    /// recorded error verbatim. Data effects come from the shard
-    /// lineages; this mode reproduces sequencing, quarantine, and
-    /// cursor effects only.
-    Scripted {
-        /// Successful applies remaining.
-        ok: u32,
-        /// The rendered error of the failing apply, if one follows.
-        error: Option<String>,
-    },
-}
-
-/// What one traced operation did to the stored relations.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct TraceBuf {
-    /// Per-relation deltas, in application order, when every apply took
-    /// an incremental path.
-    pub deltas: Vec<StoredDelta>,
-    /// True when any apply took a non-incremental path (reconstruction,
-    /// paranoid heal, gap repair): the deltas are not exhaustive and the
-    /// caller must capture full state instead.
-    pub reset: bool,
-    /// Successful applies.
-    pub ok: u32,
-    /// The rendered error of the failing apply, if one occurred.
-    pub error: Option<String>,
-}
 
 /// Tuning of the ingestion layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -170,9 +128,7 @@ struct Accepted {
     /// pre-slice state ([`Update::then_net`]); `None` once a report
     /// would not compose.
     net: Option<Update>,
-    /// Reports folded in — what [`TraceBuf::ok`] counts.
-    reports: u32,
-    /// Of those, the non-empty ones — what
+    /// The non-empty reports folded in — what
     /// [`IntegratorStats::updates_processed`] counts.
     counted: usize,
     /// Their tuples — what [`IntegratorStats::delta_tuples`] counts.
@@ -181,7 +137,6 @@ struct Accepted {
 
 impl Accepted {
     fn push(&mut self, report: &Update) {
-        self.reports += 1;
         self.counted += usize::from(!report.is_empty());
         self.tuples += report.len();
         self.net = self.net.take().and_then(|net| net.then_net(report).ok().flatten());
@@ -239,7 +194,6 @@ pub struct IngestingIntegrator {
     config: IngestConfig,
     stats: IngestStats,
     policy: AdaptivePolicy,
-    mode: ApplyMode,
 }
 
 impl IngestingIntegrator {
@@ -258,7 +212,6 @@ impl IngestingIntegrator {
             config,
             stats: IngestStats::default(),
             policy: AdaptivePolicy::off(),
-            mode: ApplyMode::Live,
         })
     }
 
@@ -286,7 +239,6 @@ impl IngestingIntegrator {
             config,
             stats,
             policy: AdaptivePolicy::off(),
-            mode: ApplyMode::Live,
         }
     }
 
@@ -335,12 +287,10 @@ impl IngestingIntegrator {
     /// stream, or the pass fails, the slice is rolled back and re-run one
     /// report per pass, so a bad report is quarantined under its own
     /// sequence number and its neighbours still apply. Paranoid mode
-    /// ([`IngestConfig::verify_invariants`]) and scripted replay observe
-    /// every report on its own and always take that route.
+    /// ([`IngestConfig::verify_invariants`]) observes every report on
+    /// its own and always takes that route.
     pub fn offer_batch(&mut self, envelopes: &[Envelope]) -> Vec<IngestOutcome> {
-        let per_report =
-            self.config.verify_invariants || matches!(self.mode, ApplyMode::Scripted { .. });
-        if !per_report {
+        if !self.config.verify_invariants {
             let undo = self.checkpoint(envelopes);
             if let Some(outcomes) = self.offer_coalesced(envelopes) {
                 return outcomes;
@@ -356,8 +306,7 @@ impl IngestingIntegrator {
     /// counters and quarantine possibly advanced, the warehouse state
     /// not — when the slice has to go one report per pass instead.
     fn offer_coalesced(&mut self, envelopes: &[Envelope]) -> Option<Vec<IngestOutcome>> {
-        let mut accepted =
-            Accepted { net: Some(Update::new()), reports: 0, counted: 0, tuples: 0 };
+        let mut accepted = Accepted { net: Some(Update::new()), counted: 0, tuples: 0 };
         let mut outcomes = Vec::with_capacity(envelopes.len());
         for envelope in envelopes {
             outcomes.push(self.sequence(envelope, Some(&mut accepted)));
@@ -365,9 +314,6 @@ impl IngestingIntegrator {
         }
         let net = accepted.net.take()?;
         self.maintain(&net, accepted.counted, accepted.tuples).ok()?;
-        if let ApplyMode::Traced(buf) = &mut self.mode {
-            buf.ok += accepted.reports;
-        }
         Some(outcomes)
     }
 
@@ -405,97 +351,6 @@ impl IngestingIntegrator {
         let outcome = self.sequence_at(&mut cursor, envelope, accepted);
         self.cursors.insert(envelope.source.clone(), cursor);
         outcome
-    }
-
-    /// Runs `f` in `mode`, restoring live mode afterwards and returning
-    /// whatever trace the run accumulated.
-    fn with_mode<T>(
-        &mut self,
-        mode: ApplyMode,
-        f: impl FnOnce(&mut IngestingIntegrator) -> T,
-    ) -> (T, TraceBuf) {
-        self.mode = mode;
-        let out = f(self);
-        let buf = match std::mem::take(&mut self.mode) {
-            ApplyMode::Traced(buf) => buf,
-            _ => TraceBuf::default(),
-        };
-        (out, buf)
-    }
-
-    /// [`IngestingIntegrator::offer`] with delta tracing: behaves
-    /// identically, and additionally returns what the operation did to
-    /// the stored relations (the sharded WAL routes that shard-wise).
-    pub(crate) fn offer_traced(&mut self, envelope: &Envelope) -> (IngestOutcome, TraceBuf) {
-        self.with_mode(ApplyMode::Traced(TraceBuf::default()), |ing| ing.offer(envelope))
-    }
-
-    /// [`IngestingIntegrator::offer`] in scripted-replay mode: the
-    /// sequencing, quarantine, and cursor effects replay exactly, while
-    /// maintenance is skipped (`ok` applies succeed, then one fails with
-    /// `error` verbatim). Data effects come from the shard lineages.
-    pub(crate) fn offer_scripted(
-        &mut self,
-        envelope: &Envelope,
-        ok: u32,
-        error: Option<String>,
-    ) -> IngestOutcome {
-        self.with_mode(ApplyMode::Scripted { ok, error }, |ing| ing.offer(envelope)).0
-    }
-
-    /// [`IngestingIntegrator::recover_from_log`] with delta tracing (a
-    /// successful repair always records a reset — reconstruction
-    /// rewrites the stored relations wholesale).
-    pub(crate) fn recover_from_log_traced(
-        &mut self,
-        source: &SourceId,
-        log: &[Envelope],
-    ) -> (Result<usize>, TraceBuf) {
-        self.with_mode(ApplyMode::Traced(TraceBuf::default()), |ing| {
-            ing.recover_from_log(source, log)
-        })
-    }
-
-    /// [`IngestingIntegrator::recover_from_log`] in scripted-replay
-    /// mode: cursor and counter effects only.
-    pub(crate) fn recover_from_log_scripted(
-        &mut self,
-        source: &SourceId,
-        log: &[Envelope],
-    ) -> Result<usize> {
-        self.with_mode(ApplyMode::Scripted { ok: 0, error: None }, |ing| {
-            ing.recover_from_log(source, log)
-        })
-        .0
-    }
-
-    /// [`IngestingIntegrator::requeue_quarantined`] with delta tracing.
-    pub(crate) fn requeue_quarantined_traced(
-        &mut self,
-        index: usize,
-    ) -> (Option<IngestOutcome>, TraceBuf) {
-        self.with_mode(ApplyMode::Traced(TraceBuf::default()), |ing| {
-            ing.requeue_quarantined(index)
-        })
-    }
-
-    /// [`IngestingIntegrator::requeue_quarantined`] in scripted-replay
-    /// mode.
-    pub(crate) fn requeue_quarantined_scripted(
-        &mut self,
-        index: usize,
-        ok: u32,
-        error: Option<String>,
-    ) -> Option<IngestOutcome> {
-        self.with_mode(ApplyMode::Scripted { ok, error }, |ing| ing.requeue_quarantined(index)).0
-    }
-
-    /// Overwrites both counter sets with absolute values — scripted
-    /// replay forces the recorded post-operation counters instead of
-    /// recomputing maintenance work it deliberately skipped.
-    pub(crate) fn force_stats(&mut self, istats: IntegratorStats, ingstats: IngestStats) {
-        self.integ.restore_stats(istats);
-        self.stats = ingstats;
     }
 
     fn sequence_at(
@@ -592,33 +447,13 @@ impl IngestingIntegrator {
     }
 
     /// Applies one in-sequence report, optionally cross-checked against
-    /// the Theorem 4.1 criterion `w' = W(u(W⁻¹(w)))`. In scripted mode
-    /// nothing is computed: the recorded outcome is reproduced verbatim
-    /// (data effects replay from the shard lineages instead).
+    /// the Theorem 4.1 criterion `w' = W(u(W⁻¹(w)))`.
     fn apply_one(&mut self, report: &Update) -> Result<()> {
-        if let ApplyMode::Scripted { ok, error } = &mut self.mode {
-            if *ok > 0 {
-                *ok -= 1;
-                return Ok(());
-            }
-            // [`WarehouseError::Restored`] renders its message verbatim,
-            // so the scripted quarantine entry is bit-identical to the
-            // live one after the snapshot round trip.
-            let message = error.take().unwrap_or_default();
-            return Err(WarehouseError::Restored { message });
-        }
-        let result = if self.config.verify_invariants {
+        if self.config.verify_invariants {
             self.apply_verified(report)
         } else {
             self.maintain(report, usize::from(!report.is_empty()), report.len())
-        };
-        if let ApplyMode::Traced(buf) = &mut self.mode {
-            match &result {
-                Ok(()) => buf.ok += 1,
-                Err(e) => buf.error = Some(e.to_string()),
-            }
         }
-        result
     }
 
     /// One maintenance pass over `net`: the cancelled composition of
@@ -629,21 +464,12 @@ impl IngestingIntegrator {
     /// grouped it.
     fn maintain(&mut self, net: &Update, reports: usize, tuples: usize) -> Result<()> {
         let before = self.integ.stats();
-        let traced =
-            crate::planner::maintain_with_policy_traced(&mut self.policy, &mut self.integ, net)?;
+        crate::planner::maintain_with_policy(&mut self.policy, &mut self.integ, net)?;
         self.integ.restore_stats(IntegratorStats {
             updates_processed: before.updates_processed + reports,
             delta_tuples: before.delta_tuples + tuples,
             ..self.integ.stats()
         });
-        if let ApplyMode::Traced(buf) = &mut self.mode {
-            match traced {
-                Some(deltas) => buf.deltas.extend(deltas),
-                // A reconstruction strategy rewrote the stored
-                // relations wholesale.
-                None => buf.reset = true,
-            }
-        }
         Ok(())
     }
 
@@ -660,12 +486,6 @@ impl IngestingIntegrator {
             self.stats.invariant_failures += 1;
             self.stats.recoveries += 1;
             self.integ.force_state(expected)?;
-        }
-        if let ApplyMode::Traced(buf) = &mut self.mode {
-            // Paranoid mode may adopt a reconstructed state at any
-            // apply; tracing deltas through the heal is not worth the
-            // complexity, so the whole operation records as a reset.
-            buf.reset = true;
         }
         Ok(())
     }
@@ -791,17 +611,8 @@ impl IngestingIntegrator {
         let count = reports.len();
         // The composed update is generally *not* normalized with respect
         // to the current state, which is exactly what the reconstruction
-        // pipeline tolerates and the incremental plans do not. Scripted
-        // replay skips the rebuild (shard lineages carry the data
-        // effect) but keeps every cursor and counter effect below.
-        match &mut self.mode {
-            ApplyMode::Scripted { .. } => {}
-            ApplyMode::Traced(buf) => {
-                buf.reset = true;
-                self.integ.recover_by_reconstruction(&composed)?;
-            }
-            ApplyMode::Live => self.integ.recover_by_reconstruction(&composed)?,
-        }
+        // pipeline tolerates and the incremental plans do not.
+        self.integ.recover_by_reconstruction(&composed)?;
         cursor.pending.clear();
         cursor.next_seq = hi + 1;
         self.stats.applied += count;

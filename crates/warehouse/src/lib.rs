@@ -87,7 +87,6 @@ pub mod maintain;
 pub mod planner;
 pub mod rewrite;
 pub mod server;
-pub mod shard;
 pub mod spec;
 pub mod storage;
 #[cfg(test)]
@@ -104,7 +103,6 @@ pub use server::{
     SessionGrant, SessionId,
 };
 pub use planner::{AdaptivePolicy, PolicyMode, PolicyStats};
-pub use shard::{ShardHealth, ShardRecoveryReport, ShardSpec, ShardedDurableWarehouse};
 pub use spec::{AugmentedWarehouse, WarehouseSpec};
 pub use storage::{
     DurabilityConfig, DurableWarehouse, ErrorClass, FsMedium, MediumError, Recovery,

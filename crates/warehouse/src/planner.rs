@@ -10,8 +10,8 @@
 //!   relations, delta size class, state size class)* so steady-state
 //!   ingestion pays zero planning cost — re-planning happens only when
 //!   a report's shape crosses a power-of-two size boundary;
-//! * `maintain_with_policy_traced` dispatches the chosen strategy onto
-//!   the [`Integrator`] and feeds the observed touched-row count back;
+//! * `maintain_with_policy` dispatches the chosen strategy onto the
+//!   [`Integrator`] and feeds the observed touched-row count back;
 //! * mispredictions (observed rows far outside the predicted envelope,
 //!   see [`dwc_analyze::planner::misprediction`]) raise `DWC-P201`,
 //!   bump a counter, and flush the decision cache so the next report
@@ -233,47 +233,26 @@ impl AdaptivePolicy {
 /// Routes one report through the policy: plans (or recalls) a strategy,
 /// dispatches it on the integrator, and feeds the observation back.
 /// With the policy [`PolicyMode::Off`] this is exactly
-/// [`Integrator::on_report`]. Production ingestion goes through the
-/// traced variant below; this delta-free form remains for tests.
-#[cfg(test)]
+/// [`Integrator::on_report`].
 pub(crate) fn maintain_with_policy(
     policy: &mut AdaptivePolicy,
     integ: &mut Integrator,
     report: &Update,
 ) -> Result<()> {
-    maintain_with_policy_traced(policy, integ, report).map(drop)
-}
-
-/// Routes one report through the policy, additionally returning the net
-/// per-stored-relation deltas maintenance produced — `Some(deltas)` on
-/// the incremental strategies, `None` when the dispatched strategy was
-/// a wholesale reconstruction (there is no delta form; the caller must
-/// treat the whole state as rewritten). The shard WAL consumes this:
-/// `Some` becomes partitioned redo records, `None` a full-slice reset.
-pub(crate) fn maintain_with_policy_traced(
-    policy: &mut AdaptivePolicy,
-    integ: &mut Integrator,
-    report: &Update,
-) -> Result<Option<Vec<crate::incremental::StoredDelta>>> {
     if report.is_empty() {
-        return Ok(Some(Vec::new()));
+        return Ok(());
     }
     policy.stats.passes += 1;
     if !policy.is_active() {
-        // The integrator's plain path *is* the mirrored incremental
-        // strategy (mirrors used when cached), so the detailed variant
-        // traces it without changing behavior.
-        return integ.on_report_detailed_with(report, true).map(Some);
+        return integ.on_report(report);
     }
     let decision = policy.decide(integ, report);
-    let (actual, traced) = match decision.strategy {
+    let actual = match decision.strategy {
         MaintenanceStrategy::Incremental => {
-            let deltas = integ.on_report_detailed_with(report, false)?;
-            (touched_rows(report, &deltas), Some(deltas))
+            touched_rows(report, &integ.on_report_detailed_with(report, false)?)
         }
         MaintenanceStrategy::MirroredIncremental => {
-            let deltas = integ.on_report_detailed_with(report, true)?;
-            (touched_rows(report, &deltas), Some(deltas))
+            touched_rows(report, &integ.on_report_detailed_with(report, true)?)
         }
         // At ingest there is no source; a pinned recompute-at-source
         // degrades to the source-free reconstruction (same fixpoint by
@@ -287,11 +266,11 @@ pub(crate) fn maintain_with_policy_traced(
                 .filter_map(|&n| integ.state().relation(n).ok())
                 .map(dwc_relalg::Relation::len)
                 .sum();
-            (report.len() + stored, None)
+            report.len() + stored
         }
     };
     policy.observe(decision.predicted_rows, actual as f64);
-    Ok(traced)
+    Ok(())
 }
 
 /// The manifest byte persisting a [`PolicyMode`] across restarts (the

@@ -45,203 +45,12 @@
 //!   intact for every reader.
 
 use crate::channel::{Envelope, SourceId};
-use crate::ingest::{DiscardedEntry, IngestOutcome, IngestingIntegrator};
-use crate::planner::AdaptivePolicy;
+use crate::ingest::IngestOutcome;
 use crate::server::batch::BatchItem;
 use crate::server::session::SessionId;
-use crate::shard::{ShardHealth, ShardedDurableWarehouse};
-use crate::storage::{DurableWarehouse, StorageError, StorageMedium, StorageStats};
+use crate::storage::{DurableWarehouse, StorageError, StorageMedium};
 use dwc_relalg::{EpochCell, EpochReader};
 use std::fmt;
-
-/// The pipeline's durable backend: one WAL lineage, or key-range
-/// shards with per-shard lineages ([`ShardedDurableWarehouse`]). The
-/// commit pipeline is backend-agnostic except for one fault class —
-/// [`StorageError::ShardUnavailable`] — which rejects the offending
-/// batch (rolled back, nacked) instead of degrading the pipeline:
-/// every other key range keeps committing.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)] // one Store per server; boxing buys nothing
-pub enum Store<M: StorageMedium> {
-    /// The unsharded store: one WAL, one snapshot lineage.
-    Single(DurableWarehouse<M>),
-    /// Key-range sharded lineages under one commit point.
-    Sharded(ShardedDurableWarehouse<M>),
-}
-
-impl<M: StorageMedium> Store<M> {
-    /// The current materialized warehouse state.
-    pub fn state(&self) -> &dwc_relalg::DbState {
-        match self {
-            Store::Single(w) => w.state(),
-            Store::Sharded(w) => w.state(),
-        }
-    }
-
-    /// The wrapped fault-tolerant ingestor.
-    pub fn ingestor(&self) -> &IngestingIntegrator {
-        match self {
-            Store::Single(w) => w.ingestor(),
-            Store::Sharded(w) => w.ingestor(),
-        }
-    }
-
-    /// The storage counters.
-    pub fn storage_stats(&self) -> StorageStats {
-        match self {
-            Store::Single(w) => w.storage_stats(),
-            Store::Sharded(w) => w.storage_stats(),
-        }
-    }
-
-    /// The current (root) manifest generation.
-    pub fn generation(&self) -> u64 {
-        match self {
-            Store::Single(w) => w.generation(),
-            Store::Sharded(w) => w.generation(),
-        }
-    }
-
-    /// True once a storage failure has poisoned the store.
-    pub fn poisoned(&self) -> bool {
-        match self {
-            Store::Single(w) => w.poisoned(),
-            Store::Sharded(w) => w.poisoned(),
-        }
-    }
-
-    /// Offers a batch as one group commit.
-    pub fn offer_batch(
-        &mut self,
-        envelopes: &[Envelope],
-    ) -> Result<Vec<IngestOutcome>, StorageError> {
-        match self {
-            Store::Single(w) => w.offer_batch(envelopes),
-            Store::Sharded(w) => w.offer_batch(envelopes),
-        }
-    }
-
-    /// Applies a batch in memory, queueing its records for
-    /// [`Store::commit_applied`]. Infallible on the single store;
-    /// sharded, a write into a parked key range rejects the whole batch
-    /// with its in-memory effects rolled back.
-    pub fn apply_batch(
-        &mut self,
-        envelopes: &[Envelope],
-    ) -> Result<Vec<IngestOutcome>, StorageError> {
-        match self {
-            Store::Single(w) => Ok(w.apply_batch(envelopes)),
-            Store::Sharded(w) => w.apply_batch(envelopes),
-        }
-    }
-
-    /// Makes every applied-but-unlogged record durable (the group
-    /// fsync).
-    pub fn commit_applied(&mut self) -> Result<(), StorageError> {
-        match self {
-            Store::Single(w) => w.commit_applied(),
-            Store::Sharded(w) => w.commit_applied(),
-        }
-    }
-
-    /// Repairs retryable-fault aftermath by rolling fresh generations.
-    pub fn heal(&mut self) -> Result<(), StorageError> {
-        match self {
-            Store::Single(w) => w.heal(),
-            Store::Sharded(w) => w.heal(),
-        }
-    }
-
-    /// Durable gap recovery from a source's outbox log.
-    pub fn recover_from_log(
-        &mut self,
-        source: &SourceId,
-        log: &[Envelope],
-    ) -> Result<usize, StorageError> {
-        match self {
-            Store::Single(w) => w.recover_from_log(source, log),
-            Store::Sharded(w) => w.recover_from_log(source, log),
-        }
-    }
-
-    /// Rolls a fresh snapshot generation now.
-    pub fn snapshot(&mut self) -> Result<(), StorageError> {
-        match self {
-            Store::Single(w) => w.snapshot(),
-            Store::Sharded(w) => w.snapshot(),
-        }
-    }
-
-    /// Durably re-offers the quarantined envelope at `index`.
-    pub fn requeue_quarantined(
-        &mut self,
-        index: usize,
-    ) -> Result<Option<IngestOutcome>, StorageError> {
-        match self {
-            Store::Single(w) => w.requeue_quarantined(index),
-            Store::Sharded(w) => w.requeue_quarantined(index),
-        }
-    }
-
-    /// Durably discards the quarantined envelope at `index`.
-    pub fn discard_quarantined(
-        &mut self,
-        index: usize,
-        reason: &str,
-    ) -> Result<Option<DiscardedEntry>, StorageError> {
-        match self {
-            Store::Single(w) => w.discard_quarantined(index, reason),
-            Store::Sharded(w) => w.discard_quarantined(index, reason),
-        }
-    }
-
-    /// Durably drains the whole quarantine in sequence order.
-    pub fn requeue_all_quarantined(&mut self) -> Result<Vec<IngestOutcome>, StorageError> {
-        match self {
-            Store::Single(w) => w.requeue_all_quarantined(),
-            Store::Sharded(w) => w.requeue_all_quarantined(),
-        }
-    }
-
-    /// Installs a maintenance policy and persists its mode.
-    pub fn set_maintenance_policy(
-        &mut self,
-        policy: AdaptivePolicy,
-    ) -> Result<(), StorageError> {
-        match self {
-            Store::Single(w) => w.set_maintenance_policy(policy),
-            Store::Sharded(w) => w.set_maintenance_policy(policy),
-        }
-    }
-
-    /// Mutable access to the maintenance policy.
-    pub fn policy_mut(&mut self) -> &mut AdaptivePolicy {
-        match self {
-            Store::Single(w) => w.policy_mut(),
-            Store::Sharded(w) => w.policy_mut(),
-        }
-    }
-
-    /// Per-shard health, `None` on the unsharded store.
-    pub fn shard_health(&self) -> Option<Vec<ShardHealth>> {
-        match self {
-            Store::Single(_) => None,
-            Store::Sharded(w) => Some(w.shard_health()),
-        }
-    }
-
-    /// The number of durability shards (1 when unsharded).
-    pub fn shards(&self) -> usize {
-        match self {
-            Store::Single(_) => 1,
-            Store::Sharded(w) => w.shards(),
-        }
-    }
-}
-
-fn shard_unavailable(e: &StorageError) -> bool {
-    matches!(e, StorageError::ShardUnavailable { .. })
-}
 
 /// The per-envelope result a session is told after its batch's fsync.
 /// A rendered, `'static`-friendly projection of [`IngestOutcome`]
@@ -261,11 +70,6 @@ pub enum AckOutcome {
     NeedsRecovery(String),
     /// A gap-recovery request completed, applying this many envelopes.
     Recovered(usize),
-    /// The batch was refused whole — typically a write into a parked
-    /// shard's key range (`DWC-S305`) — with its in-memory application
-    /// rolled back. Nothing about it is durable; the source may retry
-    /// after the store heals (sequencing makes the retry idempotent).
-    Rejected(String),
 }
 
 impl AckOutcome {
@@ -299,7 +103,6 @@ impl fmt::Display for AckOutcome {
             AckOutcome::Quarantined(e) => write!(f, "quarantined {e}"),
             AckOutcome::NeedsRecovery(e) => write!(f, "needs-recovery {e}"),
             AckOutcome::Recovered(n) => write!(f, "recovered {n}"),
-            AckOutcome::Rejected(e) => write!(f, "rejected {e}"),
         }
     }
 }
@@ -419,17 +222,13 @@ pub enum Submitted {
         /// When the pipeline will next try to commit it.
         next_retry_at: u64,
     },
-    /// The batch was refused whole (a parked shard's key range) and
-    /// rolled back; every ack is [`AckOutcome::Rejected`]. The pipeline
-    /// stays healthy — other key ranges keep committing.
-    Rejected(Vec<Ack>),
 }
 
 /// The single-writer commit loop state: the durable warehouse plus the
 /// epoch cell readers subscribe to, plus the fault state machine.
 #[derive(Debug)]
 pub struct CommitPipeline<M: StorageMedium> {
-    warehouse: Store<M>,
+    warehouse: DurableWarehouse<M>,
     epochs: EpochCell,
     retry: RetryPolicy,
     health: Health,
@@ -441,17 +240,6 @@ impl<M: StorageMedium> CommitPipeline<M> {
     /// Wraps a durable warehouse, seeding epoch 1 with its current
     /// state (freshly created or just recovered).
     pub fn new(warehouse: DurableWarehouse<M>) -> CommitPipeline<M> {
-        CommitPipeline::over(Store::Single(warehouse))
-    }
-
-    /// Wraps a key-range sharded warehouse. Identical pipeline, plus
-    /// the shard fault class: a fatal single-shard fault rejects its
-    /// batch instead of degrading the pipeline.
-    pub fn new_sharded(warehouse: ShardedDurableWarehouse<M>) -> CommitPipeline<M> {
-        CommitPipeline::over(Store::Sharded(warehouse))
-    }
-
-    fn over(warehouse: Store<M>) -> CommitPipeline<M> {
         let epochs = EpochCell::new(warehouse.state().clone());
         CommitPipeline {
             warehouse,
@@ -501,33 +289,12 @@ impl<M: StorageMedium> CommitPipeline<M> {
             return Ok(Submitted::Parked { next_retry_at });
         }
         let envelopes: Vec<Envelope> = batch.iter().map(|item| item.envelope.clone()).collect();
-        let outcomes = match self.warehouse.apply_batch(&envelopes) {
-            Ok(outcomes) => outcomes,
-            // Shard-fault class: the batch was rolled back whole; nack
-            // it and stay healthy — other key ranges keep committing.
-            Err(e) if shard_unavailable(&e) => {
-                return Ok(Submitted::Rejected(Self::mint_rejected(batch, &e)));
-            }
-            Err(e) if e.is_retryable() => {
-                let next_retry_at = now.saturating_add(self.retry.backoff(1));
-                self.health = Health::Degraded { attempts: 1, next_retry_at };
-                self.last_error = Some(e.to_string());
-                self.parked.push(ParkedBatch { items: batch, outcomes: None });
-                return Ok(Submitted::Parked { next_retry_at });
-            }
-            Err(e) => {
-                self.enter_read_only(&e, now);
-                return Err(e);
-            }
-        };
+        let outcomes = self.warehouse.apply_batch(&envelopes);
         match self.warehouse.commit_applied() {
             Ok(()) => {
                 let epoch = self.epochs.publish(self.warehouse.state().clone());
                 let acks = Self::mint_acks(batch, outcomes);
                 Ok(Submitted::Committed(CommitReceipt { epoch, acks }))
-            }
-            Err(e) if shard_unavailable(&e) => {
-                Ok(Submitted::Rejected(Self::mint_rejected(batch, &e)))
             }
             Err(e) if e.is_retryable() => {
                 let next_retry_at = now.saturating_add(self.retry.backoff(1));
@@ -571,21 +338,8 @@ impl<M: StorageMedium> CommitPipeline<M> {
             return Vec::new();
         }
         // Heal first: rolls a fresh generation, making every record the
-        // failed flush stranded durable via the snapshot. A heal that
-        // *parks a shard* rolled the in-memory state back to the durable
-        // checkpoint — every parked batch's application is gone with it,
-        // so they all reject and the pipeline returns to service for
-        // the surviving key ranges.
+        // failed flush stranded durable via the snapshot.
         if let Err(e) = self.warehouse.heal() {
-            if shard_unavailable(&e) {
-                let mut acks = Vec::new();
-                for batch in self.parked.drain(..) {
-                    acks.extend(Self::mint_rejected(batch.items, &e));
-                }
-                self.health = Health::Healthy;
-                self.last_error = Some(e.to_string());
-                return acks;
-            }
             self.note_retry_failure(&e, now, was_read_only, attempts_before, false);
             return Vec::new();
         }
@@ -597,27 +351,7 @@ impl<M: StorageMedium> CommitPipeline<M> {
                 None => {
                     let envelopes: Vec<Envelope> =
                         self.parked[0].items.iter().map(|i| i.envelope.clone()).collect();
-                    match self.warehouse.apply_batch(&envelopes) {
-                        Ok(outcomes) => outcomes,
-                        Err(e) if shard_unavailable(&e) => {
-                            // This batch writes a key range that parked
-                            // mid-drain: reject it, keep draining.
-                            let batch = self.parked.remove(0);
-                            acks.extend(Self::mint_rejected(batch.items, &e));
-                            self.last_error = Some(e.to_string());
-                            continue;
-                        }
-                        Err(e) => {
-                            self.note_retry_failure(
-                                &e,
-                                now,
-                                was_read_only,
-                                attempts_before,
-                                progressed,
-                            );
-                            return acks;
-                        }
-                    }
+                    self.warehouse.apply_batch(&envelopes)
                 }
             };
             match self.warehouse.commit_applied() {
@@ -626,13 +360,6 @@ impl<M: StorageMedium> CommitPipeline<M> {
                     self.epochs.publish(self.warehouse.state().clone());
                     acks.extend(Self::mint_acks(batch.items, outcomes));
                     progressed = true;
-                }
-                Err(e) if shard_unavailable(&e) => {
-                    // Rolled back whole by the shard park: reject and
-                    // keep draining the remaining batches.
-                    let batch = self.parked.remove(0);
-                    acks.extend(Self::mint_rejected(batch.items, &e));
-                    self.last_error = Some(e.to_string());
                 }
                 Err(e) => {
                     // The batch is applied now; remember its outcomes so
@@ -684,22 +411,6 @@ impl<M: StorageMedium> CommitPipeline<M> {
             next_probe_at: now.saturating_add(self.retry.max_backoff_micros),
         };
         self.last_error = Some(e.to_string());
-    }
-
-    fn mint_rejected(items: Vec<BatchItem>, e: &StorageError) -> Vec<Ack> {
-        let detail = e.to_string();
-        items
-            .into_iter()
-            .map(|item| {
-                Ack::new(
-                    item.session,
-                    item.envelope.source,
-                    item.envelope.epoch,
-                    item.envelope.seq,
-                    AckOutcome::Rejected(detail.clone()),
-                )
-            })
-            .collect()
     }
 
     fn mint_acks(items: Vec<BatchItem>, outcomes: Vec<IngestOutcome>) -> Vec<Ack> {
@@ -795,14 +506,14 @@ impl<M: StorageMedium> CommitPipeline<M> {
     }
 
     /// The wrapped durable store (read-only).
-    pub fn warehouse(&self) -> &Store<M> {
+    pub fn warehouse(&self) -> &DurableWarehouse<M> {
         &self.warehouse
     }
 
     /// Mutable access for operator paths (snapshot, quarantine
     /// triage). Callers must republish via [`CommitPipeline::publish`]
     /// if they change the state.
-    pub fn warehouse_mut(&mut self) -> &mut Store<M> {
+    pub fn warehouse_mut(&mut self) -> &mut DurableWarehouse<M> {
         &mut self.warehouse
     }
 

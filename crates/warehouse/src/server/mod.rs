@@ -45,9 +45,7 @@ pub mod commit;
 pub mod session;
 
 pub use batch::{BatchItem, BatchPolicy, Batcher};
-pub use commit::{
-    Ack, AckOutcome, CommitPipeline, CommitReceipt, Health, RetryPolicy, Store, Submitted,
-};
+pub use commit::{Ack, AckOutcome, CommitPipeline, CommitReceipt, Health, RetryPolicy, Submitted};
 pub use session::{SessionGrant, SessionId, SessionManager};
 
 use crate::channel::{Envelope, SourceId};
@@ -156,25 +154,10 @@ impl<M: StorageMedium> ServerCore<M> {
     /// A server over `warehouse` (fresh or recovered) batching under
     /// `policy`.
     pub fn new(warehouse: DurableWarehouse<M>, policy: BatchPolicy) -> ServerCore<M> {
-        Self::over(CommitPipeline::new(warehouse), policy)
-    }
-
-    /// A server over a key-range sharded warehouse: same pipeline, plus
-    /// per-shard fault containment — a fatal single-shard fault rejects
-    /// its batch ([`AckOutcome::Rejected`]) while every other key range
-    /// keeps committing and every reader keeps serving.
-    pub fn new_sharded(
-        warehouse: crate::shard::ShardedDurableWarehouse<M>,
-        policy: BatchPolicy,
-    ) -> ServerCore<M> {
-        Self::over(CommitPipeline::new_sharded(warehouse), policy)
-    }
-
-    fn over(pipeline: CommitPipeline<M>, policy: BatchPolicy) -> ServerCore<M> {
         ServerCore {
             sessions: SessionManager::new(),
             batcher: Batcher::new(policy),
-            pipeline,
+            pipeline: CommitPipeline::new(warehouse),
             stats: ServerStats::default(),
             max_pending: 4096,
             idle_timeout: None,
@@ -428,19 +411,8 @@ impl<M: StorageMedium> ServerCore<M> {
     }
 
     /// The underlying durable store (read-only).
-    pub fn warehouse(&self) -> &Store<M> {
+    pub fn warehouse(&self) -> &DurableWarehouse<M> {
         self.pipeline.warehouse()
-    }
-
-    /// Per-shard health (`None` when the store is unsharded) — the
-    /// `stats` protocol verb's shard section.
-    pub fn shard_health(&self) -> Option<Vec<crate::shard::ShardHealth>> {
-        self.pipeline.warehouse().shard_health()
-    }
-
-    /// The number of durability shards (1 when unsharded).
-    pub fn shards(&self) -> usize {
-        self.pipeline.warehouse().shards()
     }
 
     /// The commit pipeline, for operator paths (quarantine triage,
@@ -458,11 +430,6 @@ impl<M: StorageMedium> ServerCore<M> {
             }
             // Parked: acks arrive from a later tick's retry drain.
             Submitted::Parked { .. } => Ok(Vec::new()),
-            // Rejected whole (parked shard): nacked now, nothing durable.
-            Submitted::Rejected(acks) => {
-                self.stats.acks_minted += acks.len() as u64;
-                Ok(acks)
-            }
         }
     }
 }

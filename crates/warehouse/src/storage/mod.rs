@@ -180,33 +180,10 @@ pub enum StorageError {
         /// What exactly was wrong.
         detail: String,
     },
-    /// The manifest names a shard lineage file that does not exist on
-    /// the medium (`DWC-S303`). The store is sharded but incomplete;
-    /// opening it fails closed rather than recovering a subset of the
-    /// key space.
-    ShardLineageMissing {
-        /// The shard whose lineage is incomplete.
-        shard: usize,
-        /// The missing file.
-        file: String,
-    },
-    /// The shard topology on the medium does not match the open that was
-    /// attempted — an unsharded open pointed at a sharded store, or vice
-    /// versa (`DWC-S304`).
-    ShardTopologyMismatch {
-        /// What exactly mismatched.
-        detail: String,
-    },
-    /// One shard's medium failed permanently while the others stayed
-    /// healthy (`DWC-S305`). Fatal *for that shard*: the sharded store
-    /// rolls the offending batch back in memory, rejects it, and keeps
-    /// committing and serving on every other shard.
-    ShardUnavailable {
-        /// The broken shard.
-        shard: usize,
-        /// The underlying failure, rendered.
-        detail: String,
-    },
+    /// The `MANIFEST` describes a key-range sharded layout, which this
+    /// build no longer opens (`DWC-S304`). Recovery stops before reading
+    /// anything else, so the directory is left exactly as found.
+    ShardedLayoutRemoved,
     /// Recovered state failed the `W(W⁻¹(w)) = w` cross-check before
     /// serving (`DWC-S401`).
     RecoveredStateInconsistent {
@@ -245,9 +222,7 @@ impl StorageError {
             StorageError::NoIntactSnapshot { .. } => "DWC-S202",
             StorageError::ManifestMissing => "DWC-S301",
             StorageError::ManifestCorrupt { .. } => "DWC-S302",
-            StorageError::ShardLineageMissing { .. } => "DWC-S303",
-            StorageError::ShardTopologyMismatch { .. } => "DWC-S304",
-            StorageError::ShardUnavailable { .. } => "DWC-S305",
+            StorageError::ShardedLayoutRemoved => "DWC-S304",
             StorageError::RecoveredStateInconsistent { .. } => "DWC-S401",
             StorageError::Warehouse(_) => "DWC-S901",
         }
@@ -291,15 +266,11 @@ impl fmt::Display for StorageError {
             StorageError::ManifestCorrupt { detail } => {
                 write!(f, "MANIFEST corrupt: {detail}")
             }
-            StorageError::ShardLineageMissing { shard, file } => {
-                write!(f, "shard {shard} lineage file `{file}` named by MANIFEST is missing")
-            }
-            StorageError::ShardTopologyMismatch { detail } => {
-                write!(f, "shard topology mismatch: {detail}")
-            }
-            StorageError::ShardUnavailable { shard, detail } => {
-                write!(f, "shard {shard} unavailable: {detail}")
-            }
+            StorageError::ShardedLayoutRemoved => write!(
+                f,
+                "MANIFEST describes a key-range sharded layout; this build no longer \
+                 opens sharded layouts (removed; the directory was left untouched)"
+            ),
             StorageError::RecoveredStateInconsistent { detail } => {
                 write!(f, "recovered state failed consistency cross-check: {detail}")
             }
@@ -790,7 +761,6 @@ impl<M: StorageMedium> DurableWarehouse<M> {
         ManifestDoc {
             entries,
             policy: Some(crate::planner::mode_to_byte(self.ingest.policy().mode())),
-            shards: None,
         }
     }
 
@@ -818,13 +788,6 @@ impl<M: StorageMedium> DurableWarehouse<M> {
     /// The durability tuning in effect.
     pub fn config(&self) -> DurabilityConfig {
         self.config
-    }
-
-    /// Dismantles the warehouse into its medium and ingestor — the
-    /// migration path from an unsharded store to a sharded one reuses
-    /// both under the sharded layout.
-    pub(crate) fn into_parts(self) -> (M, IngestingIntegrator) {
-        (self.medium, self.ingest)
     }
 
     fn ensure_live(&self) -> Result<(), StorageError> {
@@ -911,8 +874,38 @@ impl<M: StorageMedium> DurableWarehouse<M> {
         Ok(())
     }
 
+    /// Captures the full snapshot image of the live ingestor.
     fn image(&self) -> WarehouseImage {
-        image_of(&self.ingest)
+        let ingest = &self.ingest;
+        let integ = ingest.integrator();
+        WarehouseImage {
+            warehouse: integ.state().clone(),
+            cache_inverses: integ.config().cache_inverses,
+            integrator_stats: integ.stats(),
+            ingest_config: ingest.config(),
+            ingest_stats: ingest.stats(),
+            cursors: ingest
+                .cursors()
+                .iter()
+                .map(|(s, c)| (s.clone(), (c.epoch, c.next_seq, c.pending.clone())))
+                .collect(),
+            quarantine: ingest
+                .quarantine()
+                .iter()
+                .map(|q| (q.envelope.clone(), q.error.to_string()))
+                .collect(),
+            discarded: ingest
+                .discarded()
+                .iter()
+                .map(|d| {
+                    (
+                        d.entry.envelope.clone(),
+                        d.entry.error.to_string(),
+                        d.reason.clone(),
+                    )
+                })
+                .collect(),
+        }
     }
 
     /// Writes snapshot + fresh WAL segment + manifest for generation
@@ -970,37 +963,6 @@ impl<M: StorageMedium> DurableWarehouse<M> {
     }
 }
 
-/// Captures the full snapshot image of a live ingestor — the sharded
-/// store's sequencing lineage reuses this to snapshot under its own
-/// naming scheme.
-pub(crate) fn image_of(ingest: &IngestingIntegrator) -> WarehouseImage {
-    let integ = ingest.integrator();
-    WarehouseImage {
-        warehouse: integ.state().clone(),
-        cache_inverses: integ.config().cache_inverses,
-        integrator_stats: integ.stats(),
-        ingest_config: ingest.config(),
-        ingest_stats: ingest.stats(),
-        cursors: ingest
-            .cursors()
-            .iter()
-            .map(|(s, c)| (s.clone(), (c.epoch, c.next_seq, c.pending.clone())))
-            .collect(),
-        quarantine: ingest
-            .quarantine()
-            .iter()
-            .map(|q| (q.envelope.clone(), q.error.to_string()))
-            .collect(),
-        discarded: ingest
-            .discarded()
-            .iter()
-            .map(|d| {
-                (d.entry.envelope.clone(), d.entry.error.to_string(), d.reason.clone())
-            })
-            .collect(),
-    }
-}
-
 /// Most `Offered` records [`Recovery::open`] replays as one slice.
 /// Composing a run is linear in the delta accumulated so far, so an
 /// unbounded run would be quadratic in the WAL tail, while the pass a
@@ -1025,17 +987,7 @@ impl Recovery {
         aug: AugmentedWarehouse,
         config: DurabilityConfig,
     ) -> Result<(DurableWarehouse<M>, RecoveryReport), StorageError> {
-        let ManifestDoc { entries, policy, shards } = snapshot::read_manifest(&medium)?;
-        if let Some(sm) = shards {
-            return Err(StorageError::ShardTopologyMismatch {
-                detail: format!(
-                    "medium holds a warehouse key-range partitioned {} ways on \
-                     `{}`; open it through the sharded recovery path",
-                    sm.lineages.len(),
-                    sm.attr
-                ),
-            });
-        }
+        let ManifestDoc { entries, policy } = snapshot::read_manifest(&medium)?;
         // Newest intact snapshot wins; corrupt/unreadable ones fall
         // back a generation.
         let mut skipped = 0usize;
@@ -1152,7 +1104,7 @@ impl Recovery {
     }
 
     /// Rebuilds the fault-tolerant ingestor from a snapshot image.
-    pub(crate) fn restore(
+    fn restore(
         aug: AugmentedWarehouse,
         image: WarehouseImage,
     ) -> Result<IngestingIntegrator, StorageError> {
@@ -1200,7 +1152,7 @@ impl Recovery {
 
     /// The Theorem 4.1 sanity gate: the recovered warehouse must be in
     /// the image of `W`, i.e. `W(W⁻¹(w)) = w`.
-    pub(crate) fn cross_check(ingest: &IngestingIntegrator) -> Result<(), StorageError> {
+    fn cross_check(ingest: &IngestingIntegrator) -> Result<(), StorageError> {
         let aug = ingest.integrator().warehouse();
         let wrap = |e: WarehouseError| StorageError::RecoveredStateInconsistent {
             detail: format!("reconstruction pipeline failed: {e}"),
@@ -1264,10 +1216,7 @@ mod tests {
         let live = dw.ingestor().policy().stats();
         assert_eq!((live.passes, live.fallbacks), (k.div_ceil(7) as u64, 0));
 
-        let files = MemMedium {
-            files: RefCell::new(dw.medium.clone_files()),
-            ..MemMedium::default()
-        };
+        let files = MemMedium { files: RefCell::new(dw.medium.clone_files()) };
         let (rec, report) = Recovery::open(files, aug, DurabilityConfig::default()).unwrap();
         assert_eq!(report.records_replayed, k);
         assert_eq!(report.replay_passes, 3); // ⌈k/REPLAY_GROUP⌉

@@ -29,20 +29,19 @@ use crate::channel::{Envelope, SourceId};
 use crate::ingest::{IngestConfig, IngestStats};
 use crate::integrator::IntegratorStats;
 use dwc_relalg::io::{check_crc, decode_relation, encode_relation, ByteReader, ByteWriter};
-use dwc_relalg::{DbState, Relation, RelalgError, Update};
+use dwc_relalg::{DbState, RelalgError, Update};
 use std::collections::BTreeMap;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAP_MAGIC: [u8; 8] = *b"DWCSNAP1";
 /// Snapshot format version.
 pub const SNAP_VERSION: u8 = 1;
-/// Magic bytes opening every shard slice snapshot file.
-pub const SLICE_MAGIC: [u8; 8] = *b"DWCSLIC1";
 /// Magic bytes opening the manifest.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"DWCMAN1\n";
 /// Manifest format version. Version 2 adds the persisted maintenance
-/// policy byte and the optional shard section; version 1 manifests
-/// (entries only) are still read.
+/// policy byte and a shard-section flag, always written as 0 (a 1 marks
+/// a sharded layout, which this build refuses with `DWC-S304`); version
+/// 1 manifests (entries only) are still read.
 pub const MANIFEST_VERSION: u8 = 2;
 /// The manifest's file name — the single commit point of the store.
 pub const MANIFEST: &str = "MANIFEST";
@@ -74,16 +73,6 @@ pub fn snapshot_name(id: u64) -> String {
     format!("snap-{id:08}.dwcs")
 }
 
-/// The name of the sequencing lineage's snapshot `id` (sharded stores).
-pub fn seq_snapshot_name(id: u64) -> String {
-    format!("seq-snap-{id:08}.dwcs")
-}
-
-/// The name of shard `shard`'s slice snapshot `id` (sharded stores).
-pub fn shard_snapshot_name(shard: usize, id: u64) -> String {
-    format!("s{shard}-snap-{id:08}.dwcs")
-}
-
 /// One committed generation: a snapshot and the WAL segment recording
 /// everything applied after it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,19 +92,6 @@ pub(crate) fn write_snapshot<M: StorageMedium>(
     image: &WarehouseImage,
 ) -> Result<String, StorageError> {
     let name = snapshot_name(id);
-    write_snapshot_named(medium, &name, id, image)?;
-    Ok(name)
-}
-
-/// Atomically writes a full warehouse image under an explicit file
-/// name — the sequencing lineage of a sharded store reuses the image
-/// codec under its own naming scheme.
-pub(crate) fn write_snapshot_named<M: StorageMedium>(
-    medium: &M,
-    name: &str,
-    id: u64,
-    image: &WarehouseImage,
-) -> Result<(), StorageError> {
     let tmp = format!("{name}.tmp");
     let mut w = ByteWriter::new();
     w.put_bytes(&SNAP_MAGIC);
@@ -124,8 +100,8 @@ pub(crate) fn write_snapshot_named<M: StorageMedium>(
     put_image(&mut w, image);
     medium.write_all(&tmp, &w.finish_crc())?;
     medium.sync(&tmp)?;
-    medium.rename(&tmp, name)?;
-    Ok(())
+    medium.rename(&tmp, &name)?;
+    Ok(name)
 }
 
 /// Reads and fully validates the snapshot `name`; any defect — checksum,
@@ -163,129 +139,8 @@ pub(crate) fn read_snapshot<M: StorageMedium>(
     Ok(image)
 }
 
-/// A shard slice snapshot: every stored relation's rows owned by one
-/// shard, tagged with the operation ordinal (`sqn`) the slice reflects.
-/// Slices of the same generation union (canonically, by the sorted-merge
-/// of [`Relation::union`]) back to the full warehouse state.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct SliceImage {
-    /// The global operation ordinal this slice is current through.
-    pub sqn: u64,
-    /// Per stored relation, the rows routed to this shard.
-    pub rels: Vec<(String, Relation)>,
-}
-
-/// Atomically writes (temp + fsync + rename) a shard slice snapshot.
-pub(crate) fn write_slice_snapshot<M: StorageMedium>(
-    medium: &M,
-    name: &str,
-    id: u64,
-    slice: &SliceImage,
-) -> Result<(), StorageError> {
-    let tmp = format!("{name}.tmp");
-    let mut w = ByteWriter::new();
-    w.put_bytes(&SLICE_MAGIC);
-    w.put_u8(SNAP_VERSION);
-    w.put_u64(id);
-    w.put_u64(slice.sqn);
-    w.put_u32(slice.rels.len() as u32);
-    for (name, rel) in &slice.rels {
-        w.put_str(name);
-        let blob = encode_relation(rel);
-        w.put_u32(blob.len() as u32);
-        w.put_bytes(&blob);
-    }
-    medium.write_all(&tmp, &w.finish_crc())?;
-    medium.sync(&tmp)?;
-    medium.rename(&tmp, name)?;
-    Ok(())
-}
-
-/// Reads and fully validates a shard slice snapshot; any defect is
-/// [`StorageError::SnapshotCorrupt`] (recovery falls back a generation
-/// on that shard's lineage alone).
-pub(crate) fn read_slice_snapshot<M: StorageMedium>(
-    medium: &M,
-    name: &str,
-    expect_id: u64,
-) -> Result<SliceImage, StorageError> {
-    let data = medium.read(name)?;
-    let corrupt = |detail: String| StorageError::SnapshotCorrupt {
-        file: name.to_owned(),
-        detail,
-    };
-    let body = check_crc(&data).map_err(|e| corrupt(e.to_string()))?;
-    let mut r = ByteReader::new(body);
-    (|| -> Result<SliceImage, RelalgError> {
-        if r.take_bytes(8)? != SLICE_MAGIC {
-            return Err(r.corrupt("bad slice snapshot magic"));
-        }
-        let version = r.take_u8()?;
-        if version != SNAP_VERSION {
-            return Err(r.corrupt(format!("unsupported slice version {version}")));
-        }
-        let id = r.take_u64()?;
-        if id != expect_id {
-            return Err(r.corrupt(format!("slice id {id}, expected {expect_id}")));
-        }
-        let sqn = r.take_u64()?;
-        let n = r.take_u32()? as usize;
-        if n > r.remaining() {
-            return Err(r.corrupt(format!("relation count {n} exceeds slice size")));
-        }
-        let mut rels = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.take_str()?;
-            let len = r.take_u32()? as usize;
-            let rel = decode_relation(r.take_bytes(len)?)?;
-            rels.push((name, rel));
-        }
-        r.expect_end()?;
-        Ok(SliceImage { sqn, rels })
-    })()
-    .map_err(|e| corrupt(e.to_string()))
-}
-
-/// The shard section of a version-2 manifest: the routing attribute,
-/// the range cuts (encoded as a single-column relation in the canonical
-/// codec), and one lineage (oldest-first generation entries) per shard.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct ShardManifest {
-    /// The key attribute rows are ranged on.
-    pub attr: String,
-    /// The `count - 1` ascending cut values; row `t` routes to the
-    /// first shard whose cut exceeds `t[attr]`.
-    pub cuts: Relation,
-    /// The operation ordinal every committed lineage is flushed
-    /// through: the commit-point invariant guarantees that at rename
-    /// time each live lineage holds every record up to this ordinal.
-    pub sqn: u64,
-    /// Per committed root generation (parallel to
-    /// [`ManifestDoc::entries`]), the ordinal its sequencing snapshot
-    /// covers — the scripted-replay base for that generation. The full
-    /// warehouse image codec carries no ordinal of its own, so the
-    /// manifest records it.
-    pub seq_sqns: Vec<u64>,
-    /// Per shard, its committed lineage and park status.
-    pub lineages: Vec<ShardLineage>,
-}
-
-/// One shard's committed lineage in the root manifest.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct ShardLineage {
-    /// `Some(sqn)` when the shard's medium failed fatally: the lineage
-    /// is durable exactly through `sqn` and, past it, operations are
-    /// certified (by the live route checks) to have written nothing to
-    /// this shard. `None` for a live shard.
-    pub parked_at: Option<u64>,
-    /// Committed snapshot/WAL generations, oldest first.
-    pub entries: Vec<ManifestEntry>,
-}
-
-/// Everything the root manifest commits in one rename: the primary
-/// lineage (the whole store when unsharded; the sequencing lineage when
-/// sharded), the persisted maintenance-policy byte, and the shard
-/// section.
+/// Everything the manifest commits in one rename: the generation
+/// lineage and the persisted maintenance-policy byte.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct ManifestDoc {
     /// Committed generations, oldest first.
@@ -293,16 +148,14 @@ pub(crate) struct ManifestDoc {
     /// The maintenance policy byte (see `crate::planner`), if one was
     /// ever configured. `None` on version-1 manifests.
     pub policy: Option<u8>,
-    /// The shard section; `None` for unsharded stores.
-    pub shards: Option<ShardManifest>,
 }
 
 impl ManifestDoc {
-    /// An unsharded manifest over `entries` with no policy recorded
-    /// (the pre-v2 shape; production writers always record a policy).
+    /// A manifest over `entries` with no policy recorded (the pre-v2
+    /// shape; production writers always record a policy).
     #[cfg(test)]
     pub fn plain(entries: Vec<ManifestEntry>) -> ManifestDoc {
-        ManifestDoc { entries, policy: None, shards: None }
+        ManifestDoc { entries, policy: None }
     }
 }
 
@@ -336,7 +189,7 @@ fn take_entries(r: &mut ByteReader<'_>) -> Result<Vec<ManifestEntry>, RelalgErro
 }
 
 /// Atomically commits the manifest document — the single commit point
-/// of the store, sharded or not.
+/// of the store.
 pub(crate) fn write_manifest<M: StorageMedium>(
     medium: &M,
     doc: &ManifestDoc,
@@ -353,32 +206,8 @@ pub(crate) fn write_manifest<M: StorageMedium>(
         }
         None => w.put_u8(0),
     }
-    match &doc.shards {
-        Some(sm) => {
-            w.put_u8(1);
-            w.put_str(&sm.attr);
-            let blob = encode_relation(&sm.cuts);
-            w.put_u32(blob.len() as u32);
-            w.put_bytes(&blob);
-            w.put_u64(sm.sqn);
-            w.put_u32(sm.seq_sqns.len() as u32);
-            for s in &sm.seq_sqns {
-                w.put_u64(*s);
-            }
-            w.put_u32(sm.lineages.len() as u32);
-            for lineage in &sm.lineages {
-                match lineage.parked_at {
-                    Some(sqn) => {
-                        w.put_u8(1);
-                        w.put_u64(sqn);
-                    }
-                    None => w.put_u8(0),
-                }
-                put_entries(&mut w, &lineage.entries);
-            }
-        }
-        None => w.put_u8(0),
-    }
+    // The shard-section flag of the v2 format: never set.
+    w.put_u8(0);
     medium.write_all(tmp, &w.finish_crc())?;
     medium.sync(tmp)?;
     medium.rename(tmp, MANIFEST)?;
@@ -389,7 +218,9 @@ pub(crate) fn write_manifest<M: StorageMedium>(
 /// (the directory was never committed); any validation failure —
 /// including a torn tail, since the whole file is CRC-bound — is
 /// [`StorageError::ManifestCorrupt`]. Version-1 manifests read as a
-/// document with no policy and no shard section.
+/// document with no policy. A set shard-section flag is
+/// [`StorageError::ShardedLayoutRemoved`]: the reader stops there,
+/// before decoding the section.
 pub(crate) fn read_manifest<M: StorageMedium>(
     medium: &M,
 ) -> Result<ManifestDoc, StorageError> {
@@ -401,7 +232,7 @@ pub(crate) fn read_manifest<M: StorageMedium>(
         |detail: String| StorageError::ManifestCorrupt { detail };
     let body = check_crc(&data).map_err(|e| corrupt(e.to_string()))?;
     let mut r = ByteReader::new(body);
-    (|| -> Result<ManifestDoc, RelalgError> {
+    let doc = (|| -> Result<Option<ManifestDoc>, RelalgError> {
         if r.take_bytes(8)? != MANIFEST_MAGIC {
             return Err(r.corrupt("bad manifest magic"));
         }
@@ -412,55 +243,26 @@ pub(crate) fn read_manifest<M: StorageMedium>(
         let entries = take_entries(&mut r)?;
         if version == 1 {
             r.expect_end()?;
-            return Ok(ManifestDoc { entries, policy: None, shards: None });
+            return Ok(Some(ManifestDoc {
+                entries,
+                policy: None,
+            }));
         }
         let policy = match r.take_u8()? {
             0 => None,
             1 => Some(r.take_u8()?),
             flag => return Err(r.corrupt(format!("bad policy flag {flag}"))),
         };
-        let shards = match r.take_u8()? {
-            0 => None,
-            1 => {
-                let attr = r.take_str()?;
-                let len = r.take_u32()? as usize;
-                let cuts = decode_relation(r.take_bytes(len)?)?;
-                let sqn = r.take_u64()?;
-                let k = r.take_u32()? as usize;
-                if k > r.remaining() {
-                    return Err(r.corrupt(format!("seq-sqn count {k} exceeds manifest size")));
-                }
-                let mut seq_sqns = Vec::with_capacity(k);
-                for _ in 0..k {
-                    seq_sqns.push(r.take_u64()?);
-                }
-                let n = r.take_u32()? as usize;
-                if n > r.remaining() {
-                    return Err(r.corrupt(format!("shard count {n} exceeds manifest size")));
-                }
-                if n == 0 {
-                    return Err(r.corrupt("shard section with zero shards"));
-                }
-                let mut lineages = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let parked_at = match r.take_u8()? {
-                        0 => None,
-                        1 => Some(r.take_u64()?),
-                        flag => {
-                            return Err(r.corrupt(format!("bad park flag {flag}")));
-                        }
-                    };
-                    let entries = take_entries(&mut r)?;
-                    lineages.push(ShardLineage { parked_at, entries });
-                }
-                Some(ShardManifest { attr, cuts, sqn, seq_sqns, lineages })
-            }
+        match r.take_u8()? {
+            0 => {}
+            1 => return Ok(None),
             flag => return Err(r.corrupt(format!("bad shard flag {flag}"))),
-        };
+        }
         r.expect_end()?;
-        Ok(ManifestDoc { entries, policy, shards })
+        Ok(Some(ManifestDoc { entries, policy }))
     })()
-    .map_err(|e| corrupt(e.to_string()))
+    .map_err(|e| corrupt(e.to_string()))?;
+    doc.ok_or(StorageError::ShardedLayoutRemoved)
 }
 
 fn put_stats(w: &mut ByteWriter, image: &WarehouseImage) {
@@ -788,46 +590,34 @@ mod tests {
         }
     }
 
-    fn sharded_doc() -> ManifestDoc {
-        let entry = |prefix: &str, g: u64| ManifestEntry {
-            generation: g,
-            snapshot: format!("{prefix}-snap-{g:08}.dwcs"),
-            wal: format!("{prefix}-wal-{g:08}.log"),
-        };
-        ManifestDoc {
-            entries: vec![entry("seq", 1), entry("seq", 2)],
-            policy: Some(1),
-            shards: Some(ShardManifest {
-                attr: "item".to_owned(),
-                cuts: rel! { ["item"] => ("M",) },
-                sqn: 17,
-                seq_sqns: vec![9, 17],
-                lineages: vec![
-                    ShardLineage { parked_at: None, entries: vec![entry("s0", 2)] },
-                    ShardLineage {
-                        parked_at: Some(13),
-                        entries: vec![entry("s1", 1), entry("s1", 2)],
-                    },
-                ],
-            }),
-        }
-    }
-
+    /// A v2 manifest with the shard flag set — what a sharded layout's
+    /// root manifest starts with — fails closed with `DWC-S304` before
+    /// its section is decoded, and reading it writes nothing.
     #[test]
-    fn sharded_manifest_roundtrips_and_rejects_corruption() {
+    fn sharded_manifest_is_s304_and_leaves_the_medium_untouched() {
         let m = MemMedium::default();
-        let doc = sharded_doc();
-        write_manifest(&m, &doc).unwrap();
-        assert_eq!(read_manifest(&m).unwrap(), doc);
-
-        let good = m.read(MANIFEST).unwrap();
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x11;
-            m.write_all(MANIFEST, &bad).unwrap();
-            let err = read_manifest(&m).unwrap_err();
-            assert_eq!(err.code(), "DWC-S302", "byte {i} flipped");
-        }
+        let mut w = ByteWriter::new();
+        w.put_bytes(&MANIFEST_MAGIC);
+        w.put_u8(2);
+        w.put_u32(1);
+        w.put_u64(1);
+        w.put_str("seq-snap-00000001.dwcs");
+        w.put_str("seq-wal-00000001.log");
+        w.put_u8(1); // policy recorded ...
+        w.put_u8(1); // ... as adaptive
+        w.put_u8(1); // shard section follows
+        w.put_bytes(b"section bytes the reader never decodes");
+        m.write_all(MANIFEST, &w.finish_crc()).unwrap();
+        let before = m.files.borrow().clone();
+        let err = read_manifest(&m).unwrap_err();
+        assert_eq!(err, StorageError::ShardedLayoutRemoved);
+        assert_eq!(err.code(), "DWC-S304");
+        assert!(
+            err.to_string()
+                .contains("this build no longer opens sharded layouts"),
+            "{err}"
+        );
+        assert_eq!(*m.files.borrow(), before);
     }
 
     #[test]
@@ -861,43 +651,5 @@ mod tests {
         };
         write_manifest(&m, &ManifestDoc::plain(vec![e(2), e(2)])).unwrap();
         assert_eq!(read_manifest(&m).unwrap_err().code(), "DWC-S302");
-        // Per shard lineage too.
-        let mut doc = sharded_doc();
-        doc.shards.as_mut().unwrap().lineages[1] =
-            ShardLineage { parked_at: None, entries: vec![e(3), e(3)] };
-        write_manifest(&m, &doc).unwrap();
-        assert_eq!(read_manifest(&m).unwrap_err().code(), "DWC-S302");
-    }
-
-    #[test]
-    fn slice_snapshot_roundtrips_and_rejects_corruption() {
-        let m = MemMedium::default();
-        let slice = SliceImage {
-            sqn: 41,
-            rels: vec![
-                ("Sold".to_owned(), rel! { ["item"] => ("PC",) }),
-                ("Empty".to_owned(), Relation::empty(dwc_relalg::AttrSet::from_names(&["x"]))),
-            ],
-        };
-        let name = shard_snapshot_name(1, 4);
-        assert_eq!(name, "s1-snap-00000004.dwcs");
-        write_slice_snapshot(&m, &name, 4, &slice).unwrap();
-        assert!(!m.exists("s1-snap-00000004.dwcs.tmp"));
-        assert_eq!(read_slice_snapshot(&m, &name, 4).unwrap(), slice);
-        assert_eq!(read_slice_snapshot(&m, &name, 5).unwrap_err().code(), "DWC-S201");
-
-        let good = m.read(&name).unwrap();
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x40;
-            m.write_all(&name, &bad).unwrap();
-            let err = read_slice_snapshot(&m, &name, 4).unwrap_err();
-            assert_eq!(err.code(), "DWC-S201", "byte {i} flipped");
-        }
-        for cut in 0..good.len() {
-            m.write_all(&name, &good[..cut]).unwrap();
-            let err = read_slice_snapshot(&m, &name, 4).unwrap_err();
-            assert_eq!(err.code(), "DWC-S201", "truncated to {cut}");
-        }
     }
 }

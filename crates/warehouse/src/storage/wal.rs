@@ -30,10 +30,8 @@
 
 use super::{StorageError, StorageMedium};
 use crate::channel::{Envelope, SourceId};
-use crate::ingest::IngestStats;
-use crate::integrator::IntegratorStats;
 use dwc_relalg::io::{crc32, decode_relation, encode_relation, ByteReader, ByteWriter};
-use dwc_relalg::{Delta, Relation, RelalgError, Update};
+use dwc_relalg::{Delta, RelalgError, Update};
 
 /// Magic bytes opening every WAL segment.
 pub const WAL_MAGIC: [u8; 8] = *b"DWCWAL1\n";
@@ -73,62 +71,21 @@ pub fn segment_name(id: u64) -> String {
     format!("wal-{id:08}.log")
 }
 
-/// The name of the sequencing lineage's segment `id` (sharded stores).
-pub fn seq_segment_name(id: u64) -> String {
-    format!("seq-wal-{id:08}.log")
-}
-
-/// The name of shard `shard`'s segment `id` (sharded stores).
-pub fn shard_segment_name(shard: usize, id: u64) -> String {
-    format!("s{shard}-wal-{id:08}.log")
-}
-
 /// Creates (and syncs) an empty segment for `id`, returning its name.
 pub(crate) fn create_segment<M: StorageMedium>(
     medium: &M,
     id: u64,
 ) -> Result<String, StorageError> {
     let name = segment_name(id);
-    create_segment_named(medium, &name, id)?;
-    Ok(name)
-}
-
-/// Creates (and syncs) an empty segment for `id` under an explicit file
-/// name — the sharded lineages reuse the segment format under their own
-/// naming schemes.
-pub(crate) fn create_segment_named<M: StorageMedium>(
-    medium: &M,
-    name: &str,
-    id: u64,
-) -> Result<(), StorageError> {
     let mut w = ByteWriter::new();
     w.put_bytes(&WAL_MAGIC);
     w.put_u64(id);
     let header = w.into_bytes();
     let mut framed = header.clone();
     framed.extend_from_slice(&crc32(&header).to_le_bytes());
-    medium.write_all(name, &framed)?;
-    medium.sync(name)?;
-    Ok(())
-}
-
-/// Appends one pre-encoded payload as a checksummed frame; returns the
-/// bytes written. With `sync`, the segment is fsynced after the append.
-fn append_frame<M: StorageMedium>(
-    medium: &M,
-    segment: &str,
-    payload: &[u8],
-    sync: bool,
-) -> Result<usize, StorageError> {
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    medium.append(segment, &frame)?;
-    if sync {
-        medium.sync(segment)?;
-    }
-    Ok(frame.len())
+    medium.write_all(&name, &framed)?;
+    medium.sync(&name)?;
+    Ok(name)
 }
 
 /// Appends one record as a checksummed frame; returns the bytes
@@ -139,27 +96,16 @@ pub(crate) fn append_record<M: StorageMedium>(
     record: &WalRecord,
     sync: bool,
 ) -> Result<usize, StorageError> {
-    append_frame(medium, segment, &encode_record(record), sync)
-}
-
-/// Appends one sequencing-lineage record.
-pub(crate) fn append_seq_record<M: StorageMedium>(
-    medium: &M,
-    segment: &str,
-    record: &SeqWalRecord,
-    sync: bool,
-) -> Result<usize, StorageError> {
-    append_frame(medium, segment, &encode_seq_record(record), sync)
-}
-
-/// Appends one shard-lineage record.
-pub(crate) fn append_shard_record<M: StorageMedium>(
-    medium: &M,
-    segment: &str,
-    record: &ShardWalRecord,
-    sync: bool,
-) -> Result<usize, StorageError> {
-    append_frame(medium, segment, &encode_shard_record(record), sync)
+    let payload = encode_record(record);
+    let mut frame = Vec::with_capacity(8 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    medium.append(segment, &frame)?;
+    if sync {
+        medium.sync(segment)?;
+    }
+    Ok(frame.len())
 }
 
 /// Reads a little-endian u32 at `pos`; the caller guarantees bounds.
@@ -191,37 +137,6 @@ pub(crate) fn scan_segment<M: StorageMedium>(
     segment: &str,
     expect_id: u64,
 ) -> Result<WalScan, StorageError> {
-    let (records, torn_bytes) = scan_decoded(medium, segment, expect_id, decode_record)?;
-    Ok(WalScan { records, torn_bytes })
-}
-
-/// Scans a sequencing-lineage segment: `(records, torn tail bytes)`.
-pub(crate) fn scan_seq_segment<M: StorageMedium>(
-    medium: &M,
-    segment: &str,
-    expect_id: u64,
-) -> Result<(Vec<SeqWalRecord>, usize), StorageError> {
-    scan_decoded(medium, segment, expect_id, decode_seq_record)
-}
-
-/// Scans a shard-lineage segment: `(records, torn tail bytes)`.
-pub(crate) fn scan_shard_segment<M: StorageMedium>(
-    medium: &M,
-    segment: &str,
-    expect_id: u64,
-) -> Result<(Vec<ShardWalRecord>, usize), StorageError> {
-    scan_decoded(medium, segment, expect_id, decode_shard_record)
-}
-
-/// The shared segment walk: header validation, frame-by-frame CRC
-/// checking, and the torn-vs-corrupt split, parameterized over the
-/// payload decoder.
-fn scan_decoded<M: StorageMedium, T>(
-    medium: &M,
-    segment: &str,
-    expect_id: u64,
-    decode: impl Fn(&[u8]) -> Result<T, RelalgError>,
-) -> Result<(Vec<T>, usize), StorageError> {
     let data = medium.read(segment)?;
     let header_err = |detail: String| StorageError::WalHeader {
         segment: segment.to_owned(),
@@ -265,7 +180,7 @@ fn scan_decoded<M: StorageMedium, T>(
                 detail: "frame checksum mismatch".to_owned(),
             });
         }
-        let record = decode(payload).map_err(|e| StorageError::WalCorruptRecord {
+        let record = decode_record(payload).map_err(|e| StorageError::WalCorruptRecord {
             segment: segment.to_owned(),
             offset: pos,
             detail: e.to_string(),
@@ -273,7 +188,7 @@ fn scan_decoded<M: StorageMedium, T>(
         records.push(record);
         pos += 8 + len;
     };
-    Ok((records, torn_bytes))
+    Ok(WalScan { records, torn_bytes })
 }
 
 fn encode_record(record: &WalRecord) -> Vec<u8> {
@@ -327,347 +242,6 @@ fn decode_record(payload: &[u8]) -> Result<WalRecord, RelalgError> {
             WalRecord::Discarded { index, reason }
         }
         tag => return Err(r.corrupt(format!("unknown WAL record tag {tag}"))),
-    };
-    r.expect_end()?;
-    Ok(record)
-}
-
-/// One record of a sharded store's **sequencing lineage**: the global
-/// operation order, plus everything scripted replay needs to reproduce
-/// the operation's *bookkeeping* without recomputing its maintenance —
-/// the success count, the verbatim failure message (quarantines must
-/// re-render bit-identically), and the absolute post-operation counters
-/// (stats are forced, not recomputed, because the data effects replay
-/// from the shard lineages instead).
-#[derive(Clone, Debug, PartialEq)]
-pub enum SeqWalRecord {
-    /// An envelope offered to the ingestor.
-    Offered {
-        /// Global operation ordinal.
-        sqn: u64,
-        /// The envelope, verbatim.
-        env: Envelope,
-        /// How many buffered envelopes the offer successfully applied
-        /// (reorder-window drains apply several per offer).
-        ok: u32,
-        /// The rendered apply error, when one envelope quarantined.
-        error: Option<String>,
-        /// Absolute integrator counters after the operation.
-        istats: IntegratorStats,
-        /// Absolute ingest counters after the operation.
-        ingstats: IngestStats,
-    },
-    /// A *successful* gap repair from a source's outbox log (failed
-    /// repairs mutate nothing and are not logged).
-    Recovered {
-        /// Global operation ordinal.
-        sqn: u64,
-        /// The source whose gap was repaired.
-        source: SourceId,
-        /// The log slice passed to the repair, verbatim.
-        log: Vec<Envelope>,
-        /// How many envelopes the repair applied.
-        applied: u64,
-        /// Absolute integrator counters after the operation.
-        istats: IntegratorStats,
-        /// Absolute ingest counters after the operation.
-        ingstats: IngestStats,
-    },
-    /// An operator re-offered the quarantined envelope at `index`.
-    Requeued {
-        /// Global operation ordinal.
-        sqn: u64,
-        /// Position in the quarantine log at the time of the requeue.
-        index: u64,
-        /// How many envelopes the re-offer successfully applied.
-        ok: u32,
-        /// The rendered apply error, when the re-offer re-quarantined.
-        error: Option<String>,
-        /// Absolute integrator counters after the operation.
-        istats: IntegratorStats,
-        /// Absolute ingest counters after the operation.
-        ingstats: IngestStats,
-    },
-    /// An operator permanently discarded the quarantined envelope at
-    /// `index` (pure bookkeeping: no stats change, no data effect).
-    Discarded {
-        /// Global operation ordinal.
-        sqn: u64,
-        /// Position in the quarantine log at the time of the discard.
-        index: u64,
-        /// The operator's stated reason.
-        reason: String,
-    },
-}
-
-impl SeqWalRecord {
-    /// The global operation ordinal this record carries.
-    pub fn sqn(&self) -> u64 {
-        match self {
-            SeqWalRecord::Offered { sqn, .. }
-            | SeqWalRecord::Recovered { sqn, .. }
-            | SeqWalRecord::Requeued { sqn, .. }
-            | SeqWalRecord::Discarded { sqn, .. } => *sqn,
-        }
-    }
-}
-
-/// One record of a single **shard lineage**: the rows of the operation's
-/// traced stored-relation deltas that route to this shard. Every global
-/// operation writes exactly one record to *every* shard (empty deltas
-/// included) so each shard's durable high-water mark is well defined —
-/// a missing ordinal is provably lost, never merely untouched.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ShardWalRecord {
-    /// Incremental effect: per stored relation, the inserted and deleted
-    /// rows owned by this shard. Applies as `(rel ∖ deleted) ∪ inserted`,
-    /// which commutes with row-wise partitioning.
-    Delta {
-        /// Global operation ordinal.
-        sqn: u64,
-        /// `(relation, inserted rows, deleted rows)` triples.
-        deltas: Vec<(String, Relation, Relation)>,
-    },
-    /// Non-incremental effect (reconstruction, paranoid re-verify, gap
-    /// repair): the shard's full post-operation slice, replacing its
-    /// state wholesale.
-    Reset {
-        /// Global operation ordinal.
-        sqn: u64,
-        /// Per stored relation, the rows owned by this shard.
-        slice: Vec<(String, Relation)>,
-    },
-}
-
-impl ShardWalRecord {
-    /// The global operation ordinal this record carries.
-    pub fn sqn(&self) -> u64 {
-        match self {
-            ShardWalRecord::Delta { sqn, .. } | ShardWalRecord::Reset { sqn, .. } => *sqn,
-        }
-    }
-}
-
-fn put_stats_pair(w: &mut ByteWriter, istats: &IntegratorStats, ingstats: &IngestStats) {
-    w.put_u64(istats.updates_processed as u64);
-    w.put_u64(istats.delta_tuples as u64);
-    w.put_u64(istats.plans_compiled as u64);
-    w.put_u64(istats.queries_answered as u64);
-    w.put_u64(ingstats.delivered as u64);
-    w.put_u64(ingstats.applied as u64);
-    w.put_u64(ingstats.duplicates as u64);
-    w.put_u64(ingstats.buffered as u64);
-    w.put_u64(ingstats.quarantined as u64);
-    w.put_u64(ingstats.gaps_detected as u64);
-    w.put_u64(ingstats.recoveries as u64);
-    w.put_u64(ingstats.invariant_failures as u64);
-}
-
-fn take_stats_pair(
-    r: &mut ByteReader<'_>,
-) -> Result<(IntegratorStats, IngestStats), RelalgError> {
-    let istats = IntegratorStats {
-        updates_processed: r.take_u64()? as usize,
-        delta_tuples: r.take_u64()? as usize,
-        plans_compiled: r.take_u64()? as usize,
-        queries_answered: r.take_u64()? as usize,
-    };
-    let ingstats = IngestStats {
-        delivered: r.take_u64()? as usize,
-        applied: r.take_u64()? as usize,
-        duplicates: r.take_u64()? as usize,
-        buffered: r.take_u64()? as usize,
-        quarantined: r.take_u64()? as usize,
-        gaps_detected: r.take_u64()? as usize,
-        recoveries: r.take_u64()? as usize,
-        invariant_failures: r.take_u64()? as usize,
-    };
-    Ok((istats, ingstats))
-}
-
-fn put_opt_str(w: &mut ByteWriter, s: &Option<String>) {
-    match s {
-        Some(s) => {
-            w.put_u8(1);
-            w.put_str(s);
-        }
-        None => w.put_u8(0),
-    }
-}
-
-fn take_opt_str(r: &mut ByteReader<'_>) -> Result<Option<String>, RelalgError> {
-    match r.take_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.take_str()?)),
-        flag => Err(r.corrupt(format!("bad option flag {flag}"))),
-    }
-}
-
-fn encode_seq_record(record: &SeqWalRecord) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    match record {
-        SeqWalRecord::Offered { sqn, env, ok, error, istats, ingstats } => {
-            w.put_u8(10);
-            w.put_u64(*sqn);
-            put_envelope(&mut w, env);
-            w.put_u32(*ok);
-            put_opt_str(&mut w, error);
-            put_stats_pair(&mut w, istats, ingstats);
-        }
-        SeqWalRecord::Recovered { sqn, source, log, applied, istats, ingstats } => {
-            w.put_u8(11);
-            w.put_u64(*sqn);
-            w.put_str(source.as_str());
-            w.put_u32(log.len() as u32);
-            for env in log {
-                put_envelope(&mut w, env);
-            }
-            w.put_u64(*applied);
-            put_stats_pair(&mut w, istats, ingstats);
-        }
-        SeqWalRecord::Requeued { sqn, index, ok, error, istats, ingstats } => {
-            w.put_u8(12);
-            w.put_u64(*sqn);
-            w.put_u64(*index);
-            w.put_u32(*ok);
-            put_opt_str(&mut w, error);
-            put_stats_pair(&mut w, istats, ingstats);
-        }
-        SeqWalRecord::Discarded { sqn, index, reason } => {
-            w.put_u8(13);
-            w.put_u64(*sqn);
-            w.put_u64(*index);
-            w.put_str(reason);
-        }
-    }
-    w.into_bytes()
-}
-
-fn decode_seq_record(payload: &[u8]) -> Result<SeqWalRecord, RelalgError> {
-    let mut r = ByteReader::new(payload);
-    let record = match r.take_u8()? {
-        10 => {
-            let sqn = r.take_u64()?;
-            let env = take_envelope(&mut r)?;
-            let ok = r.take_u32()?;
-            let error = take_opt_str(&mut r)?;
-            let (istats, ingstats) = take_stats_pair(&mut r)?;
-            SeqWalRecord::Offered { sqn, env, ok, error, istats, ingstats }
-        }
-        11 => {
-            let sqn = r.take_u64()?;
-            let source = SourceId::new(r.take_str()?);
-            let n = r.take_u32()? as usize;
-            if n > r.remaining() {
-                return Err(r.corrupt(format!("recovered-log count {n} exceeds payload")));
-            }
-            let mut log = Vec::with_capacity(n);
-            for _ in 0..n {
-                log.push(take_envelope(&mut r)?);
-            }
-            let applied = r.take_u64()?;
-            let (istats, ingstats) = take_stats_pair(&mut r)?;
-            SeqWalRecord::Recovered { sqn, source, log, applied, istats, ingstats }
-        }
-        12 => {
-            let sqn = r.take_u64()?;
-            let index = r.take_u64()?;
-            let ok = r.take_u32()?;
-            let error = take_opt_str(&mut r)?;
-            let (istats, ingstats) = take_stats_pair(&mut r)?;
-            SeqWalRecord::Requeued { sqn, index, ok, error, istats, ingstats }
-        }
-        13 => {
-            let sqn = r.take_u64()?;
-            let index = r.take_u64()?;
-            let reason = r.take_str()?;
-            SeqWalRecord::Discarded { sqn, index, reason }
-        }
-        tag => return Err(r.corrupt(format!("unknown seq WAL record tag {tag}"))),
-    };
-    r.expect_end()?;
-    Ok(record)
-}
-
-fn put_named_relations(w: &mut ByteWriter, rels: &[(String, Relation)]) {
-    w.put_u32(rels.len() as u32);
-    for (name, rel) in rels {
-        w.put_str(name);
-        let blob = encode_relation(rel);
-        w.put_u32(blob.len() as u32);
-        w.put_bytes(&blob);
-    }
-}
-
-fn take_named_relations(
-    r: &mut ByteReader<'_>,
-) -> Result<Vec<(String, Relation)>, RelalgError> {
-    let n = r.take_u32()? as usize;
-    if n > r.remaining() {
-        return Err(r.corrupt(format!("relation count {n} exceeds payload")));
-    }
-    let mut rels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.take_str()?;
-        let len = r.take_u32()? as usize;
-        let rel = decode_relation(r.take_bytes(len)?)?;
-        rels.push((name, rel));
-    }
-    Ok(rels)
-}
-
-fn encode_shard_record(record: &ShardWalRecord) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    match record {
-        ShardWalRecord::Delta { sqn, deltas } => {
-            w.put_u8(20);
-            w.put_u64(*sqn);
-            w.put_u32(deltas.len() as u32);
-            for (name, ins, del) in deltas {
-                w.put_str(name);
-                let ins = encode_relation(ins);
-                w.put_u32(ins.len() as u32);
-                w.put_bytes(&ins);
-                let del = encode_relation(del);
-                w.put_u32(del.len() as u32);
-                w.put_bytes(&del);
-            }
-        }
-        ShardWalRecord::Reset { sqn, slice } => {
-            w.put_u8(21);
-            w.put_u64(*sqn);
-            put_named_relations(&mut w, slice);
-        }
-    }
-    w.into_bytes()
-}
-
-fn decode_shard_record(payload: &[u8]) -> Result<ShardWalRecord, RelalgError> {
-    let mut r = ByteReader::new(payload);
-    let record = match r.take_u8()? {
-        20 => {
-            let sqn = r.take_u64()?;
-            let n = r.take_u32()? as usize;
-            if n > r.remaining() {
-                return Err(r.corrupt(format!("delta count {n} exceeds payload")));
-            }
-            let mut deltas = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = r.take_str()?;
-                let ins_len = r.take_u32()? as usize;
-                let ins = decode_relation(r.take_bytes(ins_len)?)?;
-                let del_len = r.take_u32()? as usize;
-                let del = decode_relation(r.take_bytes(del_len)?)?;
-                deltas.push((name, ins, del));
-            }
-            ShardWalRecord::Delta { sqn, deltas }
-        }
-        21 => {
-            let sqn = r.take_u64()?;
-            let slice = take_named_relations(&mut r)?;
-            ShardWalRecord::Reset { sqn, slice }
-        }
-        tag => return Err(r.corrupt(format!("unknown shard WAL record tag {tag}"))),
     };
     r.expect_end()?;
     Ok(record)
@@ -869,94 +443,6 @@ mod tests {
         // Truncated header.
         m.write_all(&seg, &good[..10]).unwrap();
         assert_eq!(scan_segment(&m, &seg, 1).unwrap_err().code(), "DWC-S101");
-    }
-
-    #[test]
-    fn seq_records_roundtrip_through_a_segment() {
-        let m = MemMedium::default();
-        create_segment_named(&m, &seq_segment_name(3), 3).unwrap();
-        let seg = seq_segment_name(3);
-        let istats = IntegratorStats {
-            updates_processed: 4,
-            delta_tuples: 17,
-            plans_compiled: 1,
-            queries_answered: 0,
-        };
-        let ingstats = IngestStats { delivered: 5, applied: 4, ..IngestStats::default() };
-        let records = vec![
-            SeqWalRecord::Offered {
-                sqn: 1,
-                env: sample_envelope(0),
-                ok: 1,
-                error: None,
-                istats,
-                ingstats,
-            },
-            SeqWalRecord::Offered {
-                sqn: 2,
-                env: sample_envelope(9),
-                ok: 0,
-                error: Some("[DWC-E001] ghost relation".to_owned()),
-                istats,
-                ingstats,
-            },
-            SeqWalRecord::Recovered {
-                sqn: 3,
-                source: SourceId::new("paris"),
-                log: vec![sample_envelope(1), sample_envelope(2)],
-                applied: 2,
-                istats,
-                ingstats,
-            },
-            SeqWalRecord::Requeued { sqn: 4, index: 0, ok: 1, error: None, istats, ingstats },
-            SeqWalRecord::Discarded { sqn: 5, index: 0, reason: "operator drop".to_owned() },
-        ];
-        for rec in &records {
-            append_seq_record(&m, &seg, rec, true).unwrap();
-        }
-        let (back, torn) = scan_seq_segment(&m, &seg, 3).unwrap();
-        assert_eq!(back, records);
-        assert_eq!(torn, 0);
-        assert_eq!(back.last().unwrap().sqn(), 5);
-    }
-
-    #[test]
-    fn shard_records_roundtrip_through_a_segment() {
-        let m = MemMedium::default();
-        let seg = shard_segment_name(2, 4);
-        assert_eq!(seg, "s2-wal-00000004.log");
-        create_segment_named(&m, &seg, 4).unwrap();
-        let empty = Relation::empty(dwc_relalg::AttrSet::from_names(&["a"]));
-        let records = vec![
-            ShardWalRecord::Delta {
-                sqn: 7,
-                deltas: vec![
-                    ("R".to_owned(), rel! { ["a"] => (1,), (2,) }, rel! { ["a"] => (3,) }),
-                    ("S".to_owned(), empty.clone(), empty.clone()),
-                ],
-            },
-            // The mandatory empty record an untouched shard still gets.
-            ShardWalRecord::Delta { sqn: 8, deltas: Vec::new() },
-            ShardWalRecord::Reset {
-                sqn: 9,
-                slice: vec![("R".to_owned(), rel! { ["a"] => (1,) })],
-            },
-        ];
-        for rec in &records {
-            append_shard_record(&m, &seg, rec, true).unwrap();
-        }
-        let (back, torn) = scan_shard_segment(&m, &seg, 4).unwrap();
-        assert_eq!(back, records);
-        assert_eq!(torn, 0);
-        assert_eq!(back[1].sqn(), 8);
-        // The typed-record scanners share the torn/corrupt machinery:
-        // a payload bit flip is still DWC-S102.
-        let good = m.read(&seg).unwrap();
-        let mut bad = good.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x01;
-        m.write_all(&seg, &bad).unwrap();
-        assert_eq!(scan_shard_segment(&m, &seg, 4).unwrap_err().code(), "DWC-S102");
     }
 
     #[test]

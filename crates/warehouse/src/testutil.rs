@@ -38,20 +38,9 @@ pub(crate) fn fig1_spec() -> WarehouseSpec {
 #[derive(Debug, Default)]
 pub(crate) struct MemMedium {
     pub(crate) files: RefCell<BTreeMap<String, Vec<u8>>>,
-    /// Paths with this prefix fail fatally on write/append/sync.
-    pub(crate) dead_prefix: RefCell<Option<String>>,
 }
 
 impl MemMedium {
-    pub(crate) fn kill_prefix(&self, prefix: &str) {
-        *self.dead_prefix.borrow_mut() = Some(prefix.to_owned());
-    }
-    fn dead(&self, path: &str) -> bool {
-        self.dead_prefix
-            .borrow()
-            .as_ref()
-            .is_some_and(|p| path.starts_with(p.as_str()))
-    }
     pub(crate) fn clone_files(&self) -> BTreeMap<String, Vec<u8>> {
         self.files.borrow().clone()
     }
@@ -66,16 +55,10 @@ impl StorageMedium for MemMedium {
             .ok_or_else(|| MediumError::fatal("read", path, "not found"))
     }
     fn write_all(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        if self.dead(path) {
-            return Err(MediumError::fatal("write", path, "medium dead"));
-        }
         self.files.borrow_mut().insert(path.to_owned(), bytes.to_vec());
         Ok(())
     }
     fn append(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        if self.dead(path) {
-            return Err(MediumError::fatal("append", path, "medium dead"));
-        }
         self.files
             .borrow_mut()
             .entry(path.to_owned())
@@ -83,16 +66,10 @@ impl StorageMedium for MemMedium {
             .extend_from_slice(bytes);
         Ok(())
     }
-    fn sync(&self, path: &str) -> Result<(), MediumError> {
-        if self.dead(path) {
-            return Err(MediumError::fatal("sync", path, "medium dead"));
-        }
+    fn sync(&self, _path: &str) -> Result<(), MediumError> {
         Ok(())
     }
     fn rename(&self, from: &str, to: &str) -> Result<(), MediumError> {
-        if self.dead(to) {
-            return Err(MediumError::fatal("rename", to, "medium dead"));
-        }
         let mut files = self.files.borrow_mut();
         let data = files
             .remove(from)

@@ -9,8 +9,8 @@
 #
 #   jq -s 'group_by(.group+"/"+.bench)' BENCH_eval.json
 #
-# The durability suite (snapshot write, WAL append, cold recovery,
-# sharded cold recovery at 1/2/4 shards) lands in BENCH_recovery.json,
+# The durability suite (snapshot write, WAL append, cold recovery)
+# lands in BENCH_recovery.json,
 # the server group-commit suite in BENCH_server.json, and the
 # degraded-mode serving suite (injected faults, modeled fsync stalls)
 # in BENCH_faults.json.
@@ -70,10 +70,8 @@ for bench in eval complement maintenance star adaptive; do
 done
 echo "wrote $(grep -c '^{' "$OUT") results to $OUT"
 
-# Unsharded rows, then the identical warehouse committed under 1/2/4
-# shard lineages. The sharded rows also carry replay_critical_ns
-# (slowest shard) and replay_total_ns (summed per-shard work) — their
-# ratio is the modeled speedup independent lineages would allow.
+# Snapshot write, WAL append (fsync / nosync) and cold recovery (with
+# and without the W(W^-1(w)) = w cross-check) at two state sizes.
 RECOVERY_OUT="$(sibling recovery)"
 echo "=== durability: BENCH recovery ==="
 run_bench recovery | tee "$RECOVERY_OUT"

@@ -23,7 +23,7 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
 const ANALYZE_USAGE: &str = "\
-usage: dwc analyze [--json] [--cost] [--shard-attr ATTR] <spec.dwc>...
+usage: dwc analyze [--json] [--cost] <spec.dwc>...
        dwc analyze [--json] --self-check [workspace-root]
 
 Statically verifies warehouse spec files (catalog + PSJ views) against
@@ -37,12 +37,6 @@ single-tuple delta per source in turn, mirrors cached, source
 reachable) and prints the chosen strategy per delta — a table by
 default, DWC-P001/P101 JSON lines with --json. Purely static: no
 relation is evaluated.
-
---shard-attr ATTR additionally certifies key-range sharding routed by
-ATTR — the same DWC-H6NN gate `dwc serve --shards` runs before it
-partitions a store: H601 when a view projects the routing attribute
-away, H602 when an inclusion dependency straddles the partition, H603
-(info) for relations pinned whole to shard 0.
 
 --self-check lints the workspace's own sources instead: no panicking
 calls in library code, no stray thread spawns, forbid(unsafe_code) in
@@ -64,8 +58,7 @@ states; corruption then surfaces lazily).";
 
 const SERVE_USAGE: &str = "\
 usage: dwc serve --spec <spec.dwc> [--addr HOST:PORT] [--batch N]
-                 [--max-wait-us U] [--idle-timeout-us U] [--no-verify]
-                 [--shards N] <dir>
+                 [--max-wait-us U] [--idle-timeout-us U] [--no-verify] <dir>
 
 Runs the warehouse as a long-running server over <dir>: many source
 sessions ingest concurrently through group-committed WAL appends (N
@@ -80,15 +73,9 @@ timeout (default 0 = never; reconnect resumes losslessly — send `ping`
 to keep an idle session alive). On storage faults the server degrades
 instead of dying: transient failures park writes and retry with
 backoff, permanent failures turn the server read-only (queries keep
-answering from the last published epoch).
-
---shards N partitions the store into N key-range shards, each with its
-own WAL lineage recovered independently on restart; a fatal fault on one
-shard parks only its key range while the rest keep committing (`stats`
-shows shards=N shard_parked=K shard_health=live,parked,...). Opening
-an unsharded directory with --shards migrates it; a different N re-cuts
-the key ranges in place; omitting --shards on a sharded directory
-fails closed with DWC-S304.";
+answering from the last published epoch). A directory written by an
+older build in the key-range sharded layout fails closed with DWC-S304
+(this build no longer opens sharded layouts).";
 
 const CONNECT_USAGE: &str = "\
 usage: dwc connect --source <name> [HOST:PORT]
@@ -223,7 +210,7 @@ fn load_spec(spec_path: &str) -> Result<WarehouseSpec, String> {
 }
 
 /// `dwc serve --spec <spec.dwc> [--addr A] [--batch N] [--max-wait-us U]
-/// [--idle-timeout-us U] [--no-verify] [--shards N] <dir>`.
+/// [--idle-timeout-us U] [--no-verify] <dir>`.
 fn cmd_serve(args: &[String]) -> ExitCode {
     let mut spec_path: Option<String> = None;
     let mut dir: Option<&str> = None;
@@ -271,13 +258,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                     }
                 }
             }
-            "--shards" => match take("--shards").and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => options.shards = Some(n),
-                _ => {
-                    eprintln!("--shards needs an integer >= 1\n{SERVE_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             "--no-verify" => options.verify_on_open = false,
             "--help" | "-h" => {
                 println!("{SERVE_USAGE}");
@@ -357,24 +337,12 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     let mut json = false;
     let mut self_check = false;
     let mut cost = false;
-    let mut shard_attr: Option<String> = None;
     let mut paths: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    for arg in args {
+        match arg.as_str() {
             "--json" => json = true,
             "--self-check" => self_check = true,
             "--cost" => cost = true,
-            "--shard-attr" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) if !a.starts_with('-') => shard_attr = Some(a.clone()),
-                    _ => {
-                        eprintln!("--shard-attr needs an attribute name\n{ANALYZE_USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             "--help" | "-h" => {
                 println!("{ANALYZE_USAGE}");
                 return ExitCode::SUCCESS;
@@ -385,7 +353,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             }
             path => paths.push(path),
         }
-        i += 1;
     }
 
     let mut failed = false;
@@ -415,10 +382,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             // Certification only makes sense over a spec that parsed; on
             // parse errors the report already explains what broke.
             if !report.has_errors() {
-                let mut opts = AnalyzeOptions::certify();
-                if let Some(attr) = &shard_attr {
-                    opts = opts.with_shard_attr(attr.clone());
-                }
+                let opts = AnalyzeOptions::certify();
                 report.extend(analyze(&spec.catalog, &spec.views, &[], &opts));
             }
             failed |= emit(&report, path, json);

@@ -65,7 +65,7 @@
 //! query <expr>                             result <epoch> <n> tuple(s) + rows
 //! epoch                                    epoch <n>
 //! ping                                     pong          (heartbeat; defers idle reaping)
-//! stats                                    stats ... health=... parked=... [shard_health=...]
+//! stats                                    stats ... health=... parked=...
 //! quit                                     (connection closes)
 //! ```
 //!
@@ -87,8 +87,7 @@ use crate::warehouse::server::{
 };
 use crate::warehouse::{
     AdaptivePolicy, DurabilityConfig, DurableWarehouse, Envelope, FsMedium, IngestConfig,
-    IngestingIntegrator, Recovery, ShardHealth, ShardedDurableWarehouse, SourceId, StorageError,
-    WarehouseSpec,
+    IngestingIntegrator, Recovery, SourceId, StorageError, WarehouseSpec,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -115,10 +114,6 @@ pub struct ServeOptions {
     /// (`0` disables reaping). Reaping is lossless: the durable cursors
     /// let a reaped source reconnect and resume exactly.
     pub idle_timeout_micros: u64,
-    /// Key-range shard count. `None` runs the classic single-lineage
-    /// store; `Some(n)` opens (or migrates / re-cuts to) `n` shards,
-    /// each with its own WAL lineage, recovered in parallel.
-    pub shards: Option<usize>,
 }
 
 impl Default for ServeOptions {
@@ -130,7 +125,6 @@ impl Default for ServeOptions {
             max_wait_micros: p.max_wait_micros,
             verify_on_open: true,
             idle_timeout_micros: 0,
-            shards: None,
         }
     }
 }
@@ -173,58 +167,6 @@ pub fn open_or_create(
             let dw = DurableWarehouse::create(medium, ingest, config).map_err(|e| e.to_string())?;
             eprintln!("created fresh warehouse in {dir}");
             Ok((dw, true))
-        }
-        Err(e) => Err(e.to_string()),
-    }
-}
-
-/// The sharded twin of [`open_or_create`]: opens `dir` as a key-range
-/// sharded warehouse with `shards` lineages, migrating an unsharded
-/// store or re-cutting a differently-sharded one in place, or creates
-/// a fresh one when the directory holds no warehouse.
-pub fn open_or_create_sharded(
-    spec: WarehouseSpec,
-    dir: &str,
-    config: DurabilityConfig,
-    shards: usize,
-) -> Result<(ShardedDurableWarehouse<FsMedium>, bool), String> {
-    let aug = spec.clone().augment().map_err(|e| e.to_string())?;
-    let medium = FsMedium::new(dir).map_err(|e| e.to_string())?;
-    match ShardedDurableWarehouse::open(medium, aug.clone(), config, Some(shards)) {
-        Ok((sw, report)) => {
-            eprintln!(
-                "recovered {} shard(s) in parallel to cut {} ({} shard + {} sequencing \
-                 record(s) replayed, {} torn tail(s), {} shard(s) were parked{}{})",
-                report.shards,
-                report.cut,
-                report.shard_records_replayed,
-                report.seq_records_replayed,
-                report.torn_tails,
-                report.parked_shards,
-                if report.migrated { "; migrated from the unsharded layout" } else { "" },
-                if report.resharded { "; re-cut to the requested shard count" } else { "" },
-            );
-            for cursor in sw.ingestor().sequencing() {
-                eprintln!(
-                    "  source {:?} resumes at epoch {} seq {}",
-                    cursor.source, cursor.epoch, cursor.next_seq
-                );
-            }
-            Ok((sw, !report.policy_restored))
-        }
-        Err(StorageError::ManifestMissing) => {
-            let empty = aug
-                .materialize(&DbState::empty_for(aug.catalog()))
-                .map_err(|e| e.to_string())?;
-            let integ = Integrator::from_state(aug, empty, IntegratorConfig::default())
-                .map_err(|e| e.to_string())?;
-            let ingest =
-                IngestingIntegrator::new(integ, IngestConfig::default()).map_err(|e| e.to_string())?;
-            let medium = FsMedium::new(dir).map_err(|e| e.to_string())?;
-            let sw = ShardedDurableWarehouse::create(medium, ingest, config, shards, None)
-                .map_err(|e| e.to_string())?;
-            eprintln!("created fresh warehouse in {dir} ({} key-range shard(s))", sw.shards());
-            Ok((sw, true))
         }
         Err(e) => Err(e.to_string()),
     }
@@ -388,26 +330,13 @@ pub fn open_core(
     // A fresh store (and a legacy store predating the persisted policy
     // byte) defaults to adaptive maintenance; a recovered v2 store
     // keeps whatever mode its manifest carries.
-    let mut core = match options.shards {
-        None => {
-            let (mut warehouse, arm_policy) = open_or_create(spec, dir, config)?;
-            if arm_policy {
-                warehouse
-                    .set_maintenance_policy(AdaptivePolicy::adaptive())
-                    .map_err(|e| e.to_string())?;
-            }
-            ServerCore::new(warehouse, policy)
-        }
-        Some(n) => {
-            let (mut warehouse, arm_policy) = open_or_create_sharded(spec, dir, config, n)?;
-            if arm_policy {
-                warehouse
-                    .set_maintenance_policy(AdaptivePolicy::adaptive())
-                    .map_err(|e| e.to_string())?;
-            }
-            ServerCore::new_sharded(warehouse, policy)
-        }
-    };
+    let (mut warehouse, arm_policy) = open_or_create(spec, dir, config)?;
+    if arm_policy {
+        warehouse
+            .set_maintenance_policy(AdaptivePolicy::adaptive())
+            .map_err(|e| e.to_string())?;
+    }
+    let mut core = ServerCore::new(warehouse, policy);
     if options.idle_timeout_micros > 0 {
         core.set_idle_timeout(Some(options.idle_timeout_micros));
     }
@@ -526,25 +455,11 @@ fn run_engine(mut core: ServerCore<FsMedium>, rx: mpsc::Receiver<EngineMsg>) {
                     Health::ReadOnly { .. } => "read-only".to_owned(),
                 };
                 let p = core.warehouse().ingestor().policy().stats();
-                // Per-shard counters only when the store is sharded:
-                // ` shards=4 shard_parked=1 shard_health=live,live,parked,live`.
-                let shards = match core.shard_health() {
-                    None => String::new(),
-                    Some(hs) => format!(
-                        " shards={} shard_parked={} shard_health={}",
-                        hs.len(),
-                        hs.iter().filter(|h| **h == ShardHealth::Parked).count(),
-                        hs.iter()
-                            .map(ShardHealth::to_string)
-                            .collect::<Vec<_>>()
-                            .join(","),
-                    ),
-                };
                 let _ = reply.send(format!(
                     "stats epoch={} delivered={} batches={} acks={} wal_syncs={} \
                      group_commits={} generation={} health={} parked={} \
                      planner=plans:{},incr:{},mirr:{},recon:{},mispredict:{},passes:{},\
-                     fallbacks:{}{shards}",
+                     fallbacks:{}",
                     core.commit_epoch(),
                     s.delivered,
                     s.batches_committed,
@@ -815,8 +730,8 @@ pub fn connect(addr: &str, source: &str) -> Result<(), String> {
     };
     println!("{}", greeting.trim());
     println!("(resuming source `{source}` at epoch {epoch} seq {seq})");
-    // Surface server health (and per-shard health on a sharded store)
-    // right in the connect banner; the reply prints asynchronously.
+    // Surface server health right in the connect banner; the reply
+    // prints asynchronously.
     request.line(format_args!("stats"));
     request.flush_to(&mut stream).map_err(|e| e.to_string())?;
 

@@ -9,7 +9,10 @@
 //! oracle, or reports the one documented pre-commit code (`DWC-S301`,
 //! no manifest yet). Seeded bit flips and torn tails on the committed
 //! files must each yield their documented `DWC-SNNN` code — never a
-//! panic, never silent divergence.
+//! panic, never silent divergence. An unreadable newest snapshot falls
+//! back a generation like a corrupt one, the maintenance-policy mode
+//! survives a reopen, and a sharded layout left by an older build fails
+//! closed without a byte of the directory changing.
 //!
 //! The process model is [`dwc_testkit::crash::SimFs`]: counted mutating
 //! operations, seeded torn writes at the crash point, coin-flipped
@@ -18,18 +21,20 @@
 
 mod common;
 
-use common::{chain_catalog, chain_state, relation_from, ChainRows};
+use common::{chain_catalog, chain_state, relation_from, ChainRows, FaultyMedium};
 use dwc_testkit::crash::{CrashPlan, SimError, SimFs};
+use dwc_testkit::iofault::{FaultyFs, MediumFaultPlan};
 use dwc_testkit::SplitMix64;
 use dwcomplements::relalg::{io, Delta, Update};
 use dwcomplements::warehouse::channel::{Envelope, SequencedSource, SourceId};
 use dwcomplements::warehouse::ingest::{IngestConfig, IngestingIntegrator};
 use dwcomplements::warehouse::integrator::{Integrator, SourceSite};
+use dwcomplements::warehouse::planner::MaintenanceStrategy;
 use dwcomplements::warehouse::storage::snapshot::snapshot_name;
 use dwcomplements::warehouse::storage::wal::segment_name;
 use dwcomplements::warehouse::{
-    AugmentedWarehouse, DurabilityConfig, DurableWarehouse, MediumError, Recovery, StorageError,
-    StorageMedium, WarehouseSpec,
+    AdaptivePolicy, AugmentedWarehouse, DurabilityConfig, DurableWarehouse, MediumError,
+    PolicyMode, Recovery, StorageError, StorageMedium, WarehouseSpec,
 };
 
 /// The pinned seed of the whole suite; `verify.sh` replays it in step 8.
@@ -439,4 +444,103 @@ fn seeded_corruption_yields_documented_codes() {
         assert_eq!(fp.rels, oracle.rels, "cut {cut}");
         assert_eq!(fp.seq, oracle.seq, "cut {cut}");
     }
+}
+
+/// A torn `MANIFEST` — the file cut short at any length, as a broken
+/// rename source or a bad disk leaves it — fails closed with `DWC-S302`.
+/// The whole file is CRC-bound, so no cut can read as a shorter valid
+/// manifest.
+#[test]
+fn torn_manifest_is_s302() {
+    let sc = build_scenario();
+    let (fs, clean) = run_on(CrashPlan::none(), &sc);
+    clean.expect("never-crashed run");
+    let files = fs.survivors();
+    let full = files[MANIFEST].len();
+    for keep in [full - 1, full - 3, full - 9, full / 2, 12, 3, 0] {
+        let fs = SimFs::from_files(files.clone());
+        assert!(fs.truncate_to(MANIFEST, keep));
+        let err =
+            Recovery::open(SimMedium(fs), fresh_aug(), config()).expect_err("torn manifest opened");
+        assert_eq!(err.code(), "DWC-S302", "kept {keep} of {full} bytes: {err}");
+    }
+}
+
+/// An *unreadable* newest snapshot is handled like a corrupt one: when
+/// the read of `snap-00000002` fails, recovery falls back to generation
+/// 1, replays both WAL segments, and lands on the never-crashed state.
+#[test]
+fn unreadable_newest_snapshot_falls_back_a_generation() {
+    let sc = build_scenario();
+    let (fs, clean) = run_on(CrashPlan::none(), &sc);
+    let oracle = clean.expect("never-crashed run");
+    let snap2 = snapshot_name(2);
+    // The first operation on that file — recovery's read — fails once.
+    let plan = MediumFaultPlan {
+        transient_at_op: Some(0),
+        ..MediumFaultPlan::clean()
+    }
+    .scoped_to(&snap2);
+    let faulty = FaultyFs::new(SimFs::from_files(fs.survivors()), plan);
+    let (rec, report) = Recovery::open(FaultyMedium(faulty.clone()), fresh_aug(), config())
+        .expect("recovery tolerates an unreadable snapshot");
+    assert_eq!(faulty.injected(), 1, "the read fault never fired");
+    assert_eq!(report.snapshots_skipped, 1);
+    assert_eq!(report.snapshot_used, snapshot_name(1));
+    assert!(report.consistency_checked);
+    assert_eq!(fingerprint(rec.ingestor()), oracle);
+}
+
+/// The configured maintenance-policy mode survives a reopen: the
+/// manifest carries the policy byte and recovery re-arms it.
+#[test]
+fn policy_mode_survives_reopen() {
+    let sc = build_scenario();
+    let fs = SimFs::new(CrashPlan::none());
+    let mut dw = DurableWarehouse::create(SimMedium(fs.clone()), fresh_ingest(&sc.init), config())
+        .expect("create");
+    let fixed = PolicyMode::Fixed(MaintenanceStrategy::Incremental);
+    dw.set_maintenance_policy(AdaptivePolicy::fixed(MaintenanceStrategy::Incremental))
+        .expect("policy commits");
+    drop(dw);
+    let (rec, report) = Recovery::open(
+        SimMedium(SimFs::from_files(fs.survivors())),
+        fresh_aug(),
+        config(),
+    )
+    .expect("reopen");
+    assert!(report.policy_restored);
+    assert_eq!(rec.ingestor().policy().mode(), fixed);
+}
+
+/// A directory an older build wrote in the key-range sharded layout —
+/// a version-2 manifest with its shard flag set — fails closed with
+/// `DWC-S304`, and recovery leaves every file exactly as it found it.
+#[test]
+fn sharded_layout_fails_closed_and_leaves_the_directory_as_found() {
+    let sc = build_scenario();
+    let (fs, clean) = run_on(CrashPlan::none(), &sc);
+    clean.expect("never-crashed run");
+    let mut files = fs.survivors();
+    let manifest = files.get_mut(MANIFEST).expect("committed manifest");
+    let body = manifest.len() - 4;
+    assert_eq!(
+        manifest[body - 1],
+        0,
+        "a v2 manifest ends in an unset shard flag"
+    );
+    manifest[body - 1] = 1;
+    let crc = io::crc32(&manifest[..body]);
+    manifest[body..].copy_from_slice(&crc.to_le_bytes());
+
+    let disk = SimFs::from_files(files.clone());
+    let err = Recovery::open(SimMedium(disk.clone()), fresh_aug(), config())
+        .expect_err("sharded layout opened");
+    assert_eq!(err.code(), "DWC-S304", "{err}");
+    assert!(
+        err.to_string().contains("no longer opens sharded layouts"),
+        "{err}"
+    );
+    assert_eq!(disk.ops(), 0, "recovery mutated the directory");
+    assert_eq!(disk.survivors(), files);
 }

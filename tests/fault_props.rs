@@ -558,9 +558,7 @@ fn every_storage_error_code_maps_to_exactly_one_class() {
         StorageError::NoIntactSnapshot { tried: vec!["snap-000001".into()] },
         StorageError::ManifestMissing,
         StorageError::ManifestCorrupt { detail: "crc".into() },
-        StorageError::ShardLineageMissing { shard: 1, file: "s1-wal-00000001.log".into() },
-        StorageError::ShardTopologyMismatch { detail: "sharded store".into() },
-        StorageError::ShardUnavailable { shard: 1, detail: "disk on fire".into() },
+        StorageError::ShardedLayoutRemoved,
         StorageError::RecoveredStateInconsistent { detail: "V diverged".into() },
         StorageError::Warehouse(WarehouseError::UpdateOutsideSources(RelName::new("X"))),
     ];
@@ -574,13 +572,13 @@ fn every_storage_error_code_maps_to_exactly_one_class() {
         );
         assert_eq!(e.is_retryable(), e.class() == ErrorClass::Retryable, "{e}");
     }
+    // DWC-S303 and DWC-S305 retired with the sharded store; never reuse them.
     let codes: Vec<&str> = by_code.keys().copied().collect();
     assert_eq!(
         codes,
         vec![
             "DWC-S001", "DWC-S002", "DWC-S101", "DWC-S102", "DWC-S201", "DWC-S202",
-            "DWC-S301", "DWC-S302", "DWC-S303", "DWC-S304", "DWC-S305", "DWC-S401",
-            "DWC-S901",
+            "DWC-S301", "DWC-S302", "DWC-S304", "DWC-S401", "DWC-S901",
         ],
         "the DWC-SNNN code space changed; update this taxonomy pin"
     );
