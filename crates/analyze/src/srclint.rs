@@ -53,9 +53,10 @@
 //!   tokens (`write!(`, `writeln!(`, `.write_all(`, `.write(`,
 //!   `.write_fmt(`) may appear only inside the line encoder's own
 //!   functions (`push` renders into the buffer, `flush_to` hands the
-//!   buffer to the socket in one `write_all`), so a reply written as
-//!   text-then-newline — two small writes, the second held by Nagle for
-//!   the peer's delayed ACK — cannot come back. A same-line
+//!   buffer to the socket in one `write_all`, `flush_shared_to` hands
+//!   over a memoised reply's shared bytes the same way), so a reply
+//!   written as text-then-newline — two small writes, the second held
+//!   by Nagle for the peer's delayed ACK — cannot come back. A same-line
 //!   `// lint:allow socket_write -- reason` waives one line.
 //!
 //! Comments, string literals, raw strings and char literals are stripped
@@ -155,8 +156,9 @@ const S507_BANNED: &[&str] = &["maintain_by_", "MaintenanceStrategy::"];
 const S509_FILE: &str = "src/serve.rs";
 
 /// The functions of that file allowed to name a write token: the line
-/// encoder's render-into-buffer and its single flush.
-const S509_ALLOWED_FNS: &[&str] = &["push", "flush_to"];
+/// encoder's render-into-buffer, its single flush, and the single write
+/// of a memoised reply.
+const S509_ALLOWED_FNS: &[&str] = &["push", "flush_to", "flush_shared_to"];
 
 /// Write tokens banned outside those functions — all waived by
 /// `socket_write`.
@@ -959,13 +961,16 @@ call(); /* block panic! comment */ after();
             "impl LineBuf {\n    pub fn push(&mut self, t: Arguments) {\n        \
              self.bytes.write_fmt(t).unwrap();\n    }\n    \
              pub fn flush_to<W: Write>(&mut self, w: &mut W) -> io::Result<()> {\n        \
-             w.write_all(&self.bytes)\n    }\n}\n\
+             w.write_all(&self.bytes)\n    }\n    \
+             pub fn flush_shared_to<W: Write>(reply: &[u8], w: &mut W) -> io::Result<()> {\n        \
+             w.write_all(reply)\n    }\n}\n\
              fn respond(w: &Mutex<TcpStream>, line: &str) {\n    \
              writeln!(w.lock().unwrap(), \"{line}\").ok();\n    \
              w.write_all(b\"x\").ok();\n    \
              write!(w, \"y\").ok(); // lint:allow socket_write -- exercising the waiver\n    \
              let s = \"writeln!(\"; // string literal is stripped\n}\n\
              fn chatty(w: &mut TcpStream) { w.write(b\"z\").ok(); }\n\
+             fn send_hit(w: &mut TcpStream, hit: &[u8]) { w.write_all(hit).ok(); }\n\
              #[cfg(test)]\nmod t { fn g(w: &mut Vec<u8>) { writeln!(w, \"t\").ok(); } }\n",
         )
         .unwrap();
@@ -974,9 +979,10 @@ call(); /* block panic! comment */ after();
         let text = report.to_string();
         assert_eq!(
             text.matches("DWC-S509").count(),
-            3,
-            "writeln! + write_all in `respond`, write in `chatty`; the encoder's \
-             two functions, the waiver, the string and the test module exempt:\n{text}"
+            4,
+            "writeln! + write_all in `respond`, write in `chatty`, a memo hit written \
+             by hand in `send_hit`; the encoder's three functions, the waiver, the \
+             string and the test module exempt:\n{text}"
         );
         fs::remove_file(&file).ok();
         fs::remove_dir(&dir).ok();

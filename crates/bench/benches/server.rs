@@ -17,7 +17,10 @@
 //! benchmark's report shape (single-row, FK-ordered, a retire/restore
 //! ring that keeps the state stationary) with fresh sequence numbers
 //! every iteration — the slice-size sweep of one maintenance pass per
-//! group commit. Those rows carry `nproc` and `commit`.
+//! group commit. The `query-reply/{miss,hit}/{Q1,Q8}` rows time the
+//! read side of the same server: one `query` reply evaluated, rendered
+//! and memoised, against one served from the reply memo. Those rows
+//! carry `nproc` and `commit`.
 //! `scripts/bench.sh` collects every line into `BENCH_server.json`.
 
 use dwc_relalg::{Catalog, DbState, Relation, Tuple, Update, Value};
@@ -32,9 +35,11 @@ use dwc_warehouse::{
     AdaptivePolicy, DurabilityConfig, DurableWarehouse, FsMedium, MediumError, StorageMedium,
     WarehouseSpec,
 };
+use dwcomplements::serve::{LineBuf, ReplyMemo};
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// Acked envelopes per timed iteration (all configurations).
 const ENVELOPES: usize = 64;
@@ -222,33 +227,74 @@ impl StarStream {
     }
 }
 
-/// `acks-per-sec/star-batch{1,64}-src1`: what a group commit costs per
-/// envelope once each envelope's report has to be maintained.
-fn star_rows(scratch_dirs: &mut Vec<PathBuf>) {
+/// `dwc serve`'s flagship spec and the wire-to-ack benchmark's base
+/// state (scale 0.05, seed 1999).
+fn star_spec_and_base() -> (WarehouseSpec, DbState) {
     let spec_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/specs/starschema.dwc");
     let text = std::fs::read_to_string(spec_path).expect("spec file ships with the repo");
     let (parsed, report) = dwc_analyze::specfile::parse_spec(&text, spec_path);
     assert!(!report.has_errors(), "{report}");
     let spec = WarehouseSpec::new(parsed.catalog, parsed.views).expect("shipped spec is valid");
     let base = dwc_starschema::generate(&dwc_starschema::ScaleConfig::scaled(0.05), 1999);
-    let stream = StarStream::new(&base);
+    (spec, base)
+}
+
+/// A fresh durable star warehouse over `base` in `dir`.
+fn star_warehouse(
+    spec: &WarehouseSpec,
+    base: &DbState,
+    dir: &Path,
+) -> DurableWarehouse<FsMedium> {
+    let aug = spec.clone().augment().expect("star warehouse augments");
+    let state = aug.materialize(base).expect("W(base)");
+    let integ = Integrator::from_state(aug, state, IntegratorConfig::default()).expect("integrator");
+    let ingest = IngestingIntegrator::new(integ, IngestConfig::default()).expect("ingestor");
+    let medium = FsMedium::new(dir).expect("scratch dir");
+    DurableWarehouse::create(medium, ingest, DurabilityConfig::default()).expect("creates")
+}
+
+/// `query-reply/{miss,hit}/{Q1,Q8}`: one `query` reply as a `dwc serve`
+/// connection builds it from a parsed query, on the star spec at scale
+/// 0.05. A miss looks the query up in an empty memo, evaluates it
+/// against the published snapshot, renders the reply and stores it; a
+/// hit finds the stored bytes. Either way the reply leaves in one write
+/// (to a sink here).
+fn query_rows(spec: &WarehouseSpec, base: &DbState, scratch_dirs: &mut Vec<PathBuf>) {
+    let dir = scratch("query-reply");
+    scratch_dirs.push(dir.clone());
+    let client =
+        ServerCore::new(star_warehouse(spec, base, &dir), BatchPolicy::default()).query_client();
+    let workload = dwc_starschema::queries::workload();
+    let group = dwc_bench::stamped("server");
+    let mut out = LineBuf::new();
+    for (name, long) in [("Q1", "Q1-dim-scan"), ("Q8", "Q8-bulk-join")] {
+        let q = &workload.iter().find(|w| w.name == long).expect("fixed workload").expr;
+        group.run(&format!("query-reply/miss/{name}"), || {
+            let memo = ReplyMemo::new();
+            assert!(memo.answer(&client, q.clone(), &mut out).is_none(), "an empty memo misses");
+            out.flush_to(&mut io::sink()).expect("a sink accepts everything");
+        });
+        let memo = ReplyMemo::new();
+        memo.answer(&client, q.clone(), &mut out);
+        out.flush_to(&mut io::sink()).expect("a sink accepts everything");
+        group.run(&format!("query-reply/hit/{name}"), || {
+            let reply = memo.answer(&client, q.clone(), &mut out).expect("stored by the miss");
+            LineBuf::flush_shared_to(&reply, &mut io::sink()).expect("a sink accepts everything");
+        });
+    }
+}
+
+/// `acks-per-sec/star-batch{1,64}-src1`: what a group commit costs per
+/// envelope once each envelope's report has to be maintained.
+fn star_rows(spec: &WarehouseSpec, base: &DbState, scratch_dirs: &mut Vec<PathBuf>) {
+    let stream = StarStream::new(base);
     let (nproc, commit) = dwc_bench::host_stamp();
     let source = SourceId::new("bench");
 
     for &max_batch in &[1usize, 64] {
         let dir = scratch(&format!("star-b{max_batch}"));
         scratch_dirs.push(dir.clone());
-        let aug = spec.clone().augment().expect("star warehouse augments");
-        let state = aug.materialize(&base).expect("W(base)");
-        let integ =
-            Integrator::from_state(aug, state, IntegratorConfig::default()).expect("integrator");
-        let ingest = IngestingIntegrator::new(integ, IngestConfig::default()).expect("ingestor");
-        let mut dw = DurableWarehouse::create(
-            FsMedium::new(&dir).expect("scratch dir"),
-            ingest,
-            DurabilityConfig::default(),
-        )
-        .expect("creates");
+        let mut dw = star_warehouse(spec, base, &dir);
         dw.set_maintenance_policy(AdaptivePolicy::adaptive()).expect("policy persists");
         let mut core =
             ServerCore::new(dw, BatchPolicy { max_batch, max_wait_micros: 1_000_000 });
@@ -357,7 +403,9 @@ fn main() {
         }
     }
 
-    star_rows(&mut scratch_dirs);
+    let (spec, base) = star_spec_and_base();
+    star_rows(&spec, &base, &mut scratch_dirs);
+    query_rows(&spec, &base, &mut scratch_dirs);
 
     for dir in scratch_dirs {
         let _ = std::fs::remove_dir_all(dir);

@@ -448,7 +448,17 @@ impl QueryClient {
     /// Answers `q` against the current snapshot, returning the epoch it
     /// was evaluated at alongside the result.
     pub fn answer(&self, q: &RaExpr) -> Result<(u64, Relation), WarehouseError> {
-        let snap = self.reader.load();
+        self.answer_at(&self.reader.load(), q)
+    }
+
+    /// Answers `q` against the given published snapshot — one a caller
+    /// loaded earlier with [`QueryClient::snapshot`] — returning its
+    /// epoch alongside the result.
+    pub fn answer_at(
+        &self,
+        snap: &StateEpoch,
+        q: &RaExpr,
+    ) -> Result<(u64, Relation), WarehouseError> {
         let rel = self.warehouse.answer_at_warehouse(q, &snap.state)?;
         Ok((snap.epoch, rel))
     }

@@ -191,9 +191,20 @@ echo "ok: planner differential + cost analyzer green"
 # option: 200 round trips in under a second (8.8 s behind the
 # delayed-ACK stall), pipelined acks in order around intact `result`
 # replies, EOF and no leftover thread after `quit`. Step 7's srclint
-# S509 keeps socket writes confined to the encoder.
+# S509 keeps socket writes confined to the encoder. The reply memo: a
+# hit is the same one write with the miss's bytes, and the seeded
+# loopback property (reports committed between and racing queries on
+# three connections) finds every reply byte-identical to the fresh reply
+# of the epoch in its header, never older than the acked prefix, and no
+# connection's epoch going backwards. The run above uses the property's
+# baked-in seeds; the sweep pins them and two more.
 echo "wire properties: tests/wire_props.rs"
 cargo test -q --release --test wire_props
+for seeds in "5567941516665618433 1049554927718570583" "2027 271828182845904523"; do
+  echo "memo schedule sweep: DWC_SCHED_SEEDS=\"$seeds\""
+  DWC_SCHED_SEEDS="$seeds" cargo test -q --release --test wire_props \
+    every_reply_is_the_fresh_reply_of_its_epoch_and_epochs_never_go_back
+done
 echo "ok: reply path green"
 
 # --- 15. one pass per group commit: slicing differential ----------------

@@ -18,14 +18,17 @@
 //!   after their batch's fsync;
 //! * queries never touch the engine thread at all: every connection
 //!   holds a [`QueryClient`] answering against published epoch
-//!   snapshots.
+//!   snapshots, and all of them share the server's one [`ReplyMemo`],
+//!   so a query asked again within an epoch is served from the bytes
+//!   its first answer left, not evaluated again.
 //!
 //! ## The reply path: one reply, one write
 //!
 //! Accepted sockets are `TCP_NODELAY`, and every reply — header, all
 //! rows, trailing newline — is rendered into the writer's reusable
 //! [`LineBuf`] *before* the socket mutex is taken and leaves in a single
-//! `write_all`. The ack writer blocks for one event, drains whatever
+//! `write_all`; a memoised `result` leaves the same way, straight from
+//! its shared bytes. The ack writer blocks for one event, drains whatever
 //! else the engine released meanwhile, and writes the batch the same
 //! way, so a 64-envelope group commit costs its session one write, not
 //! 128. A reply written as text-then-newline (two small writes) is held
@@ -89,12 +92,12 @@ use crate::warehouse::{
     AdaptivePolicy, DurabilityConfig, DurableWarehouse, Envelope, FsMedium, IngestConfig,
     IngestingIntegrator, Recovery, SourceId, StorageError, WarehouseSpec,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -181,11 +184,16 @@ pub enum SessionEvent {
     Error(String),
 }
 
+/// Capacity a [`LineBuf`] keeps across flushes: one large `result` must
+/// not pin its size for the rest of a connection's life.
+pub const LINEBUF_KEEP: usize = 64 << 10;
+
 /// The line encoder every socket write in this module goes through.
 /// Protocol lines are rendered into one reusable byte buffer and leave
 /// through [`LineBuf::flush_to`] as a single `write`: one per reply, one
-/// per drained ack batch, one per client request (srclint S509 keeps
-/// socket writes from appearing anywhere else in this file).
+/// per drained ack batch, one per client request; a memoised reply
+/// leaves through [`LineBuf::flush_shared_to`], also as one (srclint
+/// S509 keeps socket writes from appearing anywhere else in this file).
 #[derive(Default)]
 pub struct LineBuf {
     bytes: Vec<u8>,
@@ -235,12 +243,26 @@ impl LineBuf {
         &self.bytes
     }
 
+    /// The buffer's current allocation, in bytes.
+    pub fn capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+
     /// Hands everything encoded so far to `w` in one `write_all` and
-    /// empties the buffer, keeping its capacity for the next reply.
+    /// empties the buffer, keeping at most [`LINEBUF_KEEP`] bytes of
+    /// capacity for the next reply.
     pub fn flush_to<W: Write>(&mut self, w: &mut W) -> io::Result<()> {
         let written = w.write_all(&self.bytes);
         self.bytes.clear();
+        self.bytes.shrink_to(LINEBUF_KEEP);
         written
+    }
+
+    /// Hands a reply encoded earlier — a memoised one, shared between
+    /// connections — to `w` in one `write_all`, without copying it into
+    /// a buffer first.
+    pub fn flush_shared_to<W: Write>(reply: &[u8], w: &mut W) -> io::Result<()> {
+        w.write_all(reply)
     }
 }
 
@@ -250,6 +272,142 @@ impl LineBuf {
 fn send<W: Write>(socket: &Mutex<W>, lines: &mut LineBuf) -> io::Result<()> {
     let mut w = socket.lock().unwrap_or_else(PoisonError::into_inner);
     lines.flush_to(&mut *w)
+}
+
+/// [`send`] for a memoised reply: its shared bytes, as they are.
+fn send_shared<W: Write>(socket: &Mutex<W>, reply: &[u8]) -> io::Result<()> {
+    let mut w = socket.lock().unwrap_or_else(PoisonError::into_inner);
+    LineBuf::flush_shared_to(reply, &mut *w)
+}
+
+/// Most `query` replies the memo keeps for one epoch.
+const MEMO_ENTRIES: usize = 64;
+
+/// Most reply bytes the memo keeps for one epoch. The largest reply of
+/// the star-schema workload (Q8, 2.2k rows) is ≈ 130 KiB.
+const MEMO_BYTES: usize = 1 << 20;
+
+/// The server's one reply memo, shared by every connection. A reply is
+/// a pure function of the source query and the published state
+/// (Theorem 3.1: `Q̄(W(d))`), and an epoch's state never changes once
+/// published, so the exact bytes of a `result` reply, header included,
+/// can be sent again to any connection that asks the same query at the
+/// same epoch. Keys are parsed source queries compared by full equality:
+/// a hit never translates, and a miss translates in microseconds.
+///
+/// The memo holds one epoch at a time. Storing a reply of a newer epoch
+/// drops the older epoch's replies; a reply of an older epoch — from a
+/// reader that loaded its snapshot before the latest publish — is never
+/// stored, so it cannot stand in for a newer one. Per epoch it keeps at
+/// most [`MEMO_ENTRIES`] replies and [`MEMO_BYTES`] bytes; a reply past
+/// either ceiling is served fresh and counted. `err` replies are never
+/// stored. No lock is held while a query is evaluated or a reply is
+/// written.
+#[derive(Default)]
+pub struct ReplyMemo {
+    memo: Mutex<Memo>,
+}
+
+#[derive(Default)]
+struct Memo {
+    epoch: u64,
+    replies: HashMap<RaExpr, Arc<[u8]>>,
+    bytes: usize,
+    stats: MemoStats,
+}
+
+/// What a [`ReplyMemo`] has done since it was created: the `answers=`
+/// group of the `stats` reply.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Replies sent from the memo.
+    pub hits: u64,
+    /// Replies evaluated: every lookup that found nothing.
+    pub misses: u64,
+    /// The most bytes the memo has held for one epoch.
+    pub bytes: usize,
+    /// Result replies not stored because an epoch's ceiling was reached.
+    pub over: u64,
+}
+
+impl ReplyMemo {
+    /// An empty memo.
+    pub fn new() -> ReplyMemo {
+        ReplyMemo::default()
+    }
+
+    /// Answers `q` at the snapshot `client` publishes now. On a hit the
+    /// stored reply comes back, for the caller to write as it is; on a
+    /// miss `q` is evaluated against that same snapshot, the reply is
+    /// rendered into `out` (which must be empty) and `None` comes back.
+    pub fn answer(
+        &self,
+        client: &QueryClient,
+        q: RaExpr,
+        out: &mut LineBuf,
+    ) -> Option<Arc<[u8]>> {
+        let snap = client.snapshot();
+        if let Some(hit) = self.get(snap.epoch, &q) {
+            return Some(hit);
+        }
+        match client.answer_at(&snap, &q) {
+            Ok((epoch, rel)) => {
+                out.result(epoch, &rel);
+                self.insert(epoch, q, out.as_bytes());
+            }
+            Err(e) => out.line(format_args!("err {e}")),
+        }
+        None
+    }
+
+    /// The counters so far.
+    pub fn stats(&self) -> MemoStats {
+        self.lock().stats
+    }
+
+    // Every update below leaves the memo consistent, so a panic while
+    // holding the lock cannot leave it half-changed.
+    fn lock(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, epoch: u64, q: &RaExpr) -> Option<Arc<[u8]>> {
+        let mut memo = self.lock();
+        let hit = (memo.epoch == epoch).then(|| memo.replies.get(q).cloned()).flatten();
+        match hit {
+            Some(_) => memo.stats.hits += 1,
+            None => memo.stats.misses += 1,
+        }
+        hit
+    }
+
+    fn insert(&self, epoch: u64, q: RaExpr, reply: &[u8]) {
+        let shared: Option<Arc<[u8]>> = (reply.len() <= MEMO_BYTES).then(|| reply.into());
+        let mut memo = self.lock();
+        // A reader that loaded its snapshot before the latest publish:
+        // its reply must not land in the newer epoch's map.
+        if epoch < memo.epoch {
+            return;
+        }
+        if epoch > memo.epoch {
+            memo.epoch = epoch;
+            memo.replies.clear();
+            memo.bytes = 0;
+        }
+        if memo.replies.contains_key(&q) {
+            return;
+        }
+        match shared {
+            Some(bytes)
+                if memo.replies.len() < MEMO_ENTRIES && memo.bytes + bytes.len() <= MEMO_BYTES =>
+            {
+                memo.bytes += bytes.len();
+                memo.stats.bytes = memo.stats.bytes.max(memo.bytes);
+                memo.replies.insert(q, bytes);
+            }
+            _ => memo.stats.over += 1,
+        }
+    }
 }
 
 /// A session's ack writer: blocks for one event, drains whatever else
@@ -367,18 +525,21 @@ pub fn serve(
 /// thread per client. Returns only if the engine thread cannot start.
 pub fn run(listener: TcpListener, core: ServerCore<FsMedium>, catalog: Catalog) -> io::Result<()> {
     let query = core.query_client();
+    let memo = Arc::new(ReplyMemo::new());
     let (engine_tx, engine_rx) = mpsc::channel::<EngineMsg>();
+    let engine_memo = Arc::clone(&memo);
     thread::Builder::new()
         .name("dwc-engine".to_owned())
-        .spawn(move || run_engine(core, engine_rx))?;
+        .spawn(move || run_engine(core, engine_rx, &engine_memo))?;
 
     for stream in listener.incoming() {
         let spawned = stream.and_then(|stream| {
             let tx = engine_tx.clone();
             let query = query.clone();
+            let memo = Arc::clone(&memo);
             let catalog = catalog.clone();
             thread::Builder::new().name("dwc-conn".to_owned()).spawn(move || {
-                match handle_connection(stream, &tx, &query, &catalog) {
+                match handle_connection(stream, &tx, &query, &memo, &catalog) {
                     // A client that hangs up mid-reply is an ordinary end.
                     Err(e) if !peer_gone(&e) => eprintln!("connection error: {e}"),
                     _ => {}
@@ -398,7 +559,7 @@ fn peer_gone(e: &io::Error) -> bool {
 
 /// The single-writer commit loop: drains connection events, arms its
 /// sleep from the batcher deadline, and routes acks back per session.
-fn run_engine(mut core: ServerCore<FsMedium>, rx: mpsc::Receiver<EngineMsg>) {
+fn run_engine(mut core: ServerCore<FsMedium>, rx: mpsc::Receiver<EngineMsg>, memo: &ReplyMemo) {
     let start = Instant::now();
     let mut acks = AckRoutes::new();
     let mut next_serial = 0u64;
@@ -455,11 +616,12 @@ fn run_engine(mut core: ServerCore<FsMedium>, rx: mpsc::Receiver<EngineMsg>) {
                     Health::ReadOnly { .. } => "read-only".to_owned(),
                 };
                 let p = core.warehouse().ingestor().policy().stats();
+                let m = memo.stats();
                 let _ = reply.send(format!(
                     "stats epoch={} delivered={} batches={} acks={} wal_syncs={} \
                      group_commits={} generation={} health={} parked={} \
                      planner=plans:{},incr:{},mirr:{},recon:{},mispredict:{},passes:{},\
-                     fallbacks:{}",
+                     fallbacks:{} answers=hits:{},misses:{},bytes:{},over:{}",
                     core.commit_epoch(),
                     s.delivered,
                     s.batches_committed,
@@ -476,6 +638,10 @@ fn run_engine(mut core: ServerCore<FsMedium>, rx: mpsc::Receiver<EngineMsg>) {
                     p.mispredictions,
                     p.passes,
                     p.fallbacks,
+                    m.hits,
+                    m.misses,
+                    m.bytes,
+                    m.over,
                 ));
             }
             Err(mpsc::RecvTimeoutError::Timeout) => match core.tick(now(&start)) {
@@ -536,13 +702,14 @@ fn handle_connection(
     stream: TcpStream,
     engine: &mpsc::Sender<EngineMsg>,
     query: &QueryClient,
+    memo: &ReplyMemo,
     catalog: &Catalog,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let reader = BufReader::new(stream.try_clone()?);
     let socket = Arc::new(Mutex::new(stream));
     let mut route = None;
-    let outcome = converse(reader, &socket, engine, query, catalog, &mut route);
+    let outcome = converse(reader, &socket, engine, query, memo, catalog, &mut route);
     if let Some(route) = route {
         let _ = engine.send(EngineMsg::Disconnect { route });
     }
@@ -558,6 +725,7 @@ fn converse(
     socket: &Arc<Mutex<TcpStream>>,
     engine: &mpsc::Sender<EngineMsg>,
     query: &QueryClient,
+    memo: &ReplyMemo,
     catalog: &Catalog,
     route: &mut Option<AckRoute>,
 ) -> io::Result<()> {
@@ -648,10 +816,11 @@ fn converse(
                 }
             },
             "query" => match RaExpr::parse(rest) {
-                Ok(q) => match query.answer(&q) {
-                    Ok((epoch, rel)) => reply.result(epoch, &rel),
-                    Err(e) => reply.line(format_args!("err {e}")),
-                },
+                Ok(q) => {
+                    if let Some(shared) = memo.answer(query, q, &mut reply) {
+                        send_shared(socket, &shared)?;
+                    }
+                }
                 Err(e) => reply.line(format_args!("err {e}")),
             },
             "ping" => match grant {
@@ -813,5 +982,98 @@ mod tests {
         assert!(parse_report(&cat, &src, "x 0 insert R (a=1, b=2)").is_err());
         assert!(parse_report(&cat, &src, "0 0 upsert R (a=1, b=2)").is_err());
         assert!(parse_report(&cat, &src, "0 0 insert Ghost (a=1)").is_err());
+    }
+
+    fn query(text: &str) -> RaExpr {
+        RaExpr::parse(text).expect("static query")
+    }
+
+    #[test]
+    fn memo_keeps_the_newest_epoch_only_and_ignores_stale_inserts() {
+        let memo = ReplyMemo::new();
+        let (r, pi) = (query("R"), query("pi[a](R)"));
+        memo.insert(2, r.clone(), b"result 2 0 tuple(s)\n");
+        assert_eq!(memo.get(2, &r).as_deref(), Some(&b"result 2 0 tuple(s)\n"[..]));
+        assert_eq!(memo.get(3, &r), None, "a reply answers its own epoch only");
+
+        // A newer epoch's reply replaces the whole map.
+        memo.insert(3, pi.clone(), b"result 3 0 tuple(s)\n");
+        assert_eq!(memo.get(2, &r), None);
+        assert_eq!(memo.get(3, &r), None);
+        assert!(memo.get(3, &pi).is_some());
+        assert_eq!(memo.get(4, &pi), None, "nothing is stored for epoch 4 yet");
+
+        // A slow reader's reply of epoch 2 arrives late: dropped, and the
+        // epoch-3 entries stay.
+        memo.insert(2, r.clone(), b"result 2 0 tuple(s)\n");
+        assert_eq!(memo.get(3, &r), None);
+        assert_eq!(memo.get(2, &r), None);
+        assert!(memo.get(3, &pi).is_some());
+
+        // A second insert of a stored key (two connections missed at
+        // once) keeps the first and counts nothing.
+        memo.insert(3, pi.clone(), b"other");
+        assert_eq!(memo.get(3, &pi).as_deref(), Some(&b"result 3 0 tuple(s)\n"[..]));
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses, s.over), (4, 6, 0));
+        assert_eq!(s.bytes, 20);
+    }
+
+    #[test]
+    fn memo_ceilings_hold_per_epoch() {
+        let memo = ReplyMemo::new();
+        let key = |i: usize| query(&format!("sigma[a = {i}](R)"));
+        for i in 0..=MEMO_ENTRIES {
+            memo.insert(1, key(i), b"x\n");
+        }
+        assert!(memo.get(1, &key(MEMO_ENTRIES - 1)).is_some());
+        assert_eq!(memo.get(1, &key(MEMO_ENTRIES)), None, "entry ceiling");
+        assert_eq!(memo.stats().over, 1);
+
+        // Bytes: two replies of just over half the ceiling do not both fit,
+        // and one reply larger than the ceiling never fits.
+        let half = vec![b'x'; MEMO_BYTES / 2 + 1];
+        memo.insert(2, key(0), &half);
+        memo.insert(2, key(1), &half);
+        memo.insert(2, key(2), &vec![b'x'; MEMO_BYTES + 1]);
+        assert!(memo.get(2, &key(0)).is_some());
+        assert_eq!(memo.get(2, &key(1)), None);
+        assert_eq!(memo.get(2, &key(2)), None);
+        let s = memo.stats();
+        assert_eq!(s.over, 3);
+        assert_eq!(s.bytes, MEMO_BYTES / 2 + 1, "high-water mark");
+
+        // A newer epoch starts with the whole budget again.
+        memo.insert(3, key(1), &half);
+        assert!(memo.get(3, &key(1)).is_some());
+    }
+
+    #[test]
+    fn memo_serves_results_again_but_never_errors() {
+        let dir = std::env::temp_dir().join(format!("dwc-serve-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = WarehouseSpec::parse(chain_catalog(), &[("V", "R")]).expect("static spec");
+        let core = open_core(spec, &dir.to_string_lossy(), &ServeOptions::default())
+            .expect("fresh store opens");
+        let client = core.query_client();
+        let memo = ReplyMemo::new();
+        let mut out = LineBuf::new();
+
+        for _ in 0..2 {
+            assert!(memo.answer(&client, query("Ghost"), &mut out).is_none());
+            assert!(out.as_bytes().starts_with(b"err "), "{:?}", out.as_bytes());
+            out.flush_to(&mut io::sink()).expect("sink");
+        }
+        assert!(memo.answer(&client, query("R"), &mut out).is_none(), "first ask misses");
+        let fresh = out.as_bytes().to_vec();
+        assert_eq!(fresh, b"result 1 0 tuple(s)\n");
+        out.flush_to(&mut io::sink()).expect("sink");
+        let hit = memo.answer(&client, query("R"), &mut out).expect("second ask hits");
+        assert_eq!(&hit[..], &fresh[..]);
+        assert!(out.as_bytes().is_empty(), "a hit renders nothing");
+
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses, s.bytes, s.over), (1, 3, fresh.len(), 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,15 +15,28 @@
 //! * The lifetime: after `quit` the client reads EOF and no connection
 //!   or ack-writer thread is left behind; a reconnecting source's late
 //!   disconnect does not take its successor's ack route with it.
+//! * The reply memo: a reply served from it is the same single write
+//!   with the same bytes as the fresh one, and over seeded schedules of
+//!   reports and queries on several connections every reply is exactly
+//!   the fresh reply of the epoch in its header, never older than what
+//!   was acked before the query was sent, and no connection ever sees
+//!   its epoch go backwards.
 
+use dwc_testkit::rng::SplitMix64;
+use dwc_testkit::sched::sched_seeds;
 use dwcomplements::analyze::specfile;
-use dwcomplements::relalg::{Relation, Value};
-use dwcomplements::serve::{self, LineBuf, ServeOptions, SessionEvent};
-use dwcomplements::warehouse::server::{Ack, AckOutcome, SessionId};
-use dwcomplements::warehouse::{SourceId, WarehouseSpec};
+use dwcomplements::relalg::{DbState, EpochReader, RaExpr, Relation, StateEpoch, Value};
+use dwcomplements::serve::{self, LineBuf, ReplyMemo, ServeOptions, SessionEvent, LINEBUF_KEEP};
+use dwcomplements::warehouse::integrator::{Integrator, IntegratorConfig};
+use dwcomplements::warehouse::server::{Ack, AckOutcome, QueryClient, SessionId};
+use dwcomplements::warehouse::{
+    AugmentedWarehouse, BatchPolicy, DurabilityConfig, DurableWarehouse, FsMedium, IngestConfig,
+    IngestingIntegrator, ServerCore, SourceId, WarehouseSpec,
+};
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -126,7 +139,64 @@ fn a_result_reply_of_any_size_is_one_write_with_the_writeln_bytes() {
         assert_eq!(new.writes, 1, "{rows} rows");
         assert_eq!(new.bytes, old.bytes, "{rows} rows");
         assert_eq!(new.bytes.iter().filter(|b| **b == b'\n').count(), rows + 1);
+        if rows == 2000 {
+            assert!(new.bytes.len() > LINEBUF_KEEP, "the reply outgrows what the buffer keeps");
+            assert!(reply.capacity() <= LINEBUF_KEEP, "kept {} bytes", reply.capacity());
+        }
     }
+}
+
+/// The star-schema spec every server in this file serves.
+fn star_spec() -> WarehouseSpec {
+    let spec_path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/specs/starschema.dwc");
+    let text = std::fs::read_to_string(spec_path).expect("spec readable");
+    let (spec, report) = specfile::parse_spec(&text, spec_path);
+    assert!(!report.has_errors(), "{report}");
+    WarehouseSpec::new(spec.catalog, spec.views).expect("usable spec")
+}
+
+/// A query client over a fresh store whose only rows are
+/// `customers(rows)`.
+fn client_over_customers(rows: usize) -> QueryClient {
+    let aug = star_spec().augment().expect("star spec augments");
+    let mut base = DbState::empty_for(aug.catalog());
+    base.insert_relation("Customer", customers(rows));
+    let state = aug.materialize(&base).expect("W(base)");
+    let integ = Integrator::from_state(aug, state, IntegratorConfig::default()).expect("integrator");
+    let ingest = IngestingIntegrator::new(integ, IngestConfig::default()).expect("ingestor");
+    let dir = format!("{}/wire_props-customers", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let medium = FsMedium::new(&dir).expect("scratch dir");
+    let dw = DurableWarehouse::create(medium, ingest, DurabilityConfig::default()).expect("creates");
+    ServerCore::new(dw, BatchPolicy::default()).query_client()
+}
+
+#[test]
+fn a_memo_hit_is_one_write_with_the_bytes_of_the_miss() {
+    let client = client_over_customers(2000);
+    let memo = ReplyMemo::new();
+    let mut reply = LineBuf::new();
+    for rows in [0, 1, 3, 2000] {
+        let q = RaExpr::parse(&format!("sigma[custkey < {rows}](Customer)")).expect("parses");
+        let (epoch, rel) = client.answer(&q).expect("answers");
+        assert_eq!(rel.len(), rows);
+        let mut old = CountingWriter::default();
+        respond_with_writeln(&mut old, &result_with_format(epoch, &rel));
+
+        let mut miss = CountingWriter::default();
+        assert!(memo.answer(&client, q.clone(), &mut reply).is_none(), "first ask misses");
+        reply.flush_to(&mut miss).expect("flushes");
+        let mut hit = CountingWriter::default();
+        let shared = memo.answer(&client, q, &mut reply).expect("second ask hits");
+        assert!(reply.as_bytes().is_empty(), "a hit is never copied into the buffer");
+        LineBuf::flush_shared_to(&shared, &mut hit).expect("flushes");
+
+        assert_eq!((miss.writes, hit.writes), (1, 1), "{rows} rows");
+        assert_eq!(miss.bytes, old.bytes, "{rows} rows");
+        assert_eq!(hit.bytes, old.bytes, "{rows} rows");
+    }
+    let stats = memo.stats();
+    assert_eq!((stats.hits, stats.misses, stats.over), (4, 4, 0));
 }
 
 #[test]
@@ -215,29 +285,30 @@ fn exclusive() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Starts the real acceptor, engine and connection threads once, on a
-/// fresh store under the target directory, and returns the bound address.
+/// Starts the real acceptor, engine and connection threads on a fresh
+/// store named `tag` under the target directory; returns the bound
+/// address and a reader onto the epochs the server publishes.
+fn start_server(tag: &str) -> (SocketAddr, EpochReader) {
+    let spec = star_spec();
+    let dir = format!("{}/{tag}", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let catalog = spec.catalog().clone();
+    let core = serve::open_core(spec, &dir, &ServeOptions::default()).expect("store opens");
+    let epochs = core.reader();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let addr = listener.local_addr().expect("bound");
+    // `run` accepts forever; the thread ends with the test process.
+    std::thread::Builder::new()
+        .name("wire-accept".to_owned())
+        .spawn(move || serve::run(listener, core, catalog))
+        .expect("spawns");
+    (addr, epochs)
+}
+
+/// The server the loopback tests share, started once.
 fn server() -> SocketAddr {
     static ADDR: OnceLock<SocketAddr> = OnceLock::new();
-    *ADDR.get_or_init(|| {
-        let spec_path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/specs/starschema.dwc");
-        let text = std::fs::read_to_string(spec_path).expect("spec readable");
-        let (spec, report) = specfile::parse_spec(&text, spec_path);
-        assert!(!report.has_errors(), "{report}");
-        let spec = WarehouseSpec::new(spec.catalog, spec.views).expect("usable spec");
-        let dir = format!("{}/wire_props-store", env!("CARGO_TARGET_TMPDIR"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let catalog = spec.catalog().clone();
-        let core = serve::open_core(spec, &dir, &ServeOptions::default()).expect("store opens");
-        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
-        let addr = listener.local_addr().expect("bound");
-        // `run` accepts forever; the thread ends with the test process.
-        std::thread::Builder::new()
-            .name("wire-accept".to_owned())
-            .spawn(move || serve::run(listener, core, catalog))
-            .expect("spawns");
-        addr
-    })
+    *ADDR.get_or_init(|| start_server("wire_props-store").0)
 }
 
 /// A client as plain as they come: no socket options, one `write` per
@@ -250,7 +321,11 @@ struct Client {
 
 impl Client {
     fn connect() -> Client {
-        let stream = TcpStream::connect(server()).expect("connects");
+        Client::connect_to(server())
+    }
+
+    fn connect_to(addr: SocketAddr) -> Client {
+        let stream = TcpStream::connect(addr).expect("connects");
         stream
             .set_read_timeout(Some(Duration::from_secs(20)))
             .expect("sets timeout");
@@ -295,6 +370,26 @@ impl Client {
             assert!(row.starts_with("  ("), "reply torn by `{row}`");
         }
         rows
+    }
+
+    /// Reads one whole `query` reply: its exact bytes, and the epoch in
+    /// its header (`None` for an `err` reply).
+    fn reply(&mut self) -> (Option<u64>, String) {
+        let header = self.read().expect("a reply, not EOF");
+        let mut bytes = format!("{header}\n");
+        if header.starts_with("err ") {
+            return (None, bytes);
+        }
+        let fields: Vec<&str> = header.split(' ').collect();
+        let ["result", epoch, rows, "tuple(s)"] = fields[..] else {
+            panic!("not a result header: `{header}`");
+        };
+        let epoch = epoch.parse().expect("epoch");
+        for _ in 0..rows.parse::<usize>().expect("row count") {
+            bytes.push_str(&self.read().expect("a row, not EOF"));
+            bytes.push('\n');
+        }
+        (Some(epoch), bytes)
     }
 }
 
@@ -435,4 +530,123 @@ fn a_late_disconnect_leaves_the_successors_ack_route_alone() {
         "report {epoch} {seq} insert Supplier (suppkey=1, sname='s', snation='FRANCE')"
     ));
     assert_eq!(second.read().as_deref(), Some(&*format!("ack {epoch} {seq} applied 1")));
+}
+
+// ---------------------------------------------------------------------
+// The reply memo: every reply is the fresh reply of its epoch
+// ---------------------------------------------------------------------
+
+/// The memo property's schedules; `DWC_SCHED_SEEDS` replaces them
+/// (verify.sh step 14 pins them).
+const MEMO_SEEDS: [u64; 2] = [0x4D45_4D4F_2701_0001, 0x0E90_C4A5_5EED_1A57];
+
+/// What the property's query connections ask: repeats of a few queries,
+/// some the reports change and some they do not, and one that fails.
+const MEMO_QUERIES: [&str; 6] = [
+    "Customer",
+    "sigma[cnation = 'FR'](Customer)",
+    "pi[cnation](Customer)",
+    "pi[orderkey](Orders join sigma[cnation = 'FR'](Customer))",
+    "pi[partkey](Part) minus pi[partkey](Lineitem)",
+    "Ghost",
+];
+
+#[test]
+fn every_reply_is_the_fresh_reply_of_its_epoch_and_epochs_never_go_back() {
+    let _one_at_a_time = exclusive();
+    let oracle = star_spec().augment().expect("star spec augments");
+    for seed in sched_seeds(&MEMO_SEEDS) {
+        memo_schedule(seed, &oracle);
+    }
+}
+
+/// One seeded schedule against a fresh server: a source commits
+/// customer inserts and deletes one at a time, sometimes awaiting the
+/// ack before the next query round and sometimes racing it; each round
+/// sends one query on a random subset of three connections before
+/// reading any reply. The test is the only writer, so after each ack the
+/// published epoch is exactly the state that report produced.
+fn memo_schedule(seed: u64, oracle: &AugmentedWarehouse) {
+    let (addr, epochs) = start_server(&format!("wire_props-memo-{seed}"));
+    let mut rng = SplitMix64::new(seed);
+    let mut states: BTreeMap<u64, Arc<StateEpoch>> = BTreeMap::new();
+    let first = epochs.load();
+    states.insert(first.epoch, first);
+
+    let mut source = Client::connect_to(addr);
+    let grant = source.call("hello memo");
+    let fields: Vec<&str> = grant.split(' ').collect();
+    let ["session", _, src_epoch, "0"] = fields[..] else {
+        panic!("fresh source expected, got `{grant}`");
+    };
+    let src_epoch = src_epoch.to_owned();
+    let mut readers: Vec<Client> = (0..3).map(|_| Client::connect_to(addr)).collect();
+    let mut seen = vec![0u64; readers.len()];
+    let (mut seq, mut next_key, mut live) = (0u64, 0u64, Vec::<(u64, &str)>::new());
+
+    for step in 0..48 {
+        let report = rng.chance(1, 2);
+        if report {
+            let (verb, (key, nation)) = if !live.is_empty() && rng.chance(1, 3) {
+                ("delete", live.swap_remove(rng.index(live.len())))
+            } else {
+                next_key += 1;
+                live.push((next_key, if rng.bool() { "FR" } else { "DE" }));
+                ("insert", live[live.len() - 1])
+            };
+            source.send(&format!(
+                "report {src_epoch} {seq} {verb} Customer \
+                 (custkey={key}, cname='c{key}', cnation='{nation}')"
+            ));
+        }
+        let floor = *states.keys().next_back().expect("epoch 1 is recorded");
+        let q = *rng.pick(&MEMO_QUERIES);
+        let asked: Vec<usize> = (0..readers.len()).filter(|_| rng.chance(2, 3)).collect();
+        for &i in &asked {
+            readers[i].send(&format!("query {q}"));
+        }
+        let replies: Vec<(usize, (Option<u64>, String))> =
+            asked.iter().map(|&i| (i, readers[i].reply())).collect();
+        if report {
+            let ack = source.read().expect("an ack, not EOF");
+            assert_eq!(ack, format!("ack {src_epoch} {seq} applied 1"), "seed {seed}");
+            seq += 1;
+            let snap = epochs.load();
+            states.insert(snap.epoch, snap);
+        }
+
+        let ceiling = *states.keys().next_back().expect("recorded");
+        let expr = RaExpr::parse(q).expect("parses");
+        for (i, (epoch, bytes)) in replies {
+            let at = epoch.unwrap_or(ceiling);
+            let mut fresh = LineBuf::new();
+            match oracle.answer_at_warehouse(&expr, &states[&at].state) {
+                Ok(rel) => fresh.result(at, &rel),
+                Err(e) => fresh.line(format_args!("err {e}")),
+            }
+            let context = format!("seed {seed} step {step} connection {i} `{q}`");
+            assert_eq!(bytes.as_bytes(), fresh.as_bytes(), "{context}");
+            if let Some(e) = epoch {
+                assert!(
+                    (floor..=ceiling).contains(&e),
+                    "{context}: epoch {e} outside [{floor}, {ceiling}]"
+                );
+                assert!(e >= seen[i], "{context}: epoch {e} after {}", seen[i]);
+                seen[i] = e;
+            }
+        }
+    }
+
+    // The schedule must have exercised the memo, not only fresh answers.
+    let stats = readers[0].call("stats");
+    let hits: u64 = stats
+        .split([' ', ','])
+        .find_map(|kv| kv.strip_prefix("answers=hits:"))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no answers= group in `{stats}`"));
+    assert!(hits > 0, "seed {seed}: no reply came from the memo: {stats}");
+    for mut client in readers.into_iter().chain([source]) {
+        client.send("quit");
+        assert_eq!(client.read(), None);
+    }
 }
