@@ -1,7 +1,7 @@
 //! Serving under a fallible medium: what degraded mode costs.
 //!
-//! Drives [`ServerCore`] end to end over the fault-injecting
-//! [`FaultyFs`] at increasing transient-error rates (0‰ / 50‰ / 200‰ on
+//! Drives [`ServerCore`] end to end over the simulated disk
+//! ([`SimDisk`]) at increasing transient-error rates (0‰ / 50‰ / 200‰ on
 //! appends and fsyncs), reporting wall-clock acked envelopes per second
 //! with the retry/backoff machinery absorbing every injected fault —
 //! every run must still ack all `ENVELOPES` envelopes (the completeness
@@ -14,17 +14,14 @@
 //! `BENCH_faults.json`.
 
 use dwc_relalg::{Catalog, DbState, Relation, Tuple, Update, Value};
-use dwc_testkit::crash::{CrashPlan, SimFs};
-use dwc_testkit::iofault::{FaultyError, FaultyFs, MediumFaultPlan};
+use dwc_bench::DiskMedium;
 use dwc_testkit::sched::VirtualClock;
-use dwc_testkit::Bench;
+use dwc_testkit::{Bench, MediumPlan, SimDisk};
 use dwc_warehouse::channel::{Envelope, SequencedSource, SourceId};
 use dwc_warehouse::ingest::{IngestConfig, IngestingIntegrator};
 use dwc_warehouse::integrator::{Integrator, SourceSite};
 use dwc_warehouse::server::{BatchPolicy, RetryPolicy, ServerCore, ServerError, SessionId};
-use dwc_warehouse::{
-    DurabilityConfig, DurableWarehouse, MediumError, StorageMedium, WarehouseSpec,
-};
+use dwc_warehouse::{DurabilityConfig, DurableWarehouse, WarehouseSpec};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -93,58 +90,18 @@ fn build_schedule() -> Vec<Envelope> {
         .collect()
 }
 
-/// FaultyFs → StorageMedium adapter (private copy; the bench crate has
-/// no access to the integration-test helpers).
-#[derive(Clone, Debug)]
-struct FaultyMedium(FaultyFs);
-
-fn faulty_err(op: &'static str, path: &str, e: FaultyError) -> MediumError {
-    if e.is_transient() {
-        MediumError::transient(op, path, e.to_string())
-    } else {
-        MediumError::fatal(op, path, e.to_string())
-    }
-}
-
-impl StorageMedium for FaultyMedium {
-    fn read(&self, path: &str) -> Result<Vec<u8>, MediumError> {
-        self.0.read(path).map_err(|e| faulty_err("read", path, e))
-    }
-    fn write_all(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        self.0.write_all(path, bytes).map_err(|e| faulty_err("write", path, e))
-    }
-    fn append(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        self.0.append(path, bytes).map_err(|e| faulty_err("append", path, e))
-    }
-    fn sync(&self, path: &str) -> Result<(), MediumError> {
-        self.0.sync(path).map_err(|e| faulty_err("sync", path, e))
-    }
-    fn rename(&self, from: &str, to: &str) -> Result<(), MediumError> {
-        self.0.rename(from, to).map_err(|e| faulty_err("rename", from, e))
-    }
-    fn remove(&self, path: &str) -> Result<(), MediumError> {
-        self.0.remove(path).map_err(|e| faulty_err("remove", path, e))
-    }
-    fn list(&self) -> Result<Vec<String>, MediumError> {
-        Ok(self.0.list())
-    }
-    fn exists(&self, path: &str) -> bool {
-        self.0.exists(path)
-    }
-}
-
 /// Delivers the whole schedule and drains every retry/heal deadline to
 /// completion, returning the ack count. Transient-only plans always
 /// converge; a wedged loop fails loudly through the tick budget.
 fn drive(
-    core: &mut ServerCore<FaultyMedium>,
+    core: &mut ServerCore<DiskMedium>,
     session: SessionId,
     schedule: &[Envelope],
 ) -> usize {
     let mut acks = 0;
     let mut now = 0u64;
     let mut budget = 100_000u32;
-    let mut tick = |core: &mut ServerCore<FaultyMedium>, now: u64, acks: &mut usize| {
+    let mut tick = |core: &mut ServerCore<DiskMedium>, now: u64, acks: &mut usize| {
         budget = budget.checked_sub(1).expect("tick budget exhausted (wedged retry loop?)");
         *acks += core.tick(now).expect("transient-only plan never fails a tick").len();
     };
@@ -177,10 +134,10 @@ fn drive(
 
 /// One full serving run over a fresh faulty disk; returns (acks,
 /// injected fault count, group commits).
-fn run_once(plan: MediumFaultPlan, max_batch: usize) -> (usize, u64, u64) {
+fn run_once(plan: MediumPlan, max_batch: usize) -> (usize, u64, u64) {
     // Creation runs over a clean medium; the faults arm for serving.
-    let fs = FaultyFs::new(SimFs::new(CrashPlan::none()), MediumFaultPlan::clean());
-    let dw = DurableWarehouse::create(FaultyMedium(fs.clone()), fresh_ingest(), config())
+    let fs = SimDisk::default();
+    let dw = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(), config())
         .expect("create over a clean medium");
     fs.set_plan(plan);
     let mut core = ServerCore::new(dw, BatchPolicy { max_batch, max_wait_micros: 1_000 });
@@ -194,11 +151,11 @@ fn run_once(plan: MediumFaultPlan, max_batch: usize) -> (usize, u64, u64) {
 fn main() {
     // --- wall clock at increasing transient-error rates ---
     for &permille in &[0u16, 50, 200] {
-        let plan = MediumFaultPlan {
+        let plan = MediumPlan {
             seed: SEED ^ u64::from(permille),
             append_permille: permille,
             sync_permille: permille,
-            ..MediumFaultPlan::clean()
+            ..MediumPlan::clean()
         };
         // Deterministic side channel: fault/retry volume of one run.
         let (acks, injected, _) = run_once(plan.clone(), 16);
@@ -227,14 +184,13 @@ fn main() {
     let mut modeled: BTreeMap<usize, u64> = BTreeMap::new();
     for &max_batch in &[1usize, 16] {
         let clock = Rc::new(RefCell::new(VirtualClock::new()));
-        let plan = MediumFaultPlan {
+        let plan = MediumPlan {
             seed: SEED,
             sync_latency_micros: STALL_MICROS,
-            ..MediumFaultPlan::clean()
+            ..MediumPlan::clean()
         };
-        let fs =
-            FaultyFs::with_clock(SimFs::new(CrashPlan::none()), plan, Rc::clone(&clock));
-        let dw = DurableWarehouse::create(FaultyMedium(fs.clone()), fresh_ingest(), config())
+        let fs = SimDisk::with_clock(plan, Rc::clone(&clock));
+        let dw = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(), config())
             .expect("create");
         let after_create = clock.borrow().now();
         let mut core = ServerCore::new(dw, BatchPolicy { max_batch, max_wait_micros: 1_000 });

@@ -4,7 +4,7 @@
 //! group commit, epoch publication, ack minting — over a real
 //! filesystem scratch directory at batch caps 1/16/64 and 1/4 concurrent
 //! sources, reporting acked envelopes per second. Alongside the wall
-//! clock rows, a deterministic [`SimFs`] pass counts the actual
+//! clock rows, a deterministic [`SimDisk`] pass counts the actual
 //! append/fsync mix per configuration and prices it under the documented
 //! cost model (an fsync ≈ 50× an unsynced append), so the headline claim
 //! — batch ≥ 16 sustains ≥ 5× the acks/sec of batch = 1 — is pinned by
@@ -24,16 +24,15 @@
 //! `scripts/bench.sh` collects every line into `BENCH_server.json`.
 
 use dwc_relalg::{Catalog, DbState, Relation, Tuple, Update, Value};
-use dwc_testkit::crash::{CrashPlan, SimError, SimFs};
-use dwc_testkit::Bench;
+use dwc_bench::DiskMedium;
+use dwc_testkit::{Bench, SimDisk};
 use dwc_warehouse::channel::{Envelope, SourceId};
 use dwc_warehouse::ingest::{IngestConfig, IngestingIntegrator};
 use dwc_warehouse::integrator::{Integrator, SourceSite};
 use dwc_warehouse::server::{BatchPolicy, ServerCore, SessionId};
 use dwc_warehouse::integrator::IntegratorConfig;
 use dwc_warehouse::{
-    AdaptivePolicy, DurabilityConfig, DurableWarehouse, FsMedium, MediumError, StorageMedium,
-    WarehouseSpec,
+    AdaptivePolicy, DurabilityConfig, DurableWarehouse, FsMedium, StorageMedium, WarehouseSpec,
 };
 use dwcomplements::serve::{LineBuf, ReplyMemo};
 use std::collections::BTreeMap;
@@ -129,41 +128,6 @@ fn pump<M: StorageMedium>(
     acks += core.flush().expect("flush").len();
     assert_eq!(acks, schedule.len(), "every envelope must be acked");
     acks
-}
-
-/// SimFs → StorageMedium adapter (accounting pass).
-#[derive(Clone, Debug)]
-struct SimMedium(SimFs);
-
-fn sim_err(op: &'static str, path: &str, e: SimError) -> MediumError {
-    MediumError::fatal(op, path, e.to_string())
-}
-
-impl StorageMedium for SimMedium {
-    fn read(&self, path: &str) -> Result<Vec<u8>, MediumError> {
-        self.0.read(path).map_err(|e| sim_err("read", path, e))
-    }
-    fn write_all(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        self.0.write_all(path, bytes).map_err(|e| sim_err("write", path, e))
-    }
-    fn append(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        self.0.append(path, bytes).map_err(|e| sim_err("append", path, e))
-    }
-    fn sync(&self, path: &str) -> Result<(), MediumError> {
-        self.0.sync(path).map_err(|e| sim_err("sync", path, e))
-    }
-    fn rename(&self, from: &str, to: &str) -> Result<(), MediumError> {
-        self.0.rename(from, to).map_err(|e| sim_err("rename", from, e))
-    }
-    fn remove(&self, path: &str) -> Result<(), MediumError> {
-        self.0.remove(path).map_err(|e| sim_err("remove", path, e))
-    }
-    fn list(&self) -> Result<Vec<String>, MediumError> {
-        Ok(self.0.list())
-    }
-    fn exists(&self, path: &str) -> bool {
-        self.0.exists(path)
-    }
 }
 
 /// Orders in the star rows' retire/restore ring, and the steps between
@@ -363,9 +327,9 @@ fn main() {
                 "{{\"group\":\"server\",\"bench\":\"acks-per-sec/batch{max_batch}-src{sources}\",\"acks_per_sec\":{acks_per_sec},\"max_batch\":{max_batch},\"sources\":{sources}}}"
             );
 
-            // --- deterministic SimFs accounting + cost model ---
-            let fs = SimFs::new(CrashPlan::none());
-            let dw = DurableWarehouse::create(SimMedium(fs.clone()), fresh_ingest(), config())
+            // --- deterministic SimDisk accounting + cost model ---
+            let fs = SimDisk::default();
+            let dw = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(), config())
                 .expect("creates");
             let mut core = ServerCore::new(
                 dw,

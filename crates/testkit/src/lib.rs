@@ -7,7 +7,7 @@
 //! plain `std`: no registry crates, no build scripts, no feature flags —
 //! so `cargo build --release && cargo test -q` works fully offline.
 //!
-//! Seven subsystems:
+//! Six subsystems:
 //!
 //! * [`rng`] — the [`rng::SplitMix64`] PRNG plus value generators
 //!   (bounded ints, indices, Bernoulli draws, identifiers, wild strings,
@@ -19,16 +19,14 @@
 //! * [`fault`] — a deterministic chaos harness ([`fault::FaultPlan`])
 //!   that drops, duplicates, reorders and corrupts a message stream,
 //!   replayable from the same seed and shrinkable toward the clean plan.
-//! * [`crash`] — a deterministic crash-simulation filesystem
-//!   ([`crash::SimFs`]) for durability testing: volatile page cache,
-//!   torn unsynced tails, coin-flipped in-flight renames, and a counted
-//!   operation stream enabling kill-at-every-IO-boundary sweeps, all a
-//!   pure function of a shrinkable [`crash::CrashPlan`].
-//! * [`iofault`] — a fallible medium ([`iofault::FaultyFs`]) layered
-//!   over the crash filesystem: seeded transient/permanent IO failures
-//!   per op-class, torn partial writes on failed appends, heal/quiesce
-//!   transitions, and modeled latency against the virtual clock, all a
-//!   pure function of a shrinkable [`iofault::MediumFaultPlan`].
+//! * [`disk`] — a deterministic simulated disk ([`disk::SimDisk`]) for
+//!   durability testing: volatile page cache, a counted operation
+//!   stream, and one shrinkable [`disk::MediumPlan`] whose faults are
+//!   a crash (torn unsynced tails, coin-flipped in-flight renames),
+//!   transient and permanent IO failures per op class (torn partial
+//!   writes, heal/quiesce), and modeled latency against the virtual
+//!   clock — so kill-at-every-IO-boundary and fault-at-every-IO-boundary
+//!   sweeps share one op index.
 //! * [`sched`] — deterministic concurrency scheduling: a virtual
 //!   microsecond clock ([`sched::VirtualClock`]) and a seeded
 //!   interleaver ([`sched::Interleaver`]) that merges per-source event
@@ -70,18 +68,16 @@
 //! the one seed).
 
 pub mod bench;
-pub mod crash;
+pub mod disk;
 pub mod fault;
-pub mod iofault;
 pub mod prop;
 pub mod rng;
 pub mod sched;
 pub mod shrink;
 
 pub use bench::{Bench, Stats};
-pub use crash::{CrashPlan, SimError, SimFs};
+pub use disk::{DiskError, MediumPlan, OpClass, SimDisk};
 pub use fault::{Delivery, FaultPlan};
-pub use iofault::{FaultyError, FaultyFs, MediumFaultPlan, OpClass};
 pub use prop::{PropResult, Runner};
 pub use rng::SplitMix64;
 pub use sched::{sched_seeds, Interleaver, VirtualClock};

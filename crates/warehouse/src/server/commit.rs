@@ -251,20 +251,6 @@ impl<M: StorageMedium> CommitPipeline<M> {
         }
     }
 
-    /// Commits one batch: offers every envelope, fsyncs once, publishes
-    /// the post-batch state as a new snapshot epoch, and only then
-    /// mints the acks. On storage error nothing is acked. This is the
-    /// health-unaware direct path (tests, tools); the serving loop goes
-    /// through [`CommitPipeline::submit`], which degrades instead of
-    /// erroring on retryable failures.
-    pub fn commit(&mut self, batch: Vec<BatchItem>) -> Result<CommitReceipt, StorageError> {
-        let envelopes: Vec<Envelope> = batch.iter().map(|item| item.envelope.clone()).collect();
-        let outcomes = self.warehouse.offer_batch(&envelopes)?;
-        let epoch = self.epochs.publish(self.warehouse.state().clone());
-        let acks = Self::mint_acks(batch, outcomes);
-        Ok(CommitReceipt { epoch, acks })
-    }
-
     /// Submits one batch to the health-aware commit path:
     ///
     /// * **Healthy** — apply in memory, group-commit, publish, ack.
@@ -312,7 +298,7 @@ impl<M: StorageMedium> CommitPipeline<M> {
 
     /// Parks a batch for a later [`CommitPipeline::tick_retry`] drain,
     /// unapplied and unacked.
-    pub fn park(&mut self, batch: Vec<BatchItem>) {
+    fn park(&mut self, batch: Vec<BatchItem>) {
         self.parked.push(ParkedBatch { items: batch, outcomes: None });
     }
 
@@ -458,11 +444,6 @@ impl<M: StorageMedium> CommitPipeline<M> {
     /// Replaces the retry/backoff tuning.
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = retry;
-    }
-
-    /// The retry/backoff tuning in effect.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Runs durable gap recovery from a session's replayed outbox and

@@ -26,7 +26,7 @@
 //!
 //! * **Writes** enter via [`ServerCore::deliver`] and are grouped by
 //!   the [`Batcher`] under a [`BatchPolicy`] (size cap + max wait). A
-//!   released batch goes through [`CommitPipeline::commit`]: N WAL
+//!   released batch goes through [`CommitPipeline::submit`]: N WAL
 //!   frames, **one** fsync, then epoch publication, then acks. A
 //!   session is never acked before its envelope's fsync returned.
 //! * **Reads** never enter the core at all: a [`QueryClient`] holds an

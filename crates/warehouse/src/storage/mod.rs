@@ -31,8 +31,8 @@
 //! All IO goes through the [`StorageMedium`] trait. [`FsMedium`] is the
 //! production implementation (and the only place in the workspace
 //! allowed to write through `std::fs` — lint `DWC-S504`); the crash
-//! property suites drive the same code over `dwc_testkit::crash::SimFs`
-//! and kill the process model at every IO boundary.
+//! property suites drive the same code over `dwc_testkit::SimDisk` and
+//! kill the process model at every IO boundary.
 //!
 //! Every failure is a typed [`StorageError`] with a stable `DWC-SNNN`
 //! code (see [`StorageError::code`]); nothing in this module panics on
@@ -105,7 +105,7 @@ impl fmt::Display for MediumError {
 /// The IO surface the durability layer runs on: a flat namespace of
 /// files with explicit durability ([`StorageMedium::sync`]) and atomic
 /// [`StorageMedium::rename`]. Production uses [`FsMedium`]; the crash
-/// suites adapt `dwc_testkit::crash::SimFs`.
+/// and fault suites adapt `dwc_testkit::SimDisk`.
 pub trait StorageMedium {
     /// Reads a whole file.
     fn read(&self, path: &str) -> Result<Vec<u8>, MediumError>;
@@ -1183,9 +1183,9 @@ mod tests {
     use crate::channel::SequencedSource;
     use crate::ingest::IngestConfig;
     use crate::integrator::SourceSite;
-    use crate::testutil::{fig1_spec, fig1_state, MemMedium};
+    use crate::testutil::{fig1_spec, fig1_state, DiskMedium};
     use dwc_relalg::{rel, Update};
-    use std::cell::RefCell;
+    use dwc_testkit::SimDisk;
 
     /// Replay goes through the slice entry point: a K-record tail of
     /// in-order offers costs ⌈K/REPLAY_GROUP⌉ maintenance passes, not K,
@@ -1200,7 +1200,7 @@ mod tests {
         let mut src = SequencedSource::new("fig1", site);
         let ingest = IngestingIntegrator::new(integ, IngestConfig::default()).unwrap();
         let mut dw =
-            DurableWarehouse::create(MemMedium::default(), ingest, DurabilityConfig::default())
+            DurableWarehouse::create(DiskMedium::default(), ingest, DurabilityConfig::default())
                 .unwrap();
         let k = 2 * REPLAY_GROUP + 5;
         let envs: Vec<Envelope> = (0..k)
@@ -1216,7 +1216,7 @@ mod tests {
         let live = dw.ingestor().policy().stats();
         assert_eq!((live.passes, live.fallbacks), (k.div_ceil(7) as u64, 0));
 
-        let files = MemMedium { files: RefCell::new(dw.medium.clone_files()) };
+        let files = DiskMedium(SimDisk::from_files(dw.medium.0.survivors()));
         let (rec, report) = Recovery::open(files, aug, DurabilityConfig::default()).unwrap();
         assert_eq!(report.records_replayed, k);
         assert_eq!(report.replay_passes, 3); // ⌈k/REPLAY_GROUP⌉

@@ -416,61 +416,9 @@ fn take_image(r: &mut ByteReader<'_>) -> Result<WarehouseImage, RelalgError> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::MediumError;
     use super::*;
+    use crate::testutil::DiskMedium;
     use dwc_relalg::rel;
-    use std::cell::RefCell;
-
-    #[derive(Default)]
-    struct MemMedium {
-        files: RefCell<BTreeMap<String, Vec<u8>>>,
-    }
-
-    impl StorageMedium for MemMedium {
-        fn read(&self, path: &str) -> Result<Vec<u8>, MediumError> {
-            self.files
-                .borrow()
-                .get(path)
-                .cloned()
-                .ok_or_else(|| MediumError::fatal("read", path, "not found"))
-        }
-        fn write_all(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-            self.files.borrow_mut().insert(path.to_owned(), bytes.to_vec());
-            Ok(())
-        }
-        fn append(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-            self.files
-                .borrow_mut()
-                .entry(path.to_owned())
-                .or_default()
-                .extend_from_slice(bytes);
-            Ok(())
-        }
-        fn sync(&self, _path: &str) -> Result<(), MediumError> {
-            Ok(())
-        }
-        fn rename(&self, from: &str, to: &str) -> Result<(), MediumError> {
-            let mut files = self.files.borrow_mut();
-            let data = files
-                .remove(from)
-                .ok_or_else(|| MediumError::fatal("rename", from, "not found"))?;
-            files.insert(to.to_owned(), data);
-            Ok(())
-        }
-        fn remove(&self, path: &str) -> Result<(), MediumError> {
-            self.files
-                .borrow_mut()
-                .remove(path)
-                .map(drop)
-                .ok_or_else(|| MediumError::fatal("remove", path, "not found"))
-        }
-        fn list(&self) -> Result<Vec<String>, MediumError> {
-            Ok(self.files.borrow().keys().cloned().collect())
-        }
-        fn exists(&self, path: &str) -> bool {
-            self.files.borrow().contains_key(path)
-        }
-    }
 
     fn sample_image() -> WarehouseImage {
         let mut warehouse = DbState::new();
@@ -517,7 +465,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_bit_exactly() {
-        let m = MemMedium::default();
+        let m = DiskMedium::default();
         let image = sample_image();
         let name = write_snapshot(&m, 3, &image).unwrap();
         assert_eq!(name, "snap-00000003.dwcs");
@@ -528,7 +476,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_corruption_is_snapshot_corrupt() {
-        let m = MemMedium::default();
+        let m = DiskMedium::default();
         let name = write_snapshot(&m, 1, &sample_image()).unwrap();
         let good = m.read(&name).unwrap();
         for i in 0..good.len() {
@@ -548,14 +496,14 @@ mod tests {
 
     #[test]
     fn snapshot_id_mismatch_is_corrupt() {
-        let m = MemMedium::default();
+        let m = DiskMedium::default();
         let name = write_snapshot(&m, 5, &sample_image()).unwrap();
         assert_eq!(read_snapshot(&m, &name, 6).unwrap_err().code(), "DWC-S201");
     }
 
     #[test]
     fn manifest_roundtrip_and_corruption() {
-        let m = MemMedium::default();
+        let m = DiskMedium::default();
         assert_eq!(read_manifest(&m).unwrap_err().code(), "DWC-S301");
         let entries = vec![
             ManifestEntry {
@@ -595,7 +543,7 @@ mod tests {
     /// its section is decoded, and reading it writes nothing.
     #[test]
     fn sharded_manifest_is_s304_and_leaves_the_medium_untouched() {
-        let m = MemMedium::default();
+        let m = DiskMedium::default();
         let mut w = ByteWriter::new();
         w.put_bytes(&MANIFEST_MAGIC);
         w.put_u8(2);
@@ -608,7 +556,7 @@ mod tests {
         w.put_u8(1); // shard section follows
         w.put_bytes(b"section bytes the reader never decodes");
         m.write_all(MANIFEST, &w.finish_crc()).unwrap();
-        let before = m.files.borrow().clone();
+        let before = m.0.survivors();
         let err = read_manifest(&m).unwrap_err();
         assert_eq!(err, StorageError::ShardedLayoutRemoved);
         assert_eq!(err.code(), "DWC-S304");
@@ -617,14 +565,14 @@ mod tests {
                 .contains("this build no longer opens sharded layouts"),
             "{err}"
         );
-        assert_eq!(*m.files.borrow(), before);
+        assert_eq!(m.0.survivors(), before);
     }
 
     #[test]
     fn version_1_manifest_still_reads() {
         // Hand-encode a version-1 manifest (entries only, no policy or
         // shard section) and confirm the reader maps it to a plain doc.
-        let m = MemMedium::default();
+        let m = DiskMedium::default();
         let entries = vec![ManifestEntry {
             generation: 7,
             snapshot: snapshot_name(7),
@@ -643,7 +591,7 @@ mod tests {
 
     #[test]
     fn manifest_rejects_non_increasing_generations() {
-        let m = MemMedium::default();
+        let m = DiskMedium::default();
         let e = |g: u64| ManifestEntry {
             generation: g,
             snapshot: snapshot_name(g),

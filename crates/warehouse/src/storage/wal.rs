@@ -304,63 +304,8 @@ pub(crate) fn take_update(r: &mut ByteReader<'_>) -> Result<Update, RelalgError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MediumError;
+    use crate::testutil::DiskMedium;
     use dwc_relalg::rel;
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-
-    /// A minimal in-memory medium for unit-testing the codec (the real
-    /// crash model lives in `dwc-testkit` and the root test suite).
-    #[derive(Default)]
-    struct MemMedium {
-        files: RefCell<BTreeMap<String, Vec<u8>>>,
-    }
-
-    impl StorageMedium for MemMedium {
-        fn read(&self, path: &str) -> Result<Vec<u8>, MediumError> {
-            self.files
-                .borrow()
-                .get(path)
-                .cloned()
-                .ok_or_else(|| MediumError::fatal("read", path, "not found"))
-        }
-        fn write_all(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-            self.files.borrow_mut().insert(path.to_owned(), bytes.to_vec());
-            Ok(())
-        }
-        fn append(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-            self.files
-                .borrow_mut()
-                .entry(path.to_owned())
-                .or_default()
-                .extend_from_slice(bytes);
-            Ok(())
-        }
-        fn sync(&self, _path: &str) -> Result<(), MediumError> {
-            Ok(())
-        }
-        fn rename(&self, from: &str, to: &str) -> Result<(), MediumError> {
-            let mut files = self.files.borrow_mut();
-            let data = files
-                .remove(from)
-                .ok_or_else(|| MediumError::fatal("rename", from, "not found"))?;
-            files.insert(to.to_owned(), data);
-            Ok(())
-        }
-        fn remove(&self, path: &str) -> Result<(), MediumError> {
-            self.files
-                .borrow_mut()
-                .remove(path)
-                .map(drop)
-                .ok_or_else(|| MediumError::fatal("remove", path, "not found"))
-        }
-        fn list(&self) -> Result<Vec<String>, MediumError> {
-            Ok(self.files.borrow().keys().cloned().collect())
-        }
-        fn exists(&self, path: &str) -> bool {
-            self.files.borrow().contains_key(path)
-        }
-    }
 
     fn sample_envelope(seq: u64) -> Envelope {
         Envelope {
@@ -376,7 +321,7 @@ mod tests {
 
     #[test]
     fn records_roundtrip_through_a_segment() {
-        let m = MemMedium::default();
+        let m = DiskMedium::default();
         let seg = create_segment(&m, 7).unwrap();
         assert_eq!(seg, "wal-00000007.log");
         let records = vec![
@@ -399,7 +344,7 @@ mod tests {
 
     #[test]
     fn torn_tails_truncate_and_count() {
-        let m = MemMedium::default();
+        let m = DiskMedium::default();
         let seg = create_segment(&m, 1).unwrap();
         append_record(&m, &seg, &WalRecord::Offered(sample_envelope(0)), true).unwrap();
         let full = m.read(&seg).unwrap();
@@ -416,7 +361,7 @@ mod tests {
 
     #[test]
     fn header_and_frame_corruption_are_typed() {
-        let m = MemMedium::default();
+        let m = DiskMedium::default();
         let seg = create_segment(&m, 1).unwrap();
         append_record(&m, &seg, &WalRecord::Offered(sample_envelope(0)), true).unwrap();
         let good = m.read(&seg).unwrap();

@@ -3,8 +3,7 @@
 use crate::spec::WarehouseSpec;
 use crate::storage::{MediumError, StorageMedium};
 use dwc_relalg::{rel, Catalog, DbState};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use dwc_testkit::{DiskError, SimDisk};
 
 /// The Figure 1 catalog: Sale(item, clerk), Emp(clerk*, age).
 pub(crate) fn fig1_catalog() -> Catalog {
@@ -33,61 +32,44 @@ pub(crate) fn fig1_spec() -> WarehouseSpec {
     WarehouseSpec::parse(fig1_catalog(), &[("Sold", "Sale join Emp")]).unwrap()
 }
 
-/// In-memory medium for unit tests (the crash/fault models live in
-/// `dwc-testkit` and the root test suite).
-#[derive(Debug, Default)]
-pub(crate) struct MemMedium {
-    pub(crate) files: RefCell<BTreeMap<String, Vec<u8>>>,
-}
+/// The crate's unit tests run the storage code over the testkit's
+/// simulated disk. Clones share the disk. Injected transient faults map
+/// to retryable [`MediumError`]s; everything else maps to fatal ones.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DiskMedium(pub(crate) SimDisk);
 
-impl MemMedium {
-    pub(crate) fn clone_files(&self) -> BTreeMap<String, Vec<u8>> {
-        self.files.borrow().clone()
+fn disk_err(op: &'static str, path: &str, e: DiskError) -> MediumError {
+    if e.is_transient() {
+        MediumError::transient(op, path, e.to_string())
+    } else {
+        MediumError::fatal(op, path, e.to_string())
     }
 }
 
-impl StorageMedium for MemMedium {
+impl StorageMedium for DiskMedium {
     fn read(&self, path: &str) -> Result<Vec<u8>, MediumError> {
-        self.files
-            .borrow()
-            .get(path)
-            .cloned()
-            .ok_or_else(|| MediumError::fatal("read", path, "not found"))
+        self.0.read(path).map_err(|e| disk_err("read", path, e))
     }
     fn write_all(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        self.files.borrow_mut().insert(path.to_owned(), bytes.to_vec());
-        Ok(())
+        self.0.write_all(path, bytes).map_err(|e| disk_err("write", path, e))
     }
     fn append(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        self.files
-            .borrow_mut()
-            .entry(path.to_owned())
-            .or_default()
-            .extend_from_slice(bytes);
-        Ok(())
+        self.0.append(path, bytes).map_err(|e| disk_err("append", path, e))
     }
-    fn sync(&self, _path: &str) -> Result<(), MediumError> {
-        Ok(())
+    fn sync(&self, path: &str) -> Result<(), MediumError> {
+        let synced = self.0.sync(path); // lint:allow sync_call -- the test medium's fsync
+        synced.map_err(|e| disk_err("sync", path, e))
     }
     fn rename(&self, from: &str, to: &str) -> Result<(), MediumError> {
-        let mut files = self.files.borrow_mut();
-        let data = files
-            .remove(from)
-            .ok_or_else(|| MediumError::fatal("rename", from, "not found"))?;
-        files.insert(to.to_owned(), data);
-        Ok(())
+        self.0.rename(from, to).map_err(|e| disk_err("rename", from, e))
     }
     fn remove(&self, path: &str) -> Result<(), MediumError> {
-        self.files
-            .borrow_mut()
-            .remove(path)
-            .map(drop)
-            .ok_or_else(|| MediumError::fatal("remove", path, "not found"))
+        self.0.remove(path).map_err(|e| disk_err("remove", path, e))
     }
     fn list(&self) -> Result<Vec<String>, MediumError> {
-        Ok(self.files.borrow().keys().cloned().collect())
+        Ok(self.0.list())
     }
     fn exists(&self, path: &str) -> bool {
-        self.files.borrow().contains_key(path)
+        self.0.exists(path)
     }
 }

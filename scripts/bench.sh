@@ -77,7 +77,7 @@ echo "=== durability: BENCH recovery ==="
 run_bench recovery | tee "$RECOVERY_OUT"
 echo "wrote $(grep -c '^{' "$RECOVERY_OUT") results to $RECOVERY_OUT"
 
-# The target emits wall-clock acks/sec rows, deterministic SimFs
+# The target emits wall-clock acks/sec rows, deterministic SimDisk
 # fsync-accounting rows, and "claim/..." rows carrying the batch>=16
 # vs batch=1 speedup against threshold_x100=500 (the 5x headline), then
 # the star-spec ingest rows and the query-reply/{miss,hit} rows (one
@@ -90,8 +90,8 @@ echo "wrote $(grep -c '^{' "$SERVER_OUT") results to $SERVER_OUT"
 # Serving under injected faults: wall-clock acks/sec at rising transient
 # error rates (with "claim/complete-..." rows pinning zero envelope
 # loss) plus virtual-clock fsync-stall modeling with the batch>=16
-# amortization claim against threshold_x100=500. Deterministic fault
-# plans.
+# amortization claim against threshold_x100=500. Deterministic
+# MediumPlan fault plans on the simulated disk (dwc_testkit::SimDisk).
 FAULTS_OUT="$(sibling faults)"
 echo "=== faults: BENCH degraded-mode serving ==="
 run_bench faults | tee "$FAULTS_OUT"

@@ -113,7 +113,10 @@ echo "ok: srclint self-check clean"
 # The storage suite kills a simulated process at every IO boundary of a
 # pinned-seed ingestion run (tests/crash_props.rs bakes its own seeds in,
 # so no env pinning is needed) and proves recovery lands bit-identical to
-# a never-crashed oracle. Release mode: the sweep recovers the warehouse
+# a never-crashed oracle. The process model is dwc_testkit::SimDisk under
+# a MediumPlan whose crash_at_op kills it; each sweep asserts it visits
+# at least as many boundaries as before the crash and fault simulators
+# were merged. Release mode: the sweep recovers the warehouse
 # a few hundred times. It also holds the cases the retired step 13 used
 # to check in passing: a torn MANIFEST, an unreadable newest snapshot,
 # the policy mode across a reopen, and a sharded layout failing closed.
@@ -141,12 +144,15 @@ done
 echo "ok: server differential green, schedule sweep green"
 
 # --- 10. fault injection: pinned medium-fault matrix -------------------
-# The fault suite wraps the medium in FaultyFs and injects a transient
-# fault at every IO boundary (the server must self-heal and converge on
-# the exact oracle ack stream), a permanent fault from every boundary
-# (read-only degradation, acks a strict prefix, restart-recovery
-# convergence), modeled fsync stalls, and seeded random chaos — all
-# offline, all deterministic (tests/fault_props.rs bakes its seed in).
+# The fault suite runs the server on the same SimDisk under fault plans
+# and injects a transient fault at every IO boundary (the server must
+# self-heal and converge on the exact oracle ack stream), a permanent
+# fault from every boundary (read-only degradation, acks a strict
+# prefix, restart-recovery convergence), a crash at every boundary of a
+# run that is healing from a transient fault (degrade, retry, generation
+# roll; recovery plus redelivery must equal the oracle), modeled fsync
+# stalls, and seeded random chaos — all offline, all deterministic
+# (tests/fault_props.rs bakes its seed in).
 # Release mode: the matrix drives the server a few hundred times.
 echo "fault matrix: tests/fault_props.rs"
 cargo test -q --release --test fault_props

@@ -7,9 +7,7 @@
 //! before a failure is reported.
 #![allow(dead_code)] // each test binary uses a different subset
 
-use dwc_testkit::crash::{SimError, SimFs};
-use dwc_testkit::iofault::{FaultyError, FaultyFs};
-use dwc_testkit::SplitMix64;
+use dwc_testkit::{DiskError, SimDisk, SplitMix64};
 use dwcomplements::relalg::{
     AttrSet, Catalog, DbState, Delta, Predicate, RaExpr, RelName, Relation, Tuple, Update,
     Value,
@@ -17,60 +15,18 @@ use dwcomplements::relalg::{
 use dwcomplements::warehouse::{MediumError, StorageMedium};
 
 // ---------------------------------------------------------------------
-// SimFs → StorageMedium adapter
+// SimDisk → StorageMedium adapter
 // ---------------------------------------------------------------------
 
-/// Runs the production durability code over the crash-simulated
-/// filesystem. Clones share the disk (and its crash plan). Used by the
-/// server and group-commit suites; `crash_props` keeps a local copy next
-/// to the IO-boundary sweep it documents.
-#[derive(Clone, Debug)]
-pub struct SimMedium(pub SimFs);
+/// Runs the production durability code over the simulated disk — the
+/// crash, fault, group-commit and server suites all use it. Clones share
+/// the disk, its plan and its op counter. Injected transient faults map
+/// to retryable [`MediumError`]s (`DWC-S002`); permanent faults, the
+/// crash and missing files map to fatal ones.
+#[derive(Clone, Debug, Default)]
+pub struct DiskMedium(pub SimDisk);
 
-fn sim_err(op: &'static str, path: &str, e: SimError) -> MediumError {
-    MediumError::fatal(op, path, e.to_string())
-}
-
-impl StorageMedium for SimMedium {
-    fn read(&self, path: &str) -> Result<Vec<u8>, MediumError> {
-        self.0.read(path).map_err(|e| sim_err("read", path, e))
-    }
-    fn write_all(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        self.0.write_all(path, bytes).map_err(|e| sim_err("write", path, e))
-    }
-    fn append(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        self.0.append(path, bytes).map_err(|e| sim_err("append", path, e))
-    }
-    fn sync(&self, path: &str) -> Result<(), MediumError> {
-        self.0.sync(path).map_err(|e| sim_err("sync", path, e))
-    }
-    fn rename(&self, from: &str, to: &str) -> Result<(), MediumError> {
-        self.0.rename(from, to).map_err(|e| sim_err("rename", from, e))
-    }
-    fn remove(&self, path: &str) -> Result<(), MediumError> {
-        self.0.remove(path).map_err(|e| sim_err("remove", path, e))
-    }
-    fn list(&self) -> Result<Vec<String>, MediumError> {
-        Ok(self.0.list())
-    }
-    fn exists(&self, path: &str) -> bool {
-        self.0.exists(path)
-    }
-}
-
-// ---------------------------------------------------------------------
-// FaultyFs → StorageMedium adapter
-// ---------------------------------------------------------------------
-
-/// Runs the production durability code over the fault-injecting
-/// filesystem. Clones share the disk, the fault plan and the op
-/// counter. Injected transient faults map to retryable
-/// [`MediumError`]s (`DWC-S002`); injected permanent faults and
-/// simulator errors map to fatal ones.
-#[derive(Clone, Debug)]
-pub struct FaultyMedium(pub FaultyFs);
-
-fn faulty_err(op: &'static str, path: &str, e: FaultyError) -> MediumError {
+fn disk_err(op: &'static str, path: &str, e: DiskError) -> MediumError {
     if e.is_transient() {
         MediumError::transient(op, path, e.to_string())
     } else {
@@ -78,24 +34,24 @@ fn faulty_err(op: &'static str, path: &str, e: FaultyError) -> MediumError {
     }
 }
 
-impl StorageMedium for FaultyMedium {
+impl StorageMedium for DiskMedium {
     fn read(&self, path: &str) -> Result<Vec<u8>, MediumError> {
-        self.0.read(path).map_err(|e| faulty_err("read", path, e))
+        self.0.read(path).map_err(|e| disk_err("read", path, e))
     }
     fn write_all(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        self.0.write_all(path, bytes).map_err(|e| faulty_err("write", path, e))
+        self.0.write_all(path, bytes).map_err(|e| disk_err("write", path, e))
     }
     fn append(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        self.0.append(path, bytes).map_err(|e| faulty_err("append", path, e))
+        self.0.append(path, bytes).map_err(|e| disk_err("append", path, e))
     }
     fn sync(&self, path: &str) -> Result<(), MediumError> {
-        self.0.sync(path).map_err(|e| faulty_err("sync", path, e))
+        self.0.sync(path).map_err(|e| disk_err("sync", path, e))
     }
     fn rename(&self, from: &str, to: &str) -> Result<(), MediumError> {
-        self.0.rename(from, to).map_err(|e| faulty_err("rename", from, e))
+        self.0.rename(from, to).map_err(|e| disk_err("rename", from, e))
     }
     fn remove(&self, path: &str) -> Result<(), MediumError> {
-        self.0.remove(path).map_err(|e| faulty_err("remove", path, e))
+        self.0.remove(path).map_err(|e| disk_err("remove", path, e))
     }
     fn list(&self) -> Result<Vec<String>, MediumError> {
         Ok(self.0.list())

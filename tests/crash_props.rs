@@ -3,7 +3,7 @@
 //! The central claim of `warehouse::storage`: for a pinned-seed run of a
 //! warehouse that offers reports, quarantines garbage, repairs a gap from
 //! the outbox log, and rolls generations, killing the process model at
-//! **every** mutating IO boundary leaves a disk from which
+//! **every** IO boundary leaves a disk from which
 //! [`Recovery::open`] either restores a warehouse that — after the
 //! source redelivers its outbox — is bit-identical to a never-crashed
 //! oracle, or reports the one documented pre-commit code (`DWC-S301`,
@@ -14,17 +14,17 @@
 //! survives a reopen, and a sharded layout left by an older build fails
 //! closed without a byte of the directory changing.
 //!
-//! The process model is [`dwc_testkit::crash::SimFs`]: counted mutating
-//! operations, seeded torn writes at the crash point, coin-flipped
-//! renames, and a frozen survivor view that a "rebooted" filesystem is
-//! born from.
+//! The process model is [`dwc_testkit::SimDisk`] under a
+//! [`MediumPlan`] that crashes: counted operations, seeded torn writes
+//! at the crash point, coin-flipped renames, and a frozen survivor view
+//! that a "rebooted" disk is born from. Every sweep asserts it visits at
+//! least as many boundaries as it did before the crash and fault
+//! simulators were merged, so the matrix cannot quietly narrow.
 
 mod common;
 
-use common::{chain_catalog, chain_state, relation_from, ChainRows, FaultyMedium};
-use dwc_testkit::crash::{CrashPlan, SimError, SimFs};
-use dwc_testkit::iofault::{FaultyFs, MediumFaultPlan};
-use dwc_testkit::SplitMix64;
+use common::{chain_catalog, chain_state, relation_from, ChainRows, DiskMedium};
+use dwc_testkit::{MediumPlan, SimDisk, SplitMix64};
 use dwcomplements::relalg::{io, Delta, Update};
 use dwcomplements::warehouse::channel::{Envelope, SequencedSource, SourceId};
 use dwcomplements::warehouse::ingest::{IngestConfig, IngestingIntegrator};
@@ -33,8 +33,8 @@ use dwcomplements::warehouse::planner::MaintenanceStrategy;
 use dwcomplements::warehouse::storage::snapshot::snapshot_name;
 use dwcomplements::warehouse::storage::wal::segment_name;
 use dwcomplements::warehouse::{
-    AdaptivePolicy, AugmentedWarehouse, DurabilityConfig, DurableWarehouse, MediumError,
-    PolicyMode, Recovery, StorageError, StorageMedium, WarehouseSpec,
+    AdaptivePolicy, AugmentedWarehouse, DurabilityConfig, DurableWarehouse, PolicyMode, Recovery,
+    StorageError, WarehouseSpec,
 };
 
 /// The pinned seed of the whole suite; `verify.sh` replays it in step 8.
@@ -43,46 +43,6 @@ const CRASH_SEED: u64 = 0xD1CE_0005_C0FF_EE42;
 /// The manifest file name (`storage` keeps the constant crate-private;
 /// the on-disk name is part of the documented format).
 const MANIFEST: &str = "MANIFEST";
-
-// ---------------------------------------------------------------------
-// SimFs → StorageMedium adapter
-// ---------------------------------------------------------------------
-
-/// Runs the production durability code over the crash-simulated
-/// filesystem. Clones share the disk (and its crash plan).
-#[derive(Clone, Debug)]
-struct SimMedium(SimFs);
-
-fn sim_err(op: &'static str, path: &str, e: SimError) -> MediumError {
-    MediumError::fatal(op, path, e.to_string())
-}
-
-impl StorageMedium for SimMedium {
-    fn read(&self, path: &str) -> Result<Vec<u8>, MediumError> {
-        self.0.read(path).map_err(|e| sim_err("read", path, e))
-    }
-    fn write_all(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        self.0.write_all(path, bytes).map_err(|e| sim_err("write", path, e))
-    }
-    fn append(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        self.0.append(path, bytes).map_err(|e| sim_err("append", path, e))
-    }
-    fn sync(&self, path: &str) -> Result<(), MediumError> {
-        self.0.sync(path).map_err(|e| sim_err("sync", path, e))
-    }
-    fn rename(&self, from: &str, to: &str) -> Result<(), MediumError> {
-        self.0.rename(from, to).map_err(|e| sim_err("rename", from, e))
-    }
-    fn remove(&self, path: &str) -> Result<(), MediumError> {
-        self.0.remove(path).map_err(|e| sim_err("remove", path, e))
-    }
-    fn list(&self) -> Result<Vec<String>, MediumError> {
-        Ok(self.0.list())
-    }
-    fn exists(&self, path: &str) -> bool {
-        self.0.exists(path)
-    }
-}
 
 // ---------------------------------------------------------------------
 // The pinned scenario
@@ -168,7 +128,7 @@ fn config() -> DurabilityConfig {
     }
 }
 
-fn run_script(dw: &mut DurableWarehouse<SimMedium>, sc: &Scenario) -> Result<(), StorageError> {
+fn run_script(dw: &mut DurableWarehouse<DiskMedium>, sc: &Scenario) -> Result<(), StorageError> {
     for step in &sc.steps {
         match step {
             Step::Offer(env) => {
@@ -186,7 +146,7 @@ fn run_script(dw: &mut DurableWarehouse<SimMedium>, sc: &Scenario) -> Result<(),
 /// After recovery, the source redelivers its whole outbox (idempotent)
 /// and replays the log once more — the normal catch-up a live channel
 /// performs after a receiver restart.
-fn complete(dw: &mut DurableWarehouse<SimMedium>, sc: &Scenario) {
+fn complete(dw: &mut DurableWarehouse<DiskMedium>, sc: &Scenario) {
     for env in &sc.outbox {
         dw.offer(env).expect("redelivery");
     }
@@ -230,10 +190,10 @@ fn fingerprint(ing: &IngestingIntegrator) -> Fingerprint {
 }
 
 /// Runs the scenario on a fresh disk governed by `plan`; returns the
-/// shared filesystem handle and the script result.
-fn run_on(plan: CrashPlan, sc: &Scenario) -> (SimFs, Result<Fingerprint, StorageError>) {
-    let fs = SimFs::new(plan);
-    let result = DurableWarehouse::create(SimMedium(fs.clone()), fresh_ingest(&sc.init), config())
+/// shared disk handle and the script result.
+fn run_on(plan: MediumPlan, sc: &Scenario) -> (SimDisk, Result<Fingerprint, StorageError>) {
+    let fs = SimDisk::new(plan);
+    let result = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(&sc.init), config())
         .and_then(|mut dw| {
             run_script(&mut dw, sc)?;
             Ok(fingerprint(dw.ingestor()))
@@ -245,21 +205,22 @@ fn run_on(plan: CrashPlan, sc: &Scenario) -> (SimFs, Result<Fingerprint, Storage
 // Properties
 // ---------------------------------------------------------------------
 
-/// THE acceptance property: crash at every mutating IO boundary of the
-/// pinned run; recovery from the survivors plus outbox redelivery is
+/// THE acceptance property: crash at every IO boundary of the pinned
+/// run; recovery from the survivors plus outbox redelivery is
 /// bit-identical to the never-crashed oracle — or, before the first
 /// manifest commit, exactly `DWC-S301`.
 #[test]
 fn kill_at_every_io_boundary_recovers_bit_identically() {
     let sc = build_scenario();
-    let (clean_fs, clean) = run_on(CrashPlan::none(), &sc);
+    let (clean_fs, clean) = run_on(MediumPlan::clean(), &sc);
     let oracle = clean.expect("never-crashed run");
     let total_ops = clean_fs.ops();
-    assert!(total_ops >= 20, "scenario exercises too few IO boundaries: {total_ops}");
+    // 28 before the merge, when only mutating operations were counted.
+    assert!(total_ops >= 28, "the sweep narrowed to {total_ops} IO boundaries");
 
     for k in 0..total_ops {
         let torn_seed = CRASH_SEED ^ (k + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let (fs, result) = run_on(CrashPlan::at(k, torn_seed), &sc);
+        let (fs, result) = run_on(MediumPlan::crash_at(k, torn_seed), &sc);
         assert!(result.is_err(), "crash at op {k} surfaced no error");
         assert!(fs.crashed(), "crash plan at op {k} never fired");
 
@@ -268,7 +229,7 @@ fn kill_at_every_io_boundary_recovers_bit_identically() {
             // Death before the first manifest commit: the disk holds no
             // committed warehouse, and recovery must say exactly that.
             let err = Recovery::open(
-                SimMedium(SimFs::from_files(survivors)),
+                DiskMedium(SimDisk::from_files(survivors)),
                 fresh_aug(),
                 config(),
             )
@@ -277,7 +238,7 @@ fn kill_at_every_io_boundary_recovers_bit_identically() {
             continue;
         }
         let (mut rec, report) = Recovery::open(
-            SimMedium(SimFs::from_files(survivors)),
+            DiskMedium(SimDisk::from_files(survivors)),
             fresh_aug(),
             config(),
         )
@@ -302,29 +263,31 @@ fn kill_at_every_io_boundary_recovers_bit_identically() {
 #[test]
 fn recovery_survives_crashes_during_recovery() {
     let sc = build_scenario();
-    let (_, clean) = run_on(CrashPlan::none(), &sc);
+    let (_, clean) = run_on(MediumPlan::clean(), &sc);
     let oracle = clean.expect("never-crashed run");
 
     // A mid-script crash with a committed manifest as the starting disk.
-    let (fs, _) = run_on(CrashPlan::at(17, CRASH_SEED), &sc);
+    let (fs, _) = run_on(MediumPlan::crash_at(17, CRASH_SEED), &sc);
     let s0 = fs.survivors();
     assert!(s0.contains_key(MANIFEST), "probe crash fell before the first commit");
 
     // Count the baseline recovery's own IO boundaries.
-    let rfs = SimFs::from_files(s0.clone());
-    Recovery::open(SimMedium(rfs.clone()), fresh_aug(), config()).expect("baseline recovery");
+    let rfs = SimDisk::from_files(s0.clone());
+    Recovery::open(DiskMedium(rfs.clone()), fresh_aug(), config()).expect("baseline recovery");
     let rec_ops = rfs.ops();
-    assert!(rec_ops >= 8, "recovery does too little IO to sweep: {rec_ops}");
+    // 8 before the merge, when only mutating operations were counted.
+    assert!(rec_ops >= 8, "the recovery sweep narrowed to {rec_ops} IO boundaries");
 
     for j in 0..rec_ops {
         let torn_seed = CRASH_SEED.rotate_left(j as u32) ^ j;
-        let rfs = SimFs::from_files_with_plan(s0.clone(), CrashPlan::at(j, torn_seed));
-        let r = Recovery::open(SimMedium(rfs.clone()), fresh_aug(), config());
+        let rfs = SimDisk::from_files(s0.clone());
+        rfs.set_plan(MediumPlan::crash_at(j, torn_seed));
+        let r = Recovery::open(DiskMedium(rfs.clone()), fresh_aug(), config());
         assert!(r.is_err(), "recovery crash at op {j} surfaced no error");
         let s1 = rfs.survivors();
         assert!(s1.contains_key(MANIFEST), "recovery crash at op {j} lost the manifest");
         let (mut rec2, _) = Recovery::open(
-            SimMedium(SimFs::from_files(s1)),
+            DiskMedium(SimDisk::from_files(s1)),
             fresh_aug(),
             config(),
         )
@@ -343,7 +306,7 @@ fn recovery_survives_crashes_during_recovery() {
 #[test]
 fn seeded_corruption_yields_documented_codes() {
     let sc = build_scenario();
-    let (fs, clean) = run_on(CrashPlan::none(), &sc);
+    let (fs, clean) = run_on(MediumPlan::clean(), &sc);
     let oracle = clean.expect("never-crashed run");
     let files = fs.survivors();
 
@@ -360,18 +323,18 @@ fn seeded_corruption_yields_documented_codes() {
 
     // WAL header damage → DWC-S101.
     for _ in 0..12 {
-        let fs = SimFs::from_files(files.clone());
+        let fs = SimDisk::from_files(files.clone());
         assert!(fs.flip_bit(&wal2, rng.index(20), rng.below(8) as u8));
-        let err = Recovery::open(SimMedium(fs), fresh_aug(), config())
+        let err = Recovery::open(DiskMedium(fs), fresh_aug(), config())
             .expect_err("header flip went unnoticed");
         assert_eq!(err.code(), "DWC-S101", "{err}");
     }
 
     // Damage inside a structurally complete WAL frame → DWC-S102.
     for _ in 0..12 {
-        let fs = SimFs::from_files(files.clone());
+        let fs = SimDisk::from_files(files.clone());
         assert!(fs.flip_bit(&wal2, 28 + rng.index(frame_len), rng.below(8) as u8));
-        let err = Recovery::open(SimMedium(fs), fresh_aug(), config())
+        let err = Recovery::open(DiskMedium(fs), fresh_aug(), config())
             .expect_err("frame flip went unnoticed");
         assert_eq!(err.code(), "DWC-S102", "{err}");
     }
@@ -380,9 +343,9 @@ fn seeded_corruption_yields_documented_codes() {
     // structurally unreadable: documented as a torn tail — truncated,
     // counted, recovered across.
     {
-        let fs = SimFs::from_files(files.clone());
+        let fs = SimDisk::from_files(files.clone());
         assert!(fs.flip_bit(&wal2, 23, 7)); // high bit of the length
-        let (mut rec, report) = Recovery::open(SimMedium(fs), fresh_aug(), config())
+        let (mut rec, report) = Recovery::open(DiskMedium(fs), fresh_aug(), config())
             .expect("length damage must read as torn, not fail");
         assert_eq!(report.torn_tails, 1);
         complete(&mut rec, &sc);
@@ -392,9 +355,9 @@ fn seeded_corruption_yields_documented_codes() {
     // Newest snapshot corrupt → silent fallback one generation, then
     // convergence via the older snapshot + both WAL segments.
     for _ in 0..12 {
-        let fs = SimFs::from_files(files.clone());
+        let fs = SimDisk::from_files(files.clone());
         assert!(fs.flip_bit(&snap2, rng.index(files[&snap2].len()), rng.below(8) as u8));
-        let (mut rec, report) = Recovery::open(SimMedium(fs), fresh_aug(), config())
+        let (mut rec, report) = Recovery::open(DiskMedium(fs), fresh_aug(), config())
             .unwrap_or_else(|e| panic!("fallback recovery failed: {e}"));
         assert_eq!(report.snapshots_skipped, 1);
         assert_eq!(report.snapshot_used, snap1);
@@ -406,26 +369,26 @@ fn seeded_corruption_yields_documented_codes() {
 
     // Every referenced snapshot corrupt → DWC-S202.
     {
-        let fs = SimFs::from_files(files.clone());
+        let fs = SimDisk::from_files(files.clone());
         assert!(fs.flip_bit(&snap1, rng.index(files[&snap1].len()), 3));
         assert!(fs.flip_bit(&snap2, rng.index(files[&snap2].len()), 5));
-        let err = Recovery::open(SimMedium(fs), fresh_aug(), config())
+        let err = Recovery::open(DiskMedium(fs), fresh_aug(), config())
             .expect_err("all snapshots corrupt yet recovery succeeded");
         assert_eq!(err.code(), "DWC-S202", "{err}");
     }
 
     // Manifest damage → DWC-S302; manifest missing → DWC-S301.
     for _ in 0..12 {
-        let fs = SimFs::from_files(files.clone());
+        let fs = SimDisk::from_files(files.clone());
         assert!(fs.flip_bit(MANIFEST, rng.index(files[MANIFEST].len()), rng.below(8) as u8));
-        let err = Recovery::open(SimMedium(fs), fresh_aug(), config())
+        let err = Recovery::open(DiskMedium(fs), fresh_aug(), config())
             .expect_err("manifest flip went unnoticed");
         assert_eq!(err.code(), "DWC-S302", "{err}");
     }
     {
         let mut gone = files.clone();
         gone.remove(MANIFEST);
-        let err = Recovery::open(SimMedium(SimFs::from_files(gone)), fresh_aug(), config())
+        let err = Recovery::open(DiskMedium(SimDisk::from_files(gone)), fresh_aug(), config())
             .expect_err("missing manifest yet recovery succeeded");
         assert_eq!(err.code(), "DWC-S301", "{err}");
     }
@@ -433,10 +396,10 @@ fn seeded_corruption_yields_documented_codes() {
     // A torn WAL tail (truncation mid-frame) is clipped, counted, and
     // recovered across.
     for cut in [1, 3, 9] {
-        let fs = SimFs::from_files(files.clone());
+        let fs = SimDisk::from_files(files.clone());
         let full = fs.len_of(&wal2).expect("wal present");
         assert!(fs.truncate_to(&wal2, full - cut));
-        let (mut rec, report) = Recovery::open(SimMedium(fs), fresh_aug(), config())
+        let (mut rec, report) = Recovery::open(DiskMedium(fs), fresh_aug(), config())
             .unwrap_or_else(|e| panic!("torn tail (cut {cut}) failed recovery: {e}"));
         assert_eq!(report.torn_tails, 1, "cut {cut}");
         complete(&mut rec, &sc);
@@ -453,15 +416,15 @@ fn seeded_corruption_yields_documented_codes() {
 #[test]
 fn torn_manifest_is_s302() {
     let sc = build_scenario();
-    let (fs, clean) = run_on(CrashPlan::none(), &sc);
+    let (fs, clean) = run_on(MediumPlan::clean(), &sc);
     clean.expect("never-crashed run");
     let files = fs.survivors();
     let full = files[MANIFEST].len();
     for keep in [full - 1, full - 3, full - 9, full / 2, 12, 3, 0] {
-        let fs = SimFs::from_files(files.clone());
+        let fs = SimDisk::from_files(files.clone());
         assert!(fs.truncate_to(MANIFEST, keep));
-        let err =
-            Recovery::open(SimMedium(fs), fresh_aug(), config()).expect_err("torn manifest opened");
+        let err = Recovery::open(DiskMedium(fs), fresh_aug(), config())
+            .expect_err("torn manifest opened");
         assert_eq!(err.code(), "DWC-S302", "kept {keep} of {full} bytes: {err}");
     }
 }
@@ -472,19 +435,15 @@ fn torn_manifest_is_s302() {
 #[test]
 fn unreadable_newest_snapshot_falls_back_a_generation() {
     let sc = build_scenario();
-    let (fs, clean) = run_on(CrashPlan::none(), &sc);
+    let (fs, clean) = run_on(MediumPlan::clean(), &sc);
     let oracle = clean.expect("never-crashed run");
     let snap2 = snapshot_name(2);
     // The first operation on that file — recovery's read — fails once.
-    let plan = MediumFaultPlan {
-        transient_at_op: Some(0),
-        ..MediumFaultPlan::clean()
-    }
-    .scoped_to(&snap2);
-    let faulty = FaultyFs::new(SimFs::from_files(fs.survivors()), plan);
-    let (rec, report) = Recovery::open(FaultyMedium(faulty.clone()), fresh_aug(), config())
+    let disk = SimDisk::from_files(fs.survivors());
+    disk.set_plan(MediumPlan { transient_at_op: Some(0), ..MediumPlan::clean() }.scoped_to(&snap2));
+    let (rec, report) = Recovery::open(DiskMedium(disk.clone()), fresh_aug(), config())
         .expect("recovery tolerates an unreadable snapshot");
-    assert_eq!(faulty.injected(), 1, "the read fault never fired");
+    assert_eq!(disk.injected(), 1, "the read fault never fired");
     assert_eq!(report.snapshots_skipped, 1);
     assert_eq!(report.snapshot_used, snapshot_name(1));
     assert!(report.consistency_checked);
@@ -496,15 +455,15 @@ fn unreadable_newest_snapshot_falls_back_a_generation() {
 #[test]
 fn policy_mode_survives_reopen() {
     let sc = build_scenario();
-    let fs = SimFs::new(CrashPlan::none());
-    let mut dw = DurableWarehouse::create(SimMedium(fs.clone()), fresh_ingest(&sc.init), config())
+    let fs = SimDisk::default();
+    let mut dw = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(&sc.init), config())
         .expect("create");
     let fixed = PolicyMode::Fixed(MaintenanceStrategy::Incremental);
     dw.set_maintenance_policy(AdaptivePolicy::fixed(MaintenanceStrategy::Incremental))
         .expect("policy commits");
     drop(dw);
     let (rec, report) = Recovery::open(
-        SimMedium(SimFs::from_files(fs.survivors())),
+        DiskMedium(SimDisk::from_files(fs.survivors())),
         fresh_aug(),
         config(),
     )
@@ -519,7 +478,7 @@ fn policy_mode_survives_reopen() {
 #[test]
 fn sharded_layout_fails_closed_and_leaves_the_directory_as_found() {
     let sc = build_scenario();
-    let (fs, clean) = run_on(CrashPlan::none(), &sc);
+    let (fs, clean) = run_on(MediumPlan::clean(), &sc);
     clean.expect("never-crashed run");
     let mut files = fs.survivors();
     let manifest = files.get_mut(MANIFEST).expect("committed manifest");
@@ -533,14 +492,22 @@ fn sharded_layout_fails_closed_and_leaves_the_directory_as_found() {
     let crc = io::crc32(&manifest[..body]);
     manifest[body..].copy_from_slice(&crc.to_le_bytes());
 
-    let disk = SimFs::from_files(files.clone());
-    let err = Recovery::open(SimMedium(disk.clone()), fresh_aug(), config())
+    // A disk that fails every write, sync, rename and remove: recovery
+    // must not even attempt one.
+    let disk = SimDisk::from_files(files.clone());
+    disk.set_plan(MediumPlan {
+        append_permille: 1000,
+        sync_permille: 1000,
+        rename_permille: 1000,
+        ..MediumPlan::clean()
+    });
+    let err = Recovery::open(DiskMedium(disk.clone()), fresh_aug(), config())
         .expect_err("sharded layout opened");
     assert_eq!(err.code(), "DWC-S304", "{err}");
     assert!(
         err.to_string().contains("no longer opens sharded layouts"),
         "{err}"
     );
-    assert_eq!(disk.ops(), 0, "recovery mutated the directory");
+    assert_eq!(disk.injected(), 0, "recovery tried to mutate the directory");
     assert_eq!(disk.survivors(), files);
 }

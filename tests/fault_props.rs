@@ -2,7 +2,7 @@
 //! medium.
 //!
 //! The injection matrix drives the same seeded two-lane schedule the
-//! group-commit suite uses, but over [`FaultyMedium`] — a medium that
+//! group-commit suite uses, but over [`DiskMedium`] — a medium that
 //! injects transient faults, permanent faults, and modeled latency at
 //! chosen IO boundaries. The contract, at **every** boundary:
 //!
@@ -20,6 +20,9 @@
 //!   heals) converges to the oracle under outbox redelivery.
 //! * **Slow media are only slow** — modeled fsync stalls advance the
 //!   virtual clock but change no outcome.
+//! * **A crash mid-heal loses only unacked envelopes** — a crash swept
+//!   across every boundary of a run that is absorbing a transient fault
+//!   (degrade, retry, generation roll) recovers onto the oracle.
 //!
 //! Alongside the matrix: the retryable-vs-fatal error taxonomy pin
 //! (every `DWC-SNNN` code maps to exactly one [`ErrorClass`]), the
@@ -32,16 +35,15 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use common::{chain_catalog, chain_state, relation_from, ChainRows, FaultyMedium, SimMedium};
-use dwc_testkit::crash::{CrashPlan, SimFs};
-use dwc_testkit::iofault::{FaultyFs, MediumFaultPlan};
+use common::{chain_catalog, chain_state, relation_from, ChainRows, DiskMedium};
 use dwc_testkit::prop::Runner;
 use dwc_testkit::sched::{Interleaver, VirtualClock};
-use dwc_testkit::tk_ensure;
+use dwc_testkit::{tk_ensure, MediumPlan, SimDisk};
 use dwcomplements::relalg::{io, RelName, Update};
 use dwcomplements::warehouse::channel::{Envelope, SequencedSource, SourceId};
 use dwcomplements::warehouse::ingest::{IngestConfig, IngestingIntegrator};
 use dwcomplements::warehouse::integrator::{Integrator, SourceSite};
+use dwcomplements::warehouse::storage::snapshot::snapshot_name;
 use dwcomplements::warehouse::server::{
     Ack, BatchPolicy, Health, RetryPolicy, ServerCore, ServerError,
 };
@@ -160,7 +162,7 @@ fn matrix_schedule() -> (ChainRows, [SequencedSource; 2], Vec<(usize, Envelope)>
 
 /// Runs every due tick at virtual time `now`, collecting acks.
 fn pump(
-    core: &mut ServerCore<FaultyMedium>,
+    core: &mut ServerCore<DiskMedium>,
     now: u64,
     acks: &mut Vec<Ack>,
     budget: &mut usize,
@@ -196,22 +198,22 @@ fn health_tag(h: Health) -> u8 {
 /// medium, pumping ticks at every due deadline so degraded-mode
 /// retries and read-only heal probes run. Nacked deliveries
 /// (`ReadOnly`/`Busy`) retry the *same* envelope at later virtual
-/// times, preserving per-source order; a medium that is permanently
-/// broken (`fs.broken()`) aborts the wait instead.
+/// times, preserving per-source order; a disk that is permanently
+/// broken or has crashed aborts the wait instead.
 ///
 /// Returns the acks in release order, the final reader epoch, and the
 /// final fingerprint — `Err` when the server could not converge
 /// (creation failed, a fatal fault forced read-only, or the tick
 /// budget ran out).
 fn drive_faulty(
-    fs: &FaultyFs,
+    fs: &SimDisk,
     init: &ChainRows,
     schedule: &[(usize, Envelope)],
     sources: &[SourceId],
 ) -> (Vec<Ack>, u64, Result<Fingerprint, String>) {
     let mut acks = Vec::new();
     let dw = match DurableWarehouse::create(
-        FaultyMedium(fs.clone()),
+        DiskMedium(fs.clone()),
         fresh_ingest(init),
         server_config(),
     ) {
@@ -226,6 +228,7 @@ fn drive_faulty(
     let mut now: u64 = 0;
     let mut budget = TICK_BUDGET;
     let mut fatal: Option<String> = None;
+    let dead = || fs.broken() || fs.crashed();
 
     for (lane, env) in schedule {
         now += 50;
@@ -238,7 +241,7 @@ fn drive_faulty(
                     break;
                 }
                 Err(ServerError::ReadOnly { .. }) | Err(ServerError::Busy { .. }) => {
-                    if fs.broken() || fatal.is_some() {
+                    if dead() || fatal.is_some() {
                         break; // typed nack; the source must retransmit after recovery
                     }
                     match core.next_deadline() {
@@ -294,7 +297,7 @@ fn drive_faulty(
             return (acks, reader.epoch(), Err(e));
         }
         let after = (acks.len(), core.parked_len(), health_tag(core.health()));
-        if after == before || (fs.broken() && health_tag(core.health()) == 2) {
+        if after == before || (dead() && health_tag(core.health()) == 2) {
             stagnant += 1;
             if stagnant > 16 {
                 break;
@@ -315,16 +318,18 @@ fn drive_faulty(
 }
 
 /// The never-faulted oracle: acks, final epoch, fingerprint, and the
-/// faultable-op count that bounds the matrix sweeps.
+/// op count that bounds the matrix sweeps.
 fn oracle_run() -> (Vec<Ack>, Fingerprint, u64) {
     let (init, _, schedule) = matrix_schedule();
     let sources = [SourceId::new("lane-a"), SourceId::new("lane-b")];
-    let fs = FaultyFs::new(SimFs::new(CrashPlan::none()), MediumFaultPlan::clean());
+    let fs = SimDisk::default();
     let (acks, _, fp) = drive_faulty(&fs, &init, &schedule, &sources);
     let oracle = fp.expect("clean run converges");
     assert_eq!(acks.len(), 11, "every envelope acks in the clean run");
-    let total = fs.faultable_ops();
-    assert!(total >= 20, "schedule exercises too few IO boundaries: {total}");
+    let total = fs.ops();
+    // 22 before the merge, the same count: the fault simulator already
+    // counted every read and write attempt.
+    assert!(total >= 22, "the sweeps narrowed to {total} IO boundaries");
     (acks, oracle, total)
 }
 
@@ -342,12 +347,12 @@ fn transient_fault_at_every_io_boundary_self_heals() {
     let sources = [SourceId::new("lane-a"), SourceId::new("lane-b")];
 
     for k in 0..total {
-        let plan = MediumFaultPlan {
+        let plan = MediumPlan {
             seed: FAULT_SEED ^ k,
             transient_at_op: Some(k),
-            ..MediumFaultPlan::clean()
+            ..MediumPlan::clean()
         };
-        let fs = FaultyFs::new(SimFs::new(CrashPlan::none()), plan);
+        let fs = SimDisk::new(plan);
         let (acks, epoch, fp) = drive_faulty(&fs, &init, &schedule, &sources);
         match fp {
             Ok(fp) => {
@@ -381,16 +386,15 @@ fn transient_fault_at_every_io_boundary_self_heals() {
 fn permanent_fault_at_every_io_boundary_goes_read_only_and_recovers() {
     let (clean_acks, oracle, total) = oracle_run();
     let (init, sources_full, schedule) = matrix_schedule();
-    let [src_a, src_b] = sources_full;
     let sources = [SourceId::new("lane-a"), SourceId::new("lane-b")];
 
     for k in 0..total {
-        let plan = MediumFaultPlan {
+        let plan = MediumPlan {
             seed: FAULT_SEED ^ k.rotate_left(17),
             permanent_from_op: Some(k),
-            ..MediumFaultPlan::clean()
+            ..MediumPlan::clean()
         };
-        let fs = FaultyFs::new(SimFs::new(CrashPlan::none()), plan);
+        let fs = SimDisk::new(plan);
         let (acks, epoch, fp) = drive_faulty(&fs, &init, &schedule, &sources);
         assert!(
             fp.is_err(),
@@ -404,54 +408,102 @@ fn permanent_fault_at_every_io_boundary_goes_read_only_and_recovers() {
             assert!(epoch >= 1, "permanent from op {k}: reads stopped serving");
         }
 
-        // The medium heals; the process restarts into recovery over the
-        // *synced* survivors (unsynced appends are gone, as on power
-        // loss — the fsync-gate makes that safe).
+        // The medium heals; the process restarts into recovery.
         fs.heal();
-        let survivors = fs.inner().survivors();
-        if !survivors.contains_key(MANIFEST) {
-            assert!(acks.is_empty(), "permanent from op {k}: acked before the first commit");
-            continue;
-        }
-        let (mut rec, _) = Recovery::open(
-            SimMedium(SimFs::from_files(survivors)),
-            fresh_aug(),
-            server_config(),
-        )
-        .unwrap_or_else(|e| panic!("permanent from op {k}: recovery failed: {e}"));
+        restart_converges(&format!("permanent from op {k}"), &fs, &acks, &sources_full, &oracle);
+    }
+}
 
-        // Ack ⇒ durable: every acked (epoch, seq) lies strictly below
-        // the recovered cursor of its source.
-        let cursors: BTreeMap<String, (u64, u64)> = rec
-            .ingestor()
-            .sequencing()
-            .iter()
-            .map(|s| (s.source.as_str().to_owned(), (s.epoch, s.next_seq)))
-            .collect();
-        for ack in &acks {
-            let &(epoch, next_seq) = cursors
-                .get(ack.source.as_str())
-                .unwrap_or_else(|| panic!("permanent from op {k}: acked source not recovered"));
-            assert!(
-                epoch > ack.epoch || (epoch == ack.epoch && next_seq > ack.seq),
-                "permanent from op {k}: acked seq {} of {:?} lost (cursor {:?})",
-                ack.seq,
-                ack.source,
-                (epoch, next_seq)
-            );
-        }
-
-        // Full-outbox redelivery (idempotent) converges on the oracle.
-        for src in [&src_a, &src_b] {
-            for env in src.outbox() {
-                rec.offer(env).expect("redelivery");
-            }
-        }
-        assert_eq!(
-            fingerprint(rec.ingestor()),
-            oracle,
-            "permanent from op {k}: recovered state diverged"
+/// Restarts into recovery over `fs`'s survivors and checks the crash
+/// contract: before the first manifest commit nothing was acked; after
+/// it every ack is durable — its (epoch, seq) lies strictly below the
+/// recovered cursor of its source — and full-outbox redelivery
+/// (idempotent) converges on the oracle.
+fn restart_converges(
+    label: &str,
+    fs: &SimDisk,
+    acks: &[Ack],
+    sources: &[SequencedSource; 2],
+    oracle: &Fingerprint,
+) {
+    let survivors = fs.survivors();
+    if !survivors.contains_key(MANIFEST) {
+        assert!(acks.is_empty(), "{label}: acked before the first commit");
+        return;
+    }
+    let (mut rec, _) =
+        Recovery::open(DiskMedium(SimDisk::from_files(survivors)), fresh_aug(), server_config())
+            .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+    let cursors: BTreeMap<String, (u64, u64)> = rec
+        .ingestor()
+        .sequencing()
+        .iter()
+        .map(|s| (s.source.as_str().to_owned(), (s.epoch, s.next_seq)))
+        .collect();
+    for ack in acks {
+        let &(epoch, next_seq) = cursors
+            .get(ack.source.as_str())
+            .unwrap_or_else(|| panic!("{label}: acked source not recovered"));
+        assert!(
+            epoch > ack.epoch || (epoch == ack.epoch && next_seq > ack.seq),
+            "{label}: acked seq {} of {:?} lost (cursor {:?})",
+            ack.seq,
+            ack.source,
+            (epoch, next_seq)
         );
+    }
+    for src in sources {
+        for env in src.outbox() {
+            rec.offer(env).expect("redelivery");
+        }
+    }
+    assert_eq!(&fingerprint(rec.ingestor()), oracle, "{label}: recovered state diverged");
+}
+
+/// Matrix leg 4: a crash while the server absorbs a fault. A transient
+/// fault on the first group commit's WAL append drives the pipeline
+/// Healthy → Degraded → retry → heal, and the heal rolls a second
+/// generation. A crash is then swept across every IO boundary of that
+/// run — the faulted op, the retry and the roll included, all on the
+/// one op index. Whatever survives, the acks released before the crash
+/// are a prefix of the oracle's, and recovery plus outbox redelivery
+/// lands on the oracle fingerprint.
+#[test]
+fn crash_at_every_io_boundary_of_a_self_healing_run_recovers() {
+    let (clean_acks, oracle, clean_total) = oracle_run();
+    let (init, sources_full, schedule) = matrix_schedule();
+    let sources = [SourceId::new("lane-a"), SourceId::new("lane-b")];
+    let fault_at = ops_after_create(&init);
+    let faulted = |crash_at_op| MediumPlan {
+        seed: FAULT_SEED,
+        transient_at_op: Some(fault_at),
+        crash_at_op,
+        ..MediumPlan::clean()
+    };
+
+    // Without the crash, the run heals in-process onto the oracle.
+    let fs = SimDisk::new(faulted(None));
+    let (acks, _, fp) = drive_faulty(&fs, &init, &schedule, &sources);
+    assert_eq!(fs.injected(), 1, "the transient fault never fired");
+    assert_eq!(acks, clean_acks, "the healed run's ack stream diverged");
+    assert_eq!(fp.expect("the faulted run heals"), oracle);
+    assert!(
+        fs.survivors().contains_key(&snapshot_name(2)),
+        "the heal must roll a second generation"
+    );
+    let total = fs.ops();
+    assert!(total > clean_total, "the heal added no IO boundaries: {total}");
+
+    for k in 0..total {
+        let fs = SimDisk::new(faulted(Some(k)));
+        let (acks, _, fp) = drive_faulty(&fs, &init, &schedule, &sources);
+        assert!(fs.crashed(), "crash at op {k} never fired");
+        assert!(fp.is_err(), "crash at op {k}: a crashed server converged in-process");
+        assert!(
+            acks.len() < clean_acks.len() && acks[..] == clean_acks[..acks.len()],
+            "crash at op {k}: acks are not a strict prefix of the oracle's"
+        );
+        restart_converges(&format!("crash at op {k}"), &fs, &acks, &sources_full, &oracle);
     }
 }
 
@@ -465,19 +517,19 @@ fn modeled_latency_advances_the_clock_but_changes_no_outcome() {
     let sources = [SourceId::new("lane-a"), SourceId::new("lane-b")];
 
     let clock = Rc::new(RefCell::new(VirtualClock::new()));
-    let plan = MediumFaultPlan {
+    let plan = MediumPlan {
         seed: FAULT_SEED,
         read_latency_micros: 5,
         append_latency_micros: 20,
         sync_latency_micros: 500,
         rename_latency_micros: 20,
-        ..MediumFaultPlan::clean()
+        ..MediumPlan::clean()
     };
-    let fs = FaultyFs::with_clock(SimFs::new(CrashPlan::none()), plan, Rc::clone(&clock));
+    let fs = SimDisk::with_clock(plan, Rc::clone(&clock));
     let (acks, _, fp) = drive_faulty(&fs, &init, &schedule, &sources);
     assert_eq!(acks, clean_acks, "latency must not change the ack stream");
     assert_eq!(fp.expect("slow run converges"), oracle, "latency must not change state");
-    let syncs = fs.inner().syncs();
+    let syncs = fs.syncs();
     assert!(syncs >= 3, "run must fsync: {syncs}");
     assert!(
         clock.borrow().now() >= syncs * 500,
@@ -495,11 +547,11 @@ fn modeled_latency_advances_the_clock_but_changes_no_outcome() {
 fn random_transient_chaos_converges_once_the_medium_quiesces() {
     let (clean_acks, oracle, _) = oracle_run();
     Runner::new("random_transient_chaos_converges_once_the_medium_quiesces").cases(24).run(
-        MediumFaultPlan::random,
-        |plan: &MediumFaultPlan| {
+        MediumPlan::random,
+        |plan: &MediumPlan| {
             let (init, _, schedule) = matrix_schedule();
             let sources = [SourceId::new("lane-a"), SourceId::new("lane-b")];
-            let fs = FaultyFs::new(SimFs::new(CrashPlan::none()), plan.clone());
+            let fs = SimDisk::new(plan.clone());
             // Schedule phase under chaos; then the medium quiesces and
             // the drain in `drive_faulty` must converge. The quiesce
             // here governs only ops *after* this point — the schedule
@@ -517,10 +569,7 @@ fn random_transient_chaos_converges_once_the_medium_quiesces() {
                     // legal — but after quiescing, a fresh drive over
                     // the same (now clean) medium plan must converge.
                     fs.quiesce();
-                    let fs2 = FaultyFs::new(
-                        SimFs::new(CrashPlan::none()),
-                        MediumFaultPlan { seed: plan.seed, ..MediumFaultPlan::clean() },
-                    );
+                    let fs2 = SimDisk::new(MediumPlan { seed: plan.seed, ..MediumPlan::clean() });
                     drive_faulty(&fs2, &init, &schedule, &sources)
                 } else {
                     result
@@ -605,11 +654,11 @@ fn every_storage_error_code_maps_to_exactly_one_class() {
 /// Faultable-op count of warehouse creation alone — the op index where
 /// the first commit's WAL append lands.
 fn ops_after_create(init: &ChainRows) -> u64 {
-    let fs = FaultyFs::new(SimFs::new(CrashPlan::none()), MediumFaultPlan::clean());
+    let fs = SimDisk::default();
     let _dw =
-        DurableWarehouse::create(FaultyMedium(fs.clone()), fresh_ingest(init), server_config())
+        DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(init), server_config())
             .expect("clean create");
-    fs.faultable_ops()
+    fs.ops()
 }
 
 /// A released batch leaves the batcher before its commit runs, so after
@@ -621,13 +670,13 @@ fn failed_commit_rearms_the_tick_deadline() {
     let init: ChainRows = (vec![], vec![], vec![]);
     let (_, envs) = insert_lane(&init, "rearm", "R", 4, 0);
     let fault_at = ops_after_create(&init);
-    let plan = MediumFaultPlan {
+    let plan = MediumPlan {
         seed: 7,
         transient_at_op: Some(fault_at),
-        ..MediumFaultPlan::clean()
+        ..MediumPlan::clean()
     };
-    let fs = FaultyFs::new(SimFs::new(CrashPlan::none()), plan);
-    let dw = DurableWarehouse::create(FaultyMedium(fs.clone()), fresh_ingest(&init), server_config())
+    let fs = SimDisk::new(plan);
+    let dw = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(&init), server_config())
         .expect("create");
     let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 4, max_wait_micros: 1_000 });
     let grant = core.connect(SourceId::new("rearm"));
@@ -664,13 +713,13 @@ fn permanent_failure_nacks_writes_typed_but_keeps_serving_reads() {
     let init: ChainRows = (vec![vec![1, 101]], vec![], vec![]);
     let (_, envs) = insert_lane(&init, "ro", "R", 5, 10);
     let fault_at = ops_after_create(&init);
-    let plan = MediumFaultPlan {
+    let plan = MediumPlan {
         seed: 11,
         permanent_from_op: Some(fault_at),
-        ..MediumFaultPlan::clean()
+        ..MediumPlan::clean()
     };
-    let fs = FaultyFs::new(SimFs::new(CrashPlan::none()), plan);
-    let dw = DurableWarehouse::create(FaultyMedium(fs.clone()), fresh_ingest(&init), server_config())
+    let fs = SimDisk::new(plan);
+    let dw = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(&init), server_config())
         .expect("create");
     let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 4, max_wait_micros: 1_000 });
     let grant = core.connect(SourceId::new("ro"));
@@ -727,8 +776,8 @@ fn permanent_failure_nacks_writes_typed_but_keeps_serving_reads() {
 fn admission_control_nacks_busy_and_readmits_after_commit() {
     let init: ChainRows = (vec![], vec![], vec![]);
     let (_, envs) = insert_lane(&init, "busy", "R", 3, 0);
-    let fs = FaultyFs::new(SimFs::new(CrashPlan::none()), MediumFaultPlan::clean());
-    let dw = DurableWarehouse::create(FaultyMedium(fs.clone()), fresh_ingest(&init), server_config())
+    let fs = SimDisk::default();
+    let dw = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(&init), server_config())
         .expect("create");
     let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 100, max_wait_micros: 1_000 });
     core.set_max_pending(2);
@@ -764,8 +813,8 @@ fn idle_sessions_reap_losslessly_and_ping_defers_eviction() {
     let init: ChainRows = (vec![], vec![], vec![]);
     let (_, a_envs) = insert_lane(&init, "src-a", "R", 1, 10);
     let (_, b_envs) = insert_lane(&init, "src-b", "S", 1, 50);
-    let fs = FaultyFs::new(SimFs::new(CrashPlan::none()), MediumFaultPlan::clean());
-    let dw = DurableWarehouse::create(FaultyMedium(fs.clone()), fresh_ingest(&init), server_config())
+    let fs = SimDisk::default();
+    let dw = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(&init), server_config())
         .expect("create");
     let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 4, max_wait_micros: 500 });
     core.set_idle_timeout(Some(1_000));
@@ -813,8 +862,8 @@ fn idle_sessions_reap_losslessly_and_ping_defers_eviction() {
 #[test]
 fn connect_at_stamps_liveness_so_fresh_sessions_survive_the_next_tick() {
     let init: ChainRows = (vec![], vec![], vec![]);
-    let fs = FaultyFs::new(SimFs::new(CrashPlan::none()), MediumFaultPlan::clean());
-    let dw = DurableWarehouse::create(FaultyMedium(fs), fresh_ingest(&init), server_config())
+    let fs = SimDisk::default();
+    let dw = DurableWarehouse::create(DiskMedium(fs), fresh_ingest(&init), server_config())
         .expect("create");
     let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 4, max_wait_micros: 500 });
     core.set_idle_timeout(Some(1_000));

@@ -2,12 +2,12 @@
 //! loss bounds, and durable quarantine triage.
 //!
 //! The group-commit contract under test, end to end over the
-//! crash-simulated filesystem:
+//! simulated disk:
 //!
 //! * **Amortization is exact** — K envelopes through a batch cap of B
 //!   cost exactly ⌈K/B⌉ fsyncs, counted three independent ways (the
 //!   warehouse's own `wal_syncs` and `group_commits` counters and the
-//!   [`SimFs`] sync log), and acks are released exactly at the
+//!   [`SimDisk`] sync meter), and acks are released exactly at the
 //!   deliveries whose batch fsynced — never before.
 //! * **A crash loses only unacked envelopes** — killing the process at
 //!   every IO boundary of a batched run, every ack released before the
@@ -27,11 +27,10 @@ mod common;
 
 use std::collections::BTreeMap;
 
-use common::{chain_catalog, chain_state, relation_from, ChainRows, SimMedium};
-use dwc_testkit::crash::{CrashPlan, SimFs};
+use common::{chain_catalog, chain_state, relation_from, ChainRows, DiskMedium};
 use dwc_testkit::prop::Runner;
 use dwc_testkit::sched::{sched_seeds, Interleaver};
-use dwc_testkit::{tk_ensure, tk_ensure_eq, SplitMix64};
+use dwc_testkit::{tk_ensure, tk_ensure_eq, MediumPlan, SimDisk, SplitMix64};
 use dwcomplements::relalg::{io, DbState, Delta, RelName, Update};
 use dwcomplements::warehouse::channel::{Envelope, SequencedSource, SourceId};
 use dwcomplements::warehouse::ingest::{
@@ -154,9 +153,9 @@ fn group_commit_fsync_accounting_is_exact() {
         |&(k, max_batch): &(usize, usize)| {
             let init: ChainRows = (vec![], vec![], vec![]);
             let (_, envs) = insert_lane(&init, "acct", "R", k, 0);
-            let fs = SimFs::new(CrashPlan::none());
+            let fs = SimDisk::default();
             let dw = DurableWarehouse::create(
-                SimMedium(fs.clone()),
+                DiskMedium(fs.clone()),
                 fresh_ingest(&init),
                 server_config(),
             )
@@ -211,9 +210,9 @@ fn batch_sixteen_amortizes_fsyncs_at_least_fivefold() {
     let init: ChainRows = (vec![], vec![], vec![]);
     let syncs_at = |max_batch: usize| -> u64 {
         let (_, envs) = insert_lane(&init, "bench", "R", 64, 0);
-        let fs = SimFs::new(CrashPlan::none());
+        let fs = SimDisk::default();
         let dw =
-            DurableWarehouse::create(SimMedium(fs.clone()), fresh_ingest(&init), server_config())
+            DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(&init), server_config())
                 .expect("create");
         let base = fs.syncs();
         let mut core = ServerCore::new(dw, BatchPolicy { max_batch, max_wait_micros: 1_000_000 });
@@ -244,14 +243,14 @@ fn batch_sixteen_amortizes_fsyncs_at_least_fivefold() {
 /// `fs`, returning the acks released before any storage failure and the
 /// final fingerprint if the run survived.
 fn drive(
-    fs: &SimFs,
+    fs: &SimDisk,
     init: &ChainRows,
     schedule: &[(usize, Envelope)],
     source_of_lane: &[SourceId],
 ) -> (Vec<Ack>, Result<Fingerprint, String>) {
     let mut acks = Vec::new();
     let dw = match DurableWarehouse::create(
-        SimMedium(fs.clone()),
+        DiskMedium(fs.clone()),
         fresh_ingest(init),
         server_config(),
     ) {
@@ -275,7 +274,7 @@ fn drive(
 }
 
 /// THE crash acceptance property for the server: kill the process at
-/// every mutating IO boundary of a group-committed two-source run. The
+/// every IO boundary of a group-committed two-source run. The
 /// acks released before the crash are a prefix of the clean run's, every
 /// acked envelope survives recovery, and full-outbox redelivery lands
 /// bit-identically on the never-crashed oracle.
@@ -288,16 +287,17 @@ fn kill_mid_batch_loses_only_unacked_envelopes() {
     let schedule =
         Interleaver::new(GROUP_SEED).merge(vec![lane_a.clone(), lane_b.clone()]);
 
-    let clean_fs = SimFs::new(CrashPlan::none());
+    let clean_fs = SimDisk::default();
     let (clean_acks, clean_fp) = drive(&clean_fs, &init, &schedule, &sources);
     let oracle = clean_fp.expect("never-crashed run");
     assert_eq!(clean_acks.len(), 11, "every envelope must be acked in the clean run");
     let total_ops = clean_fs.ops();
-    assert!(total_ops >= 20, "run exercises too few IO boundaries: {total_ops}");
+    // 22 before the merge, when only mutating operations were counted.
+    assert!(total_ops >= 22, "the sweep narrowed to {total_ops} IO boundaries");
 
     for k in 0..total_ops {
         let torn_seed = GROUP_SEED ^ (k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let fs = SimFs::new(CrashPlan::at(k, torn_seed));
+        let fs = SimDisk::new(MediumPlan::crash_at(k, torn_seed));
         let (acks, result) = drive(&fs, &init, &schedule, &sources);
         assert!(result.is_err(), "crash at op {k} surfaced no error");
         assert!(fs.crashed(), "crash plan at op {k} never fired");
@@ -314,7 +314,7 @@ fn kill_mid_batch_loses_only_unacked_envelopes() {
         if !survivors.contains_key(MANIFEST) {
             assert!(acks.is_empty(), "crash at op {k}: acked before the first commit");
             let err = Recovery::open(
-                SimMedium(SimFs::from_files(survivors)),
+                DiskMedium(SimDisk::from_files(survivors)),
                 fresh_aug(),
                 server_config(),
             )
@@ -323,7 +323,7 @@ fn kill_mid_batch_loses_only_unacked_envelopes() {
             continue;
         }
         let (mut rec, _) = Recovery::open(
-            SimMedium(SimFs::from_files(survivors)),
+            DiskMedium(SimDisk::from_files(survivors)),
             fresh_aug(),
             server_config(),
         )
@@ -380,11 +380,11 @@ fn durable_quarantine_triage_replays_identically() {
     let mut bad = envs[3].clone();
     bad.report = Update::inserting("Ghost", relation_from(&["x"], &[vec![1]]));
 
-    let fs = SimFs::new(CrashPlan::none());
+    let fs = SimDisk::default();
     // Per-append sync ON here: triage records are single-record logs,
     // and the recovery comparison below reads the synced survivor view.
     let config = DurabilityConfig { sync_every_append: true, ..server_config() };
-    let dw = DurableWarehouse::create(SimMedium(fs.clone()), fresh_ingest(&init), config)
+    let dw = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(&init), config)
         .expect("create");
     let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 4, max_wait_micros: 1_000_000 });
     let grant = core.connect(SourceId::new("triage"));
@@ -444,7 +444,7 @@ fn durable_quarantine_triage_replays_identically() {
     // identical state — triage decisions survive a restart.
     let oracle = fingerprint(core.warehouse().ingestor());
     let (rec, report) = Recovery::open(
-        SimMedium(SimFs::from_files(fs.survivors())),
+        DiskMedium(SimDisk::from_files(fs.survivors())),
         fresh_aug(),
         DurabilityConfig { sync_every_append: true, ..server_config() },
     )
@@ -629,9 +629,9 @@ fn slicing_is_invisible(seed: u64) -> Result<(), String> {
 
     // The durable leg: group commits of 7, then recovery — which
     // regroups the WAL its own way — lands on the same fingerprint.
-    let fs = SimFs::new(CrashPlan::none());
+    let fs = SimDisk::default();
     let mut dw = DurableWarehouse::create(
-        SimMedium(fs.clone()),
+        DiskMedium(fs.clone()),
         fresh_ingest(&arrival.init),
         server_config(),
     )
@@ -642,9 +642,9 @@ fn slicing_is_invisible(seed: u64) -> Result<(), String> {
     }
     tk_ensure_eq!(&outcomes, &per_envelope.outcomes);
     tk_ensure_eq!(fingerprint(dw.ingestor()), per_envelope.fp.clone());
+    let rebooted = DiskMedium(SimDisk::from_files(fs.survivors()));
     let (rec, report) =
-        Recovery::open(SimMedium(SimFs::from_files(fs.survivors())), fresh_aug(), server_config())
-            .map_err(|e| e.to_string())?;
+        Recovery::open(rebooted, fresh_aug(), server_config()).map_err(|e| e.to_string())?;
     tk_ensure_eq!(report.records_replayed, arrival.stream.len());
     tk_ensure_eq!(rec.ingestor().stats(), per_envelope.ingest);
     let i = rec.ingestor().integrator_stats();

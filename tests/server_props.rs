@@ -22,12 +22,11 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{chain_catalog, chain_state, relation_from, ChainRows, Rows, SimMedium};
-use dwc_testkit::crash::{CrashPlan, SimFs};
+use common::{chain_catalog, chain_state, relation_from, ChainRows, DiskMedium, Rows};
 use dwc_testkit::prop::Runner;
 use dwc_testkit::sched::{sched_seeds, Interleaver, VirtualClock};
 use dwc_testkit::shrink::NoShrink;
-use dwc_testkit::{tk_ensure, tk_ensure_eq, SplitMix64};
+use dwc_testkit::{tk_ensure, tk_ensure_eq, SimDisk, SplitMix64};
 use dwcomplements::relalg::{io, Delta, RaExpr, Update};
 use dwcomplements::warehouse::channel::{Envelope, SequencedSource};
 use dwcomplements::warehouse::ingest::{IngestConfig, IngestingIntegrator};
@@ -180,11 +179,11 @@ fn serial_oracle(init: &ChainRows, lanes: &[Vec<Envelope>]) -> Fingerprint {
 struct ServerRun {
     fp: Fingerprint,
     acks: Vec<Ack>,
-    fs: SimFs,
+    fs: SimDisk,
     outboxes: Vec<Vec<Envelope>>,
 }
 
-/// Drives a fresh server over SimFs through the seeded interleaving of
+/// Drives a fresh server over a simulated disk through the seeded interleaving of
 /// `lanes`, checking the torn-epoch and ack-release invariants at every
 /// step; returns the final fingerprint and the acks in release order.
 fn run_server(
@@ -197,9 +196,9 @@ fn run_server(
     let total: usize = lanes.iter().map(Vec::len).sum();
     let reported = lanes.iter().flatten().filter(|e| !e.report.is_empty()).count();
     let reported_tuples: usize = lanes.iter().flatten().map(|e| e.report.len()).sum();
-    let fs = SimFs::new(CrashPlan::none());
+    let fs = SimDisk::default();
     let dw =
-        DurableWarehouse::create(SimMedium(fs.clone()), fresh_ingest(init), server_config())
+        DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(init), server_config())
             .map_err(|e| e.to_string())?;
     let policy = BatchPolicy { max_batch, max_wait_micros: 200 };
     let mut core = ServerCore::new(dw, policy);
@@ -423,7 +422,7 @@ fn restart_resumes_sessions_at_acked_cursor() {
     // Phase 2: "restart" — recover from the survivors and reconnect.
     let survivors = run.fs.survivors();
     let (rec, report) = Recovery::open(
-        SimMedium(SimFs::from_files(survivors)),
+        DiskMedium(SimDisk::from_files(survivors)),
         fresh_aug(),
         server_config(),
     )
@@ -478,8 +477,8 @@ fn restart_resumes_sessions_at_acked_cursor() {
 fn session_validation_rejects_mismatched_and_unknown() {
     let (init, [r, s, t]) = pinned_scenario();
     let (sources, lanes) = build_lanes(&init, [&r, &s, &t]);
-    let fs = SimFs::new(CrashPlan::none());
-    let dw = DurableWarehouse::create(SimMedium(fs), fresh_ingest(&init), server_config())
+    let fs = SimDisk::default();
+    let dw = DurableWarehouse::create(DiskMedium(fs), fresh_ingest(&init), server_config())
         .expect("create");
     let mut core = ServerCore::new(dw, BatchPolicy::default());
     let grant_r = core.connect(sources[0].id().clone());
@@ -511,8 +510,8 @@ fn query_client_sees_only_published_epochs() {
     let init: ChainRows = (vec![vec![1, 10]], vec![vec![10, 100]], vec![]);
     let (sources, lanes) =
         build_lanes(&init, [&[(vec![vec![2, 20]], vec![])], &[], &[]]);
-    let fs = SimFs::new(CrashPlan::none());
-    let dw = DurableWarehouse::create(SimMedium(fs), fresh_ingest(&init), server_config())
+    let fs = SimDisk::default();
+    let dw = DurableWarehouse::create(DiskMedium(fs), fresh_ingest(&init), server_config())
         .expect("create");
     // A batch cap the single envelope cannot fill: it pends until flush.
     let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 8, max_wait_micros: 1_000 });
@@ -553,8 +552,8 @@ fn query_client_sees_only_published_epochs() {
 fn max_wait_deadline_is_oldest_based_and_releases_on_tick() {
     let (init, [r, _, _]) = pinned_scenario();
     let (sources, lanes) = build_lanes(&init, [&r, &[], &[]]);
-    let fs = SimFs::new(CrashPlan::none());
-    let dw = DurableWarehouse::create(SimMedium(fs.clone()), fresh_ingest(&init), server_config())
+    let fs = SimDisk::default();
+    let dw = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(&init), server_config())
         .expect("create");
     let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 64, max_wait_micros: 100 });
     let grant = core.connect(sources[0].id().clone());
@@ -599,8 +598,8 @@ fn applied_envelope_acks_applied_when_a_parked_successor_fails() {
     let site = SourceSite::new(chain_catalog(), chain_state(&init)).expect("site");
     let integ = Integrator::initial_load(fresh_aug(), &site).expect("initial load");
     let ingest = IngestingIntegrator::new(integ, IngestConfig::paranoid()).expect("ingestor");
-    let fs = SimFs::new(CrashPlan::none());
-    let dw = DurableWarehouse::create(SimMedium(fs), ingest, server_config()).expect("create");
+    let fs = SimDisk::default();
+    let dw = DurableWarehouse::create(DiskMedium(fs), ingest, server_config()).expect("create");
     let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 1, max_wait_micros: 200 });
     let session = core.connect(src.id().clone()).session;
 
