@@ -8,10 +8,12 @@
 //! question is answerable statically too, from relation/delta sizes and
 //! key selectivities via [`crate::cost`]. The four strategies:
 //!
-//! * **incremental** — evaluate the inverse mapping `W⁻¹` over the
-//!   stored state, then the delta rules of each touched view;
-//! * **incremental-mirrored** — like incremental, but `W⁻¹` is cached
-//!   as mirrors that are merged in place (cheap) instead of re-derived;
+//! * **incremental** — evaluate the delta rules of each touched view
+//!   from the reported delta, reading the stored state (and the inverse
+//!   mapping `W⁻¹`) only at the keys the delta reaches: priced as the
+//!   delta rows plus their `estimate_delta` fan-out, each an index probe;
+//! * **incremental-mirrored** — the delta rules over whole relations,
+//!   with `W⁻¹` cached as mirrors that are merged in place;
 //! * **reconstruct** — recompute `u(W⁻¹(w))` wholesale and re-apply
 //!   every view definition (the Theorem 4.1 oracle);
 //! * **recompute-at-source** — ask the (reachable) source for fresh
@@ -234,21 +236,34 @@ pub fn choose(
         .flat_map(|v| inputs.definitions[v].base_relations())
         .collect();
 
+    let reported: f64 = profile.delta_rows.values().sum();
     let mut per_view = Vec::new();
     let mut delta_total = 0.0;
-    let mut predicted_rows: f64 = profile.delta_rows.values().sum();
+    let mut whole_total = 0.0;
+    let mut predicted_rows = reported;
     for &view in &affected {
         let def = &inputs.definitions[&view];
         let stored = profile.stored_rows.get(&view).copied().unwrap_or(0.0);
-        let d = estimate(def, &delta_stats, consts);
-        // The delta rules evaluate the substituted definition twice
-        // (insertion and deletion sides) and merge the result into the
-        // stored extent.
-        let incremental_ns = 2.0 * d.cost_ns + stored * consts.apply_ns;
-        let recompute_ns = estimate(def, &base_stats, consts).cost_ns;
         // Predicted *churn* uses the delta calculus, not the substituted
         // cardinality: a minus against an untouched base is not churn.
         let delta_rows = estimate_delta(def, &base_stats, &profile.delta_rows, consts);
+        // The incremental pass evaluates the delta rules (insertion and
+        // deletion sides) from the delta: every reported row and every
+        // row it fans out to is one key-index probe into a stored
+        // relation — the probe `join_probe_ns` was calibrated on — plus
+        // its splice into the stored extent. A rule with no keyed way to
+        // the delta (a cartesian product) fans out to the whole other
+        // side, which `estimate_delta` already counts. The splice's run
+        // copy (~1 ns per stored row) is paid by every strategy alike
+        // and is left out.
+        let per_row_ns = consts.join_probe_ns + consts.apply_ns;
+        let incremental_ns =
+            2.0 * (def.size() as f64 * consts.node_ns + (reported + delta_rows) * per_row_ns);
+        // The mirrored path evaluates the substituted definition whole,
+        // twice, and merges the result into the stored extent.
+        let d = estimate(def, &delta_stats, consts);
+        whole_total += 2.0 * d.cost_ns + stored * consts.apply_ns;
+        let recompute_ns = estimate(def, &base_stats, consts).cost_ns;
         predicted_rows += delta_rows;
         delta_total += incremental_ns;
         per_view.push(ViewEstimate {
@@ -260,11 +275,6 @@ pub fn choose(
     }
 
     // Shared (strategy-level) terms.
-    let inverse_needed_ns: f64 = needed_bases
-        .iter()
-        .filter_map(|b| inputs.inverses.get(b))
-        .map(|inv| estimate(inv, &stored_stats, consts).cost_ns)
-        .sum();
     let mirror_merge_ns: f64 = needed_bases
         .iter()
         .map(|b| base_stats.rows(*b).unwrap_or(0.0) * consts.apply_ns)
@@ -285,9 +295,9 @@ pub fn choose(
         .iter()
         .map(|&strategy| {
             let (available, cost_ns) = match strategy {
-                MaintenanceStrategy::Incremental => (true, inverse_needed_ns + delta_total),
+                MaintenanceStrategy::Incremental => (true, delta_total),
                 MaintenanceStrategy::MirroredIncremental => {
-                    (profile.mirrors_cached, mirror_merge_ns + delta_total)
+                    (profile.mirrors_cached, mirror_merge_ns + whole_total)
                 }
                 MaintenanceStrategy::Reconstruction => {
                     (true, inverse_all_ns + recompute_all_ns + swap_all_ns)
@@ -440,8 +450,17 @@ mod tests {
         p
     }
 
+    fn cost_of(choice: &PlanChoice, s: MaintenanceStrategy) -> f64 {
+        choice
+            .totals
+            .iter()
+            .find(|t| t.strategy == s)
+            .expect("total")
+            .cost_ns
+    }
+
     #[test]
-    fn small_delta_prefers_mirrored_then_incremental_then_reconstruction() {
+    fn small_delta_prefers_incremental_then_mirrored_then_reconstruction() {
         let (catalog, definitions, inverses) = fig1();
         let inputs = PlannerInputs {
             catalog: &catalog,
@@ -449,17 +468,12 @@ mod tests {
             inverses: &inverses,
         };
         let choice = choose(&inputs, &profile(10_000.0, 1.0), &CostConstants::calibrated());
-        assert_eq!(choice.chosen, MaintenanceStrategy::MirroredIncremental);
-        let cost = |s: MaintenanceStrategy| {
-            choice
-                .totals
-                .iter()
-                .find(|t| t.strategy == s)
-                .expect("total")
-                .cost_ns
-        };
-        assert!(cost(MaintenanceStrategy::MirroredIncremental) < cost(MaintenanceStrategy::Incremental));
-        assert!(cost(MaintenanceStrategy::Incremental) < cost(MaintenanceStrategy::Reconstruction));
+        // The incremental pass probes from the delta; the mirrored path
+        // merges a whole source copy and evaluates whole relations.
+        assert_eq!(choice.chosen, MaintenanceStrategy::Incremental);
+        let cost = |s| cost_of(&choice, s);
+        assert!(cost(MaintenanceStrategy::Incremental) < cost(MaintenanceStrategy::MirroredIncremental));
+        assert!(cost(MaintenanceStrategy::MirroredIncremental) < cost(MaintenanceStrategy::Reconstruction));
         // Recompute-at-source is cheapest here but unreachable.
         let rec = choice
             .totals
@@ -518,7 +532,27 @@ mod tests {
         let mut p = profile(10_000.0, 1.0);
         p.base_rows.clear(); // planner must survive on stored sizes only
         let choice = choose(&inputs, &p, &CostConstants::calibrated());
-        assert_eq!(choice.chosen, MaintenanceStrategy::MirroredIncremental);
+        assert_eq!(choice.chosen, MaintenanceStrategy::Incremental);
+    }
+
+    #[test]
+    fn incremental_price_is_flat_in_stored_rows_at_a_one_row_delta() {
+        // The pass touches O(|Δ| · fan-out) rows, so ten times the state
+        // at a one-row Δ must move the predicted incremental cost by
+        // less than 2×.
+        let (catalog, definitions, inverses) = fig1();
+        let inputs = PlannerInputs {
+            catalog: &catalog,
+            definitions: &definitions,
+            inverses: &inverses,
+        };
+        let c = CostConstants::calibrated();
+        let small = cost_of(&choose(&inputs, &profile(10_000.0, 1.0), &c), MaintenanceStrategy::Incremental);
+        let large = cost_of(&choose(&inputs, &profile(100_000.0, 1.0), &c), MaintenanceStrategy::Incremental);
+        assert!(large < 2.0 * small, "{small} → {large}");
+        // Reconstruction, by contrast, is O(|state|).
+        let rec = |n| cost_of(&choose(&inputs, &profile(n, 1.0), &c), MaintenanceStrategy::Reconstruction);
+        assert!(rec(100_000.0) > 5.0 * rec(10_000.0));
     }
 
     #[test]

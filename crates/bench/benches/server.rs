@@ -17,7 +17,9 @@
 //! benchmark's report shape (single-row, FK-ordered, a retire/restore
 //! ring that keeps the state stationary) with fresh sequence numbers
 //! every iteration — the slice-size sweep of one maintenance pass per
-//! group commit. The `query-reply/{miss,hit}/{Q1,Q8}` rows time the
+//! group commit. The `maintain-pass/star-b{1,64}/sf{0.05,0.5}` rows time
+//! that pass alone, in process, at two state sizes, with the rows it
+//! touched. The `query-reply/{miss,hit}/{Q1,Q8}` rows time the
 //! read side of the same server: one `query` reply evaluated, rendered
 //! and memoised, against one served from the reply memo. Those rows
 //! carry `nproc` and `commit`.
@@ -248,6 +250,39 @@ fn query_rows(spec: &WarehouseSpec, base: &DbState, scratch_dirs: &mut Vec<PathB
     }
 }
 
+/// `maintain-pass/star-b{1,64}/sf{0.05,0.5}`: one maintenance pass of
+/// the star plan in process — the pass a group commit runs — over the
+/// net delta of the first 1 or 64 reports of [`StarStream`], against the
+/// scale-0.05 and scale-0.5 states. Each row carries the pass's
+/// `rows_touched` (rows every operator produced, keys probed and delta
+/// rows spliced), which must not grow with the state.
+fn maintain_pass_rows(spec: &WarehouseSpec) {
+    let aug = spec.clone().augment().expect("star warehouse augments");
+    for (sf, label) in [(0.05, "sf0.05"), (0.5, "sf0.5")] {
+        let base = dwc_starschema::generate(&dwc_starschema::ScaleConfig::scaled(sf), 1999);
+        let w = aug.materialize(&base).expect("W(base)");
+        let stream = StarStream::new(&base);
+        for batch in [1u64, 64] {
+            let mut net = stream.get(0).clone();
+            for i in 1..batch {
+                net = net
+                    .then_net(stream.get(i))
+                    .expect("same headers")
+                    .expect("the stream never repeats a row");
+            }
+            let plan = aug.compile_plan(&net.touched().collect()).expect("compiles");
+            let (_, _, pass) = plan.apply_counted(&w, &net).expect("maintains");
+            let group = dwc_bench::stamped("server")
+                .field_num("reports", batch)
+                .field_num("delta_rows", net.len() as u64)
+                .field_num("rows_touched", pass.rows_touched);
+            group.run(&format!("maintain-pass/star-b{batch}/{label}"), || {
+                black_box(plan.apply_counted(&w, &net).expect("maintains"))
+            });
+        }
+    }
+}
+
 /// `acks-per-sec/star-batch{1,64}-src1`: what a group commit costs per
 /// envelope once each envelope's report has to be maintained.
 fn star_rows(spec: &WarehouseSpec, base: &DbState, scratch_dirs: &mut Vec<PathBuf>) {
@@ -369,6 +404,7 @@ fn main() {
 
     let (spec, base) = star_spec_and_base();
     star_rows(&spec, &base, &mut scratch_dirs);
+    maintain_pass_rows(&spec);
     query_rows(&spec, &base, &mut scratch_dirs);
 
     for dir in scratch_dirs {

@@ -6,10 +6,13 @@
 //! and the base size, timing:
 //!
 //! * `incremental` — the compiled maintenance plan (delta-sized work),
+//! * `incr+mirrors` — the same expressions over whole materialized
+//!   source mirrors,
 //! * `reconstruct` — `W(u(W⁻¹(w)))` evaluated literally,
 //!
-//! both source-free. Expected shape: incremental wins for small deltas;
-//! as `|Δ|` approaches the base size the two converge (the crossover).
+//! all source-free. Expected shape: incremental wins for small deltas;
+//! as `|Δ|` approaches the base size it converges with reconstruction
+//! (the crossover).
 
 use crate::report::{Cell, Table};
 use dwc_relalg::{RelName, Relation, Tuple, Update, Value};
@@ -57,6 +60,11 @@ pub fn run(quick: bool) -> Vec<Table> {
     // Mirrors: the materialized source reconstructions (what an
     // IntegratorConfig { cache_inverses: true } integrator keeps).
     let mirrors = aug.reconstruct_sources(&w).expect("reconstructs");
+    // One untimed pass first: it builds the key indexes the stored
+    // relations then keep across passes (DESIGN.md §15), so every row
+    // times the steady state a serving warehouse is in.
+    let warm = batch_insert(1, n_emps, deltas.len()).normalize(&db).expect("consistent");
+    plan.apply(&w, &warm).expect("incremental");
 
     for (tag, &delta) in deltas.iter().enumerate() {
         let u = batch_insert(delta, n_emps, tag).normalize(&db).expect("consistent");
@@ -86,7 +94,7 @@ pub fn run(quick: bool) -> Vec<Table> {
 
     t.note("paper claim: maintenance expressions reference warehouse views only (all three paths are source-free)");
     t.note("shape: incremental wins at small |delta|; speedup decays toward ~1x as |delta| -> |Sale|");
-    t.note("incr+mirrors trades a full source copy of storage for the reconstruction scans (Sec 6 remark)");
+    t.note("incr+mirrors keeps a full source copy (Sec 6 remark) and evaluates whole relations over it; incremental reads only the keys the delta reaches");
 
     // Companion: the actual Example 4.1 maintenance expressions.
     let mut exprs = Table::new(

@@ -34,11 +34,14 @@
 //! re-entrant interning from inside an iteration deadlock-free.
 //!
 //! Each `Columns` carries a lazily-built cache of sorted key indexes keyed
-//! by column positions. Mutation goes through `&mut` methods that clear
-//! the cache (or through `Arc::make_mut`, whose clone starts with an empty
-//! cache), so a stale index can never be observed; sharing the `Arc` —
-//! epoch snapshot readers, the eval cache, the database map — shares the
-//! warm index.
+//! by column positions. A store is never mutated behind a cached index:
+//! the in-place `&mut` methods clear the cache (and `Arc::make_mut`'s
+//! clone starts with an empty one), while a small delta builds a *new*
+//! store ([`splice`]) whose cache holds every old index patched to the
+//! new row ids — so a stale index is unreachable, and probes into a
+//! relation maintained one report at a time never rebuild an index.
+//! Sharing the `Arc` — epoch snapshot readers, the eval cache, the
+//! database map — shares the warm index.
 
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -201,6 +204,117 @@ impl KeyIndex {
             .order
             .partition_point(|&r| self.cmp_key(cols, r, key) != Ordering::Greater);
         &self.order[lo..hi]
+    }
+
+    /// Index order over `cols`: key codes, then row id.
+    fn cmp_rows(&self, cols: &Columns, a: u32, b: u32) -> Ordering {
+        for &p in self.positions.iter() {
+            match cols.cols[p][a as usize].cmp(&cols.cols[p][b as usize]) {
+                Ordering::Equal => {}
+                o => return o,
+            }
+        }
+        a.cmp(&b)
+    }
+
+    /// This index carried over to `new`, the store [`splice`] built from
+    /// the indexed one with `at`: deleted rows are dropped, surviving row
+    /// ids are mapped through `remap` (old row → new row, `u32::MAX` for
+    /// a deleted row; order-preserving, so equal keys stay in row-id
+    /// order) and the inserted rows are merged in at their key positions
+    /// by binary search. One gather over the index plus `O(|Δ| log n)`;
+    /// no key is re-sorted.
+    fn patched(&self, new: &Columns, at: &Splice, remap: &[u32]) -> KeyIndex {
+        let mut survivors = Vec::with_capacity(new.nrows);
+        for &r in self.order.iter() {
+            let id = remap[r as usize];
+            if id != u32::MAX {
+                survivors.push(id);
+            }
+        }
+        if at.inserted.is_empty() {
+            return KeyIndex {
+                positions: self.positions.clone(),
+                order: survivors.into_boxed_slice(),
+            };
+        }
+        let mut fresh = at.new_ids();
+        fresh.sort_unstable_by(|&a, &b| self.cmp_rows(new, a, b));
+        let mut order = Vec::with_capacity(new.nrows);
+        let mut from = 0;
+        for f in fresh {
+            let to = from
+                + survivors[from..].partition_point(|&s| self.cmp_rows(new, s, f) == Ordering::Less);
+            order.extend_from_slice(&survivors[from..to]);
+            order.push(f);
+            from = to;
+        }
+        order.extend_from_slice(&survivors[from..]);
+        KeyIndex {
+            positions: self.positions.clone(),
+            order: order.into_boxed_slice(),
+        }
+    }
+}
+
+/// Where a delta lands in a store, found by binary search ([`locate`]):
+/// the old rows it removes and the slots its new rows take.
+#[derive(Debug, Default)]
+pub(crate) struct Splice {
+    /// Old row ids removed, ascending.
+    deleted: Vec<u32>,
+    /// `(slot, row of the insert store)`, ascending: that insert row goes
+    /// immediately before old row `slot` (`slot == len` appends).
+    inserted: Vec<(u32, u32)>,
+}
+
+impl Splice {
+    /// Rows of the insert store that are new to the base, ascending.
+    pub(crate) fn inserted_rows(&self) -> Vec<u32> {
+        self.inserted.iter().map(|&(_, k)| k).collect()
+    }
+
+    /// Rows of the base that the delta removes, ascending.
+    pub(crate) fn deleted_rows(&self) -> &[u32] {
+        &self.deleted
+    }
+
+    /// The row ids the inserted rows take in the spliced store.
+    fn new_ids(&self) -> Vec<u32> {
+        self.inserted
+            .iter()
+            .enumerate()
+            .map(|(j, &(slot, _))| {
+                slot + j as u32 - self.deleted.partition_point(|&d| d < slot) as u32
+            })
+            .collect()
+    }
+
+    /// Old row id → row id in the spliced store (`u32::MAX` for a deleted
+    /// row), built run by run over a base of `n` rows.
+    fn remap(&self, n: usize) -> Vec<u32> {
+        let mut out = Vec::with_capacity(n);
+        let (mut row, mut i, mut d) = (0usize, 0usize, 0usize);
+        // new id = old id + inserted-before − deleted-before
+        let (mut ins_before, mut del_before) = (0u32, 0u32);
+        loop {
+            let next_i = self.inserted.get(i).map_or(n, |&(slot, _)| slot as usize);
+            let next_d = self.deleted.get(d).map_or(n, |&r| r as usize);
+            let stop = next_i.min(next_d);
+            out.extend((row as u32..stop as u32).map(|r| r + ins_before - del_before));
+            row = stop;
+            if i < self.inserted.len() && next_i == row {
+                ins_before += 1;
+                i += 1;
+            } else if d < self.deleted.len() && next_d == row {
+                out.push(u32::MAX);
+                del_before += 1;
+                row += 1;
+                d += 1;
+            } else {
+                return out;
+            }
+        }
     }
 }
 
@@ -634,6 +748,117 @@ pub(crate) fn apply_delta(base: &Columns, ins: &Columns, del: &Columns) -> Colum
     Columns::from_sorted(n, out)
 }
 
+/// Binary-searches `base[lo..]` in canonical order for row `row` of
+/// `probe` (equal arity): `Ok(r)` on a hit, `Err(slot)` otherwise.
+fn search(base: &Columns, lo: usize, probe: &Columns, row: usize, rv: &RankView) -> Result<usize, usize> {
+    let (mut lo, mut hi) = (lo, base.nrows);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match cmp_rows(base, mid, probe, row, rv) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Ok(mid),
+        }
+    }
+    Err(lo)
+}
+
+/// The rows of `base` equal to some row of `keys` (same arity), ascending
+/// — a semijoin on every column by binary search, `O(|keys| log |base|)`
+/// with no index.
+pub(crate) fn find_rows(base: &Columns, keys: &Columns) -> Vec<u32> {
+    let rv = ranks();
+    let mut out = Vec::new();
+    let mut lo = 0;
+    for k in 0..keys.nrows {
+        match search(base, lo, keys, k, &rv) {
+            Ok(r) => {
+                out.push(r as u32);
+                lo = r + 1;
+            }
+            Err(slot) => lo = slot,
+        }
+    }
+    out
+}
+
+/// Locates `(base ∖ del) ∪ ins` inside `base` by binary search — one
+/// probe per delta row, `O((|ins| + |del|) log |base|)`. Inserts win over
+/// deletes, as in [`apply_delta`]; rows of `ins` already in `base` and
+/// rows of `del` absent from it are no-ops and do not appear.
+pub(crate) fn locate(base: &Columns, ins: &Columns, del: &Columns) -> Splice {
+    let rv = ranks();
+    let mut at = Splice::default();
+    let mut lo = 0;
+    for k in 0..ins.nrows {
+        match search(base, lo, ins, k, &rv) {
+            Ok(r) => lo = r,
+            Err(slot) => {
+                at.inserted.push((slot as u32, k as u32));
+                lo = slot;
+            }
+        }
+    }
+    let (mut lo, mut k) = (0, 0);
+    for d in 0..del.nrows {
+        match search(base, lo, del, d, &rv) {
+            Ok(r) => {
+                lo = r + 1;
+                while k < ins.nrows && cmp_rows(ins, k, del, d, &rv) == Ordering::Less {
+                    k += 1;
+                }
+                if k < ins.nrows && cmp_rows(ins, k, del, d, &rv) == Ordering::Equal {
+                    continue;
+                }
+                at.deleted.push(r as u32);
+            }
+            Err(slot) => lo = slot,
+        }
+    }
+    at
+}
+
+/// Builds the store `at` describes: each column is the old one with the
+/// runs between splice positions copied whole, so the cost is a memcpy
+/// of the store plus `O(|Δ|)` — no row is compared. Every key index
+/// cached on `base` is carried over, patched ([`KeyIndex::patched`]).
+pub(crate) fn splice(base: &Columns, ins: &Columns, at: &Splice) -> Columns {
+    let n = base.nrows;
+    let nrows = n - at.deleted.len() + at.inserted.len();
+    let mut cols = Vec::with_capacity(base.cols.len());
+    for (src, add) in base.cols.iter().zip(ins.cols.iter()) {
+        let mut out = Vec::with_capacity(nrows);
+        let (mut row, mut i, mut d) = (0usize, 0usize, 0usize);
+        loop {
+            let next_i = at.inserted.get(i).map_or(n, |&(slot, _)| slot as usize);
+            let next_d = at.deleted.get(d).map_or(n, |&r| r as usize);
+            let stop = next_i.min(next_d);
+            out.extend_from_slice(&src[row..stop]);
+            row = stop;
+            if i < at.inserted.len() && next_i == row {
+                out.push(add[at.inserted[i].1 as usize]);
+                i += 1;
+            } else if d < at.deleted.len() && next_d == row {
+                row += 1;
+                d += 1;
+            } else {
+                break;
+            }
+        }
+        cols.push(out);
+    }
+    let mut out = Columns::from_sorted(nrows, cols);
+    let cached = base.index_cache.lock().unwrap_or_else(|p| p.into_inner()).clone();
+    if !cached.is_empty() {
+        let remap = at.remap(n);
+        *out.index_cache.get_mut().unwrap_or_else(|p| p.into_inner()) = cached
+            .iter()
+            .map(|(p, idx)| (p.clone(), Arc::new(idx.patched(&out, at, &remap))))
+            .collect();
+    }
+    out
+}
+
 /// True iff every row of `a` occurs in `b` (sorted two-pointer walk).
 pub(crate) fn is_subset(a: &Columns, b: &Columns) -> bool {
     if a.nrows > b.nrows {
@@ -768,6 +993,55 @@ mod tests {
         assert_eq!(c.len(), 3);
         c.remove_row(0);
         assert_eq!(c.len(), 2);
+    }
+
+    /// Every row of `c`, row-major.
+    fn rows_of(c: &Columns) -> Vec<Vec<Code>> {
+        (0..c.len()).map(|i| (0..c.arity()).map(|j| c.col(j)[i]).collect()).collect()
+    }
+
+    #[test]
+    fn indexes_carried_through_a_splice_answer_like_fresh_builds() {
+        // A two-column store keyed on column 0 with duplicate keys; a
+        // sweep of small deltas (inserts at the front, middle and end,
+        // deletes, both at once, no-ops) applied one after another, each
+        // time comparing every probe of the carried index with a fresh
+        // build over the same store.
+        let row = |k: i64, v: i64| codes(&[Value::int(k), Value::int(v)]);
+        let store = |rows: &[(i64, i64)]| {
+            let flat: Vec<Code> = rows.iter().flat_map(|&(k, v)| row(k, v)).collect();
+            Columns::from_unsorted_rows(2, rows.len(), flat)
+        };
+        let mut cur = store(&(0..40).map(|i| (i % 7, i)).collect::<Vec<_>>());
+        cur.index_for(&[0]);
+        cur.index_for(&[1, 0]);
+        type Rows = Vec<(i64, i64)>;
+        let steps: Vec<(Rows, Rows)> = vec![
+            (vec![(-1, 100)], vec![]),
+            (vec![(3, 1000), (3, -5)], vec![(0, 0), (6, 34)]),
+            (vec![(99, 7)], vec![(5, 5), (99, 7)]),
+            (vec![(2, 2)], vec![(2, 2)]),
+            (vec![], vec![(42, 42)]),
+            (vec![(0, 0), (1, 1)], vec![(3, 1000)]),
+        ];
+        for (ins, del) in steps {
+            let (ins, del) = (store(&ins), store(&del));
+            let at = locate(&cur, &ins, &del);
+            let next = splice(&cur, &ins, &at);
+            assert_eq!(next, apply_delta(&cur, &ins, &del), "splice equals the merge");
+            assert_eq!(next.cached_indexes(), 2, "both indexes carried");
+            let fresh = next.clone();
+            for positions in [&[0usize][..], &[1, 0][..]] {
+                let (carried, rebuilt) = (next.index_for(positions), fresh.index_for(positions));
+                assert_eq!(carried.order, rebuilt.order, "same rows in the same order");
+                for r in rows_of(&next) {
+                    let key: Vec<Code> = positions.iter().map(|&p| r[p]).collect();
+                    assert_eq!(carried.probe(&next, &key), rebuilt.probe(&fresh, &key));
+                }
+                assert!(carried.probe(&next, &[intern(&Value::int(-77)), 0][..positions.len()]).is_empty());
+            }
+            cur = next;
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! kept in canonical (value-lexicographic) order. Equality, ordering,
 //! iteration order, printing and the binary codec are bit-identical to
 //! the former `BTreeSet<Tuple>` representation; what changes is cost —
-//! set operations and `apply_delta` are sorted merges over code columns,
-//! membership is a binary search, and joins probe a cached sorted key
-//! index (see [`crate::eval`]). The column store is behind an `Arc`:
+//! set operations are sorted merges over code columns, a small
+//! `apply_delta` is a binary-search splice that carries the key indexes
+//! over, membership is a binary search, and joins probe a cached sorted
+//! key index (see [`crate::eval`]). The column store is behind an `Arc`:
 //! cloning a relation is a reference bump, and epoch snapshot readers or
 //! the eval cache holding the same store share its warm key indexes.
 
@@ -372,22 +373,76 @@ impl Relation {
         Ok(columns::is_subset(&self.cols, &other.cols))
     }
 
-    /// `(self ∖ delete) ∪ insert` in one three-way merge pass — the
-    /// delta-composition identity every maintenance path ends with.
-    /// Deltas are usually tiny compared to `self`; an empty delta is a
-    /// reference bump.
+    /// `(self ∖ delete) ∪ insert` — the delta-composition identity every
+    /// maintenance path ends with. Deltas are usually tiny compared to
+    /// `self`: a small one is located by binary search and spliced in
+    /// with run copies, and the new store inherits `self`'s key indexes
+    /// patched rather than rebuilt; a large one is one three-way merge
+    /// pass. An empty delta is a reference bump.
     pub fn apply_delta(&self, insert: &Relation, delete: &Relation) -> Result<Relation> {
+        Ok(self.apply_delta_with(insert, delete, false)?.0)
+    }
+
+    /// [`Relation::apply_delta`] also returning the *net* change: the
+    /// tuples of `insert` not already present and the tuples of `delete`
+    /// actually removed (`new ∖ self`, `self ∖ new`). For a small delta
+    /// both fall out of the splice positions, so no further set operation
+    /// runs.
+    pub fn apply_delta_net(
+        &self,
+        insert: &Relation,
+        delete: &Relation,
+    ) -> Result<(Relation, Relation, Relation)> {
+        let (new, net) = self.apply_delta_with(insert, delete, true)?;
+        let (inserted, deleted) = net.unwrap_or_else(|| (insert.clone(), delete.clone()));
+        Ok((new, inserted, deleted))
+    }
+
+    /// The shared core of [`Relation::apply_delta`] and
+    /// [`Relation::apply_delta_net`]; the net change is computed only when
+    /// asked for (`None` for an empty delta, which is its own net).
+    fn apply_delta_with(
+        &self,
+        insert: &Relation,
+        delete: &Relation,
+        net: bool,
+    ) -> Result<(Relation, Option<(Relation, Relation)>)> {
         self.require_same_header(insert)?;
         self.require_same_header(delete)?;
         if insert.is_empty() && delete.is_empty() {
-            return Ok(self.clone());
+            return Ok((self.clone(), None));
         }
-        Ok(Relation {
+        let with = |cols: Columns| Relation {
             attrs: self.attrs.clone(),
-            cols: Arc::new(columns::apply_delta(&self.cols, &insert.cols, &delete.cols)),
-        })
+            cols: Arc::new(cols),
+        };
+        if (insert.len() + delete.len()).saturating_mul(SPLICE_RATIO) <= self.len() {
+            let at = columns::locate(&self.cols, &insert.cols, &delete.cols);
+            let new = with(columns::splice(&self.cols, &insert.cols, &at));
+            return Ok((
+                new,
+                net.then(|| {
+                    (
+                        with(insert.cols.gather_sorted(&at.inserted_rows())),
+                        with(self.cols.gather_sorted(at.deleted_rows())),
+                    )
+                }),
+            ));
+        }
+        let new = with(columns::apply_delta(&self.cols, &insert.cols, &delete.cols));
+        let net = if net {
+            Some((insert.difference(self)?, delete.intersect(self)?.difference(insert)?))
+        } else {
+            None
+        };
+        Ok((new, net))
     }
 }
+
+/// A delta is spliced rather than merged while `|Δ| · SPLICE_RATIO ≤
+/// |base|`: then its `|Δ| log |base|` binary-search probes cost less than
+/// the merge's `|base|` row comparisons.
+const SPLICE_RATIO: usize = 8;
 
 /// Owning iterator over a relation's tuples in canonical order; rows were
 /// resolved through the dictionary when the iterator was created, so

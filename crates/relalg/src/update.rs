@@ -107,11 +107,8 @@ impl Delta {
     /// `delete ⊆ current`, `insert ∩ current = ∅` and
     /// `insert ∩ delete = ∅`, and produce the same next state.
     pub fn normalize(&self, current: &Relation) -> Result<Delta> {
-        let next = self.apply(current)?;
-        Ok(Delta {
-            insert: next.difference(current)?,
-            delete: current.difference(&next)?,
-        })
+        let (_, insert, delete) = current.apply_delta_net(&self.insert, &self.delete)?;
+        Ok(Delta { insert, delete })
     }
 }
 

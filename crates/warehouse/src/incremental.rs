@@ -10,20 +10,38 @@
 //!   `(W⁻¹(R) ∖ R@del) ∪ R@ins`, the post-update source state in
 //!   warehouse terms plus the *reported* deltas.
 //!
-//! The `@inv`/`@newinv` relations are materialized **once per update**
-//! from the old warehouse state (rather than inlining the inverse
-//! expression at every occurrence — a naive inlining re-derives the
-//! reconstruction once per occurrence and loses to wholesale
-//! recomputation; see experiment E8). The result references only
-//! warehouse relations and the reported `@ins`/`@del` relations: the
-//! warehouse is update-independent (Theorem 4.1). Plans depend only on
-//! *which* relations an update touches, so the integrator caches them
-//! per touched-set.
+//! The result references only warehouse relations and the reported
+//! `@ins`/`@del` relations: the warehouse is update-independent (Theorem
+//! 4.1). Plans depend only on *which* relations an update touches, so the
+//! integrator caches them per touched-set. A stored relation whose
+//! definition reads no touched base gets no step: its new value is its
+//! old one.
+//!
+//! ## Evaluation proportional to |Δ|
+//!
+//! `R@inv` and `R@newinv` are never materialized whole. Each step's
+//! expressions are compiled once ([`dwc_relalg::eval::PassCompiler`])
+//! with the two names *expanded* into `W⁻¹(R)` and
+//! `(W⁻¹(R) ∖ R@del) ∪ R@ins`, and a pass evaluates a join, difference
+//! or intersection with a delta-sized operand from that operand: the
+//! other operand — an inverse, a stored relation, an earlier step's
+//! `@next` value — is read only as `… ⋉ K` for the keys `K` the delta
+//! side produced, pushed through Equation (4)'s unions, projections and
+//! extension joins down to key-index probes of stored relations. A step
+//! whose `plus`/`minus` are not delta-sized (say, a cartesian product
+//! with a whole relation) evaluates those parts whole, computing each
+//! inverse at most once per pass; Theorem 4.1 makes mixing the two safe.
+//! DESIGN.md §15 states the eligibility rules. The stored deltas come
+//! out of the final apply: [`Relation::apply_delta_net`] locates the Δ
+//! rows in the old relation by binary search and splices them in, with
+//! the relation's key indexes carried over. The mirrored path
+//! ([`MaintenancePlan::apply_with_mirrors`]) evaluates whole relations,
+//! as it always did.
 
 use crate::delta::{self, DeltaExpr, DeltaResolver};
 use crate::error::{Result, WarehouseError};
 use crate::spec::AugmentedWarehouse;
-use dwc_relalg::eval::{eval_arc, eval_cached, EvalCache};
+use dwc_relalg::eval::{eval_arc, eval_cached, EvalCache, Pass, PassCompiler, PassExpr};
 use dwc_relalg::{DbState, RaExpr, RelName, Relation, Update};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -40,6 +58,27 @@ pub struct StoredDelta {
     pub inserted: Relation,
     /// Net deletions.
     pub deleted: Relation,
+}
+
+impl StoredDelta {
+    /// No change to `name`, whose value is `old`.
+    fn none(name: RelName, old: &Relation) -> StoredDelta {
+        let empty = Relation::empty(old.attrs().clone());
+        StoredDelta { name, inserted: empty.clone(), deleted: empty }
+    }
+}
+
+/// What one maintenance pass did ([`MaintenancePlan::apply_counted`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PassStats {
+    /// Steps whose `plus` and `minus` were both delta-sized, evaluated
+    /// from the reported deltas alone.
+    pub restricted_steps: usize,
+    /// Steps with a part evaluated over whole relations.
+    pub whole_steps: usize,
+    /// Rows produced by every operator, plus every key probed into a
+    /// stored relation, plus the delta rows spliced into stored ones.
+    pub rows_touched: u64,
 }
 
 /// The name of the materialized inverse (old source state) of `r`.
@@ -62,11 +101,12 @@ pub fn next_name(x: RelName) -> RelName {
 /// experiment E14. The defaults are what [`AugmentedWarehouse::compile_plan`]
 /// uses; turning them off reproduces the naive reading of Example 4.1
 /// (inline every inverse occurrence, never reuse stored state), which
-/// loses to wholesale reconstruction.
+/// does the most work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanOptions {
-    /// Materialize each inverse reconstruction once per update (`R@inv`)
-    /// instead of inlining the inverse expression at every occurrence.
+    /// Name each inverse reconstruction once (`R@inv`, evaluated at most
+    /// once per pass) instead of inlining the inverse expression at
+    /// every occurrence.
     pub materialize_inverses: bool,
     /// Fold subexpressions equal to stored-relation definitions (old
     /// state and earlier steps' `@next` state) into reads.
@@ -96,16 +136,32 @@ impl PlanOptions {
     }
 }
 
+/// One compiled step: the stored relation, the name its new value is
+/// published under, and its delta expressions compiled for a [`Pass`].
+#[derive(Clone, Debug)]
+struct CompiledStep {
+    next: RelName,
+    plus: PassExpr,
+    minus: PassExpr,
+}
+
 /// A compiled maintenance plan for one touched-relation set.
 #[derive(Clone, Debug)]
 pub struct MaintenancePlan {
     touched: BTreeSet<RelName>,
-    /// Inverse expressions to materialize once per update:
-    /// `(base, inverse over warehouse names, also needs @newinv)`.
-    inverses: Vec<(RelName, RaExpr, bool)>,
+    /// Per touched base: `(base, R@ins, R@del)`.
+    reported: Vec<(RelName, RelName, RelName)>,
+    /// Inverse expressions the mirrored path materializes per update:
+    /// `(base, inverse over warehouse names, R@inv, R@newinv if needed)`.
+    inverses: Vec<(RelName, RaExpr, RelName, Option<RelName>)>,
+    /// Every stored relation in plan order, with the index of its step
+    /// (`None`: its definition reads no touched base).
+    order: Vec<(RelName, Option<usize>)>,
     /// In application order: a step reads only old stored state plus the
     /// `@next` values of steps at a strictly smaller index.
     steps: Vec<(RelName, DeltaExpr)>,
+    /// `steps`, compiled for [`Pass`] evaluation.
+    compiled: Vec<CompiledStep>,
     memoize_eval: bool,
 }
 
@@ -115,39 +171,94 @@ impl MaintenancePlan {
         &self.touched
     }
 
-    /// The per-stored-relation maintenance expressions.
+    /// The per-stored-relation maintenance expressions, for the stored
+    /// relations whose definitions read a touched base.
     pub fn steps(&self) -> &[(RelName, DeltaExpr)] {
         &self.steps
     }
 
-    /// The inverse materializations the plan performs per update.
+    /// The inverse reconstructions the plan's expressions read.
     pub fn inverses(&self) -> impl Iterator<Item = (RelName, &RaExpr)> + '_ {
-        self.inverses.iter().map(|(b, e, _)| (*b, e))
+        self.inverses.iter().map(|(b, e, _, _)| (*b, e))
     }
 
     /// Total expression size (complexity metric for the experiments).
     pub fn size(&self) -> usize {
         self.steps.iter().map(|(_, d)| d.size()).sum::<usize>()
-            + self.inverses.iter().map(|(_, e, _)| e.size()).sum::<usize>()
+            + self.inverses.iter().map(|(_, e, _, _)| e.size()).sum::<usize>()
+    }
+
+    /// The old warehouse state plus the reported `@ins`/`@del` deltas.
+    fn reported_env(&self, warehouse: &DbState, update: &Update) -> Result<DbState> {
+        let mut env = warehouse.clone();
+        for &(base, ins, del) in &self.reported {
+            let d = update
+                .delta(base)
+                .ok_or(WarehouseError::UpdateOutsideSources(base))?;
+            env.insert_relation(ins, d.inserted().clone());
+            env.insert_relation(del, d.deleted().clone());
+        }
+        Ok(env)
     }
 
     /// Applies the plan to a warehouse state given the *reported,
     /// normalized* update. No base relation is consulted: the evaluation
-    /// environment is the old warehouse state plus the reported deltas
-    /// plus the once-materialized inverse reconstructions.
+    /// environment is the old warehouse state plus the reported deltas,
+    /// with the inverse reconstructions evaluated in place.
     pub fn apply(&self, warehouse: &DbState, update: &Update) -> Result<DbState> {
-        Ok(self.apply_impl(warehouse, update, None)?.0)
+        Ok(self.apply_counted(warehouse, update)?.0)
     }
 
     /// Like [`MaintenancePlan::apply`], additionally returning the net
     /// per-stored-relation deltas (for cascading maintenance, e.g.
-    /// summary tables over fact views).
+    /// summary tables over fact views), one per stored relation in plan
+    /// order.
     pub fn apply_detailed(
         &self,
         warehouse: &DbState,
         update: &Update,
     ) -> Result<(DbState, Vec<StoredDelta>)> {
-        self.apply_impl(warehouse, update, None)
+        let (next, deltas, _) = self.apply_counted(warehouse, update)?;
+        Ok((next, deltas))
+    }
+
+    /// Like [`MaintenancePlan::apply_detailed`], also reporting what the
+    /// pass did ([`PassStats`]).
+    pub fn apply_counted(
+        &self,
+        warehouse: &DbState,
+        update: &Update,
+    ) -> Result<(DbState, Vec<StoredDelta>, PassStats)> {
+        let env = self.reported_env(warehouse, update)?;
+        // Steps run in plan order (views before the complements that read
+        // their `@next` values), each publishing its new value as it
+        // completes; one pass memo spans all steps, since the delta rules
+        // repeat reconstruction subtrees across views.
+        let mut pass = Pass::new(env, self.memoize_eval);
+        let mut stats = PassStats::default();
+        let mut next = warehouse.clone();
+        let mut deltas = Vec::with_capacity(self.order.len());
+        for &(name, step) in &self.order {
+            let old = warehouse.relation(name)?;
+            let Some(i) = step else {
+                deltas.push(StoredDelta::none(name, old));
+                continue;
+            };
+            let c = &self.compiled[i];
+            let (plus, minus) = (pass.eval(&c.plus)?, pass.eval(&c.minus)?);
+            let (new, inserted, deleted) = old.apply_delta_net(&plus, &minus)?;
+            pass.count(plus.len() + minus.len());
+            if c.plus.is_delta_sized() && c.minus.is_delta_sized() {
+                stats.restricted_steps += 1;
+            } else {
+                stats.whole_steps += 1;
+            }
+            deltas.push(StoredDelta { name, inserted, deleted });
+            pass.bind(c.next, new.clone());
+            next.insert_relation(name, new);
+        }
+        stats.rows_touched = pass.rows_touched();
+        Ok((next, deltas, stats))
     }
 
     /// Like [`MaintenancePlan::apply`], but takes pre-materialized source
@@ -161,71 +272,46 @@ impl MaintenancePlan {
         update: &Update,
         mirrors: &DbState,
     ) -> Result<DbState> {
-        Ok(self.apply_impl(warehouse, update, Some(mirrors))?.0)
+        Ok(self.apply_with_mirrors_detailed(warehouse, update, mirrors)?.0)
     }
 
-    /// Mirror-backed variant of [`MaintenancePlan::apply_detailed`].
+    /// Mirror-backed variant of [`MaintenancePlan::apply_detailed`]:
+    /// whole-relation evaluation over the mirrors.
     pub fn apply_with_mirrors_detailed(
         &self,
         warehouse: &DbState,
         update: &Update,
         mirrors: &DbState,
     ) -> Result<(DbState, Vec<StoredDelta>)> {
-        self.apply_impl(warehouse, update, Some(mirrors))
-    }
-
-    fn apply_impl(
-        &self,
-        warehouse: &DbState,
-        update: &Update,
-        mirrors: Option<&DbState>,
-    ) -> Result<(DbState, Vec<StoredDelta>)> {
-        let mut env = warehouse.clone();
-        for (r, d) in update.iter() {
-            env.insert_relation(delta::ins_name(r), d.inserted().clone());
-            env.insert_relation(delta::del_name(r), d.deleted().clone());
-        }
-        // Inverse reconstructions reference stored relations only (never
-        // each other's `@inv`), so publishing each as it is built leaves
-        // the later ones' inputs untouched.
-        for (base, inv, needs_new) in &self.inverses {
-            let old = match mirrors {
-                Some(m) => m.relation_shared(*base)?,
-                None => Arc::new(inv.eval(&env)?),
-            };
-            if *needs_new {
+        let mut env = self.reported_env(warehouse, update)?;
+        for (base, _, inv, newinv) in &self.inverses {
+            let old = mirrors.relation_shared(*base)?;
+            if let Some(newinv) = newinv {
                 let delta = update
                     .delta(*base)
                     .ok_or(WarehouseError::UpdateOutsideSources(*base))?;
-                env.insert_relation(newinv_name(*base), delta.apply(&old)?);
+                env.insert_relation(*newinv, delta.apply(&old)?);
             }
-            env.insert_shared(inv_name(*base), old);
+            env.insert_shared(*inv, old);
         }
-        // Steps run in plan order (views before the complements that read
-        // their `@next` values): each step reads only OLD stored
-        // relations plus the `@next` values of earlier steps, published
-        // into the environment as each step completes. One memoization
-        // cache spans all steps: the delta rules repeat large
-        // reconstruction subtrees across views.
         let cache = self.memoize_eval.then(EvalCache::new);
         let mut next = warehouse.clone();
-        let mut deltas = Vec::with_capacity(self.steps.len());
-        for (name, d) in &self.steps {
+        let mut deltas = Vec::with_capacity(self.order.len());
+        for &(name, step) in &self.order {
+            let old = warehouse.relation(name)?;
+            let Some(i) = step else {
+                deltas.push(StoredDelta::none(name, old));
+                continue;
+            };
+            let d = &self.steps[i].1;
             let (plus, minus) = match &cache {
                 Some(c) => (eval_cached(&d.plus, &env, c)?, eval_cached(&d.minus, &env, c)?),
                 None => (eval_arc(&d.plus, &env)?, eval_arc(&d.minus, &env)?),
             };
-            let old = warehouse.relation(*name)?;
-            let new = old.apply_delta(&plus, &minus)?;
-            // Net deltas: the rule invariants give plus ⊆ new and
-            // minus ∩ new = ∅, so new∖old = plus∖old and old∖new = minus∩old.
-            deltas.push(StoredDelta {
-                name: *name,
-                inserted: plus.difference(old)?,
-                deleted: minus.intersect(old)?,
-            });
-            env.insert_relation(next_name(*name), new.clone());
-            next.insert_relation(*name, new);
+            let (new, inserted, deleted) = old.apply_delta_net(&plus, &minus)?;
+            deltas.push(StoredDelta { name, inserted, deleted });
+            env.insert_relation(self.compiled[i].next, new.clone());
+            next.insert_relation(name, new);
         }
         Ok((next, deltas))
     }
@@ -250,10 +336,14 @@ impl AugmentedWarehouse {
                 return Err(WarehouseError::UpdateOutsideSources(r));
             }
         }
+        let reported: Vec<(RelName, RelName, RelName)> = touched
+            .iter()
+            .map(|&r| (r, delta::ins_name(r), delta::del_name(r)))
+            .collect();
         // Substitution for base references: old state → @inv; new state →
-        // @newinv (both materialized once per update by `apply`) — or,
-        // with materialization disabled, the inverse expression inlined
-        // at every occurrence.
+        // @newinv (both expanded in place by the pass) — or, with
+        // materialization disabled, the inverse expression inlined at
+        // every occurrence.
         let mut subst: BTreeMap<RelName, RaExpr> = BTreeMap::new();
         for (base, inv) in self.inverse() {
             if opts.materialize_inverses {
@@ -308,6 +398,8 @@ impl AugmentedWarehouse {
         // New-state folding: the new value of an *earlier* step is
         // available as `X@next`; its pattern is the definition with
         // touched base references pointing at the post-update sources.
+        // A relation without a step keeps its old value, which old-state
+        // folding already reads.
         let mut new_subst = subst.clone();
         for base in self.inverse().keys() {
             if touched.contains(base) {
@@ -315,10 +407,15 @@ impl AugmentedWarehouse {
             }
         }
 
+        let mut order = Vec::with_capacity(definitions.len());
         let mut steps = Vec::new();
         let mut referenced: BTreeSet<RelName> = BTreeSet::new();
         let mut new_patterns: Vec<(RaExpr, RelName)> = Vec::new();
         for (name, def) in &definitions {
+            if def.base_relations().is_disjoint(touched) {
+                order.push((*name, None));
+                continue;
+            }
             let d = delta::derive(def, touched, &base_resolver)?;
             let fold = |e: RaExpr| -> Result<RaExpr> {
                 let substituted = e.substitute(&subst);
@@ -336,23 +433,63 @@ impl AugmentedWarehouse {
             for e in [&step.plus, &step.minus] {
                 referenced.extend(e.base_relations());
             }
+            order.push((*name, Some(steps.len())));
             steps.push((*name, step));
             new_patterns.push((def.substitute(&new_subst), next_name(*name)));
         }
 
-        // Materialize exactly the inverses the (simplified) steps use.
+        // The inverses the (simplified) steps read: expanded in place for
+        // a pass, materialized from mirrors on the mirrored path.
         let mut inverses = Vec::new();
         for (base, inv) in self.inverse() {
-            let needs_old = referenced.contains(&inv_name(*base));
-            let needs_new = referenced.contains(&newinv_name(*base));
-            if needs_old || needs_new {
-                inverses.push((*base, inv.clone(), needs_new));
+            let (old, new) = (inv_name(*base), newinv_name(*base));
+            let needs_new = referenced.contains(&new);
+            if referenced.contains(&old) || needs_new {
+                inverses.push((*base, inv.clone(), old, needs_new.then_some(new)));
             }
         }
+
+        // Delta-sized leaves: the reported deltas, and stored relations
+        // whose definition is statically empty (a complement the
+        // constraints prove ∅), before and after the update.
+        let mut small: BTreeSet<RelName> = reported
+            .iter()
+            .flat_map(|&(_, ins, del)| [ins, del])
+            .collect();
+        for (name, def) in &definitions {
+            if matches!(def, RaExpr::Empty(_)) {
+                small.extend([*name, next_name(*name)]);
+            }
+        }
+        let is_small = |name: RelName| small.contains(&name);
+        let mut compiler = PassCompiler::new(&result_resolver, &is_small);
+        for (base, inv, old, new) in &inverses {
+            compiler.expand(*old, inv.clone());
+            if let Some(new) = new {
+                let (ins, del) = (delta::ins_name(*base), delta::del_name(*base));
+                compiler.expand(
+                    *new,
+                    RaExpr::Base(*old).diff(RaExpr::Base(del)).union(RaExpr::Base(ins)),
+                );
+            }
+        }
+        let compiled = steps
+            .iter()
+            .map(|(name, d)| {
+                Ok(CompiledStep {
+                    next: next_name(*name),
+                    plus: compiler.compile(&d.plus)?,
+                    minus: compiler.compile(&d.minus)?,
+                })
+            })
+            .collect::<Result<_>>()?;
         Ok(MaintenancePlan {
             touched: touched.clone(),
+            reported,
             inverses,
+            order,
             steps,
+            compiled,
             memoize_eval: opts.memoize_eval,
         })
     }

@@ -396,8 +396,10 @@ mod tests {
         // Re-plans happen only when the growing state crosses a
         // power-of-two size class, not per report.
         assert!(stats.plans < stats.decisions, "{stats:?}");
-        // Mirrors are cached, so the calibrated model picks mirrored.
-        assert_eq!(stats.chosen_mirrored, stats.plans);
+        // Mirrors are cached, yet the calibrated model picks the
+        // incremental pass: it probes from the delta, while the mirrored
+        // path merges a whole source copy.
+        assert_eq!(stats.chosen_incremental, stats.plans);
         let log = policy.take_diagnostics();
         assert!(log.has_code(dwc_analyze::Code::P101StrategyChosen));
         assert!(log.to_json_lines().contains(r#""data":{"chosen":"#));

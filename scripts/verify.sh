@@ -228,6 +228,20 @@ echo "slicing differential: tests/group_commit_props.rs (pinned seed)"
 cargo test -q --release --test group_commit_props -- slicing fall fk_ordered
 echo "ok: slicing differential green"
 
+# --- 16. a maintenance pass proportional to |Δ|: rows touched -----------
+# The pass counts the rows it produces, probes and splices. On the star
+# schema at scale 0.005 / 0.05 / 0.5 a lone report must stay under
+# C · |Δ| · fan-out with one C for all three sizes, with every step
+# evaluated from the delta — a pass that read a fact table whole would
+# touch thousands of rows at scale 0.5. Step 1 ran it at the ambient
+# seed; this pins one case stream. (The differential against
+# W(u(W⁻¹(w))), with restricted and whole steps mixed, is
+# random_warehouses' restricted_pass_equals_reconstruction_and_mixes_whole_steps,
+# run in step 1.)
+echo "rows-touched property: tests/pass_props.rs (pinned seed)"
+DWC_TESTKIT_SEED=20261016 cargo test -q --release --test pass_props
+echo "ok: rows touched stay proportional to the delta"
+
 # Clippy is not part of the offline gate, but when a toolchain ships it,
 # run it too (still offline).
 if cargo clippy --version >/dev/null 2>&1; then

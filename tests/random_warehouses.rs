@@ -222,6 +222,83 @@ fn pipeline_commutes_on_random_warehouses() {
     );
 }
 
+/// The maintenance pass evaluates a step from the reported delta when
+/// its expressions are delta-sized and over whole relations otherwise.
+/// On random warehouses and small random updates of random valid states,
+/// every pass — whatever mix of the two its steps took — equals
+/// `W(u(W⁻¹(w)))` (reconstruction) and `W(u(d))`, and its stored deltas
+/// are exactly the net changes. Across the run both kinds of step must
+/// occur, so the mixing is exercised.
+#[test]
+fn restricted_pass_equals_reconstruction_and_mixes_whole_steps() {
+    use dwcomplements::relalg::{Delta, Relation, Update};
+    use dwcomplements::warehouse::WarehouseSpec;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+    static CASES: AtomicUsize = AtomicUsize::new(0);
+    static RESTRICTED: AtomicUsize = AtomicUsize::new(0);
+    static WHOLE: AtomicUsize = AtomicUsize::new(0);
+
+    /// Up to two rows of `rel` (chosen by `rng`).
+    fn pick(rel: &Relation, rng: &mut SplitMix64) -> Relation {
+        let rows: Vec<_> = rel.iter().filter(|_| rng.chance(1, 4)).take(2).collect();
+        Relation::from_tuples(rel.attrs().clone(), rows).expect("same header")
+    }
+
+    Runner::new("restricted_pass_equals_reconstruction_and_mixes_whole_steps").cases(64).run(
+        |rng| (rng.next_u64(), rng.next_u64(), rng.next_u64()),
+        |&(cat_seed, view_seed, state_seed)| {
+            CASES.fetch_add(1, Relaxed);
+            let catalog = random_catalog(cat_seed);
+            let views = random_views(&catalog, view_seed);
+            let aug = WarehouseSpec::new(catalog.clone(), views)
+                .expect("no collisions")
+                .augment()
+                .expect("augments");
+            let cfg = StateGenConfig::new(14, 5);
+            let db = random_state(&catalog, &cfg, state_seed);
+            let w = aug.materialize(&db).expect("materializes");
+            let mut rng = SplitMix64::new(state_seed ^ 0xD1FF);
+            for k in 0..4u64 {
+                let other = random_state(&catalog, &cfg, state_seed.wrapping_add(k + 1));
+                let mut update = Update::new();
+                for (name, cur) in db.iter() {
+                    let fresh = other.relation(name).expect("state").difference(cur).expect("same header");
+                    let delta = Delta::new(pick(&fresh, &mut rng), pick(cur, &mut rng)).expect("same header");
+                    update = update.with(name.as_str(), delta);
+                }
+                let update = update.normalize(&db).expect("consistent");
+                if update.is_empty() {
+                    continue;
+                }
+                let plan = aug.compile_plan(&update.touched().collect()).expect("compiles");
+                let (w_next, deltas, pass) = plan.apply_counted(&w, &update).expect("maintains");
+                RESTRICTED.fetch_add(pass.restricted_steps, Relaxed);
+                WHOLE.fetch_add(pass.whole_steps, Relaxed);
+                tk_ensure_eq!(pass.restricted_steps + pass.whole_steps, plan.steps().len());
+                let reconstructed =
+                    aug.maintain_by_reconstruction(&w, &update).expect("reconstructs");
+                tk_ensure_eq!(&w_next, &reconstructed);
+                let oracle = aug
+                    .materialize(&update.apply(&db).expect("applies"))
+                    .expect("materializes");
+                tk_ensure_eq!(&w_next, &oracle);
+                for d in &deltas {
+                    let (old, new) = (w.relation(d.name).expect("stored"), oracle.relation(d.name).expect("stored"));
+                    tk_ensure_eq!(&d.inserted, &new.difference(old).expect("same header"));
+                    tk_ensure_eq!(&d.deleted, &old.difference(new).expect("same header"));
+                }
+            }
+            Ok(())
+        },
+    );
+    // A pinned single case (`DWC_TESTKIT_SEED`) need not meet both kinds.
+    if CASES.load(Relaxed) >= 8 {
+        assert!(RESTRICTED.load(Relaxed) > 0, "no step was evaluated from the delta");
+        assert!(WHOLE.load(Relaxed) > 0, "no step fell back to whole relations");
+    }
+}
+
 /// Plan order is a valid schedule: for random specs and touched sets,
 /// every step's `plus`/`minus` reads `X@next` only for `X` at a strictly
 /// smaller step index, so applying steps in order never reads a value
