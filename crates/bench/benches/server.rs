@@ -328,6 +328,7 @@ fn star_rows(spec: &WarehouseSpec, base: &DbState, scratch_dirs: &mut Vec<PathBu
 }
 
 fn main() {
+    let (nproc, commit) = dwc_bench::host_stamp();
     let mut scratch_dirs = Vec::new();
     let mut measured: BTreeMap<(usize, usize), u64> = BTreeMap::new();
     let mut modeled: BTreeMap<(usize, usize), u64> = BTreeMap::new();
@@ -359,7 +360,7 @@ fn main() {
                 (ENVELOPES as u128 * 1_000_000_000 / u128::from(stats.median_ns.max(1))) as u64;
             measured.insert((sources, max_batch), acks_per_sec);
             println!(
-                "{{\"group\":\"server\",\"bench\":\"acks-per-sec/batch{max_batch}-src{sources}\",\"acks_per_sec\":{acks_per_sec},\"max_batch\":{max_batch},\"sources\":{sources}}}"
+                "{{\"group\":\"server\",\"bench\":\"acks-per-sec/batch{max_batch}-src{sources}\",\"acks_per_sec\":{acks_per_sec},\"max_batch\":{max_batch},\"sources\":{sources},\"nproc\":{nproc},\"commit\":\"{commit}\"}}"
             );
 
             // --- deterministic SimDisk accounting + cost model ---

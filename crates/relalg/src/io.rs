@@ -233,18 +233,39 @@ pub const REL_VERSION: u8 = 1;
 
 /// CRC-32 (IEEE 802.3 polynomial) of a byte slice. Detects any burst
 /// error up to 32 bits — in particular every single-byte corruption.
+///
+/// Slicing-by-8: eight bytes per step through eight derived tables,
+/// about five times the speed of the one-byte table walk on the WAL's
+/// group-commit path (every frame and every relation blob is
+/// checksummed), with the same result for every input.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// `CRC_TABLES[0]` is the classic one-byte table; `CRC_TABLES[k][i]` is
+/// the CRC of byte `i` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -253,10 +274,20 @@ const fn crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Little-endian byte serializer shared by the binary relation encoding
@@ -342,6 +373,12 @@ impl ByteWriter {
         let crc = crc32(&self.buf);
         self.put_u32(crc);
         self.buf
+    }
+
+    /// A writer that appends to `buf`, keeping its contents and
+    /// capacity (for callers that reuse one buffer across encodes).
+    pub fn from_vec(buf: Vec<u8>) -> ByteWriter {
+        ByteWriter { buf }
     }
 
     /// Returns the buffer without a checksum (for callers that frame and
@@ -706,5 +743,32 @@ mod tests {
     fn crc32_matches_known_vector() {
         // The IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// Slicing-by-8 equals the one-byte table walk at every length and
+    /// alignment, remainders included.
+    #[test]
+    fn crc32_equals_the_bytewise_walk() {
+        fn bytewise(bytes: &[u8]) -> u32 {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c ^ 0xFFFF_FFFF
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..600)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for start in 0..9 {
+            for end in start..data.len() {
+                assert_eq!(crc32(&data[start..end]), bytewise(&data[start..end]));
+            }
+        }
     }
 }

@@ -3,21 +3,27 @@
 //!
 //! The batcher is a pure state machine over a virtual clock — no
 //! threads, no timers. The runtime (or the deterministic test harness)
-//! drives it with three calls:
+//! drives it with four calls:
 //!
 //! * [`Batcher::push`] when an envelope arrives — returns a full batch
 //!   the moment the size cap is hit;
-//! * [`Batcher::poll`] on a timer tick — returns the pending batch once
-//!   the oldest queued envelope has waited past the policy deadline;
+//! * [`Batcher::flush`] when the engine has no ready message left —
+//!   the self-clocking group commit: whatever arrived while the
+//!   previous commit ran is the next batch, so batches grow with load
+//!   and a lone envelope waits for nothing;
+//! * [`Batcher::poll`] on a tick — returns the pending batch once the
+//!   oldest queued envelope has reached the policy's age ceiling, which
+//!   only happens while the engine stays busy with other messages;
 //! * [`Batcher::next_deadline`] to learn *when* that tick must happen.
 //!
-//! The deadline is derived from the arrival time of the **oldest**
-//! pending envelope, not the newest: a steady trickle of writes cannot
-//! postpone the flush forever. The "lost wakeup" failure class — the
-//! runtime sleeps with envelopes pending and no deadline armed — is
-//! structurally impossible to miss in tests, because `next_deadline`
-//! returns `Some` exactly when `pending` is non-empty, and the
-//! scheduler suites assert that invariant under seeded interleavings.
+//! The ceiling is derived from the arrival time of the **oldest**
+//! pending envelope, not the newest: a steady flood of other messages
+//! cannot postpone the commit forever. The "lost wakeup" failure class
+//! — the runtime blocks with envelopes pending — is closed twice over:
+//! the engine's step function (`server::next_step`) commits instead of
+//! blocking whenever envelopes are pending, and `next_deadline` returns
+//! `Some` exactly when `pending` is non-empty. The scheduler suites
+//! assert both under seeded interleavings.
 //!
 //! A released batch leaves the batcher *before* its commit runs, so a
 //! commit failure cannot re-arm a deadline here — the batcher is empty
@@ -36,8 +42,11 @@ pub struct BatchPolicy {
     /// Release as soon as this many envelopes are pending. `1` degrades
     /// group commit to one fsync per envelope.
     pub max_batch: usize,
-    /// Release once the oldest pending envelope has waited this many
-    /// virtual microseconds, even if the batch is not full.
+    /// The age ceiling of a pending batch while the engine stays busy:
+    /// once the oldest pending envelope has waited this many virtual
+    /// microseconds, the next tick releases the batch even though
+    /// messages keep arriving. Not a wait — an engine with nothing
+    /// ready commits at once.
     pub max_wait_micros: u64,
 }
 
@@ -48,7 +57,7 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// A policy with the given size cap and the default max wait.
+    /// A policy with the given size cap and the default age ceiling.
     pub fn with_max_batch(max_batch: usize) -> BatchPolicy {
         BatchPolicy { max_batch: max_batch.max(1), ..BatchPolicy::default() }
     }
@@ -98,7 +107,8 @@ impl Batcher {
 
     /// Queues one envelope at virtual time `now`. Returns the full
     /// batch when the size cap is reached; otherwise the envelope waits
-    /// for [`poll`](Batcher::poll) or more pushes.
+    /// for [`flush`](Batcher::flush), [`poll`](Batcher::poll) or more
+    /// pushes.
     pub fn push(
         &mut self,
         session: SessionId,
@@ -116,8 +126,8 @@ impl Batcher {
         }
     }
 
-    /// Releases the pending batch if the oldest envelope's deadline has
-    /// passed at virtual time `now`.
+    /// Releases the pending batch if the oldest envelope has reached the
+    /// age ceiling at virtual time `now`.
     pub fn poll(&mut self, now: u64) -> Option<Vec<BatchItem>> {
         match self.next_deadline() {
             Some(deadline) if now >= deadline => self.take(),
@@ -125,15 +135,15 @@ impl Batcher {
         }
     }
 
-    /// Releases whatever is pending regardless of deadlines (shutdown,
-    /// test barriers).
+    /// Releases whatever is pending regardless of deadlines: the idle
+    /// engine's group commit, shutdown, test barriers.
     pub fn flush(&mut self) -> Option<Vec<BatchItem>> {
         self.take()
     }
 
-    /// The virtual time by which [`poll`](Batcher::poll) must be called;
-    /// `Some` exactly when envelopes are pending. A runtime that sleeps
-    /// past this deadline without polling has lost a wakeup.
+    /// The virtual time by which [`poll`](Batcher::poll) must be called
+    /// if the engine is still busy; `Some` exactly when envelopes are
+    /// pending.
     pub fn next_deadline(&self) -> Option<u64> {
         if self.pending.is_empty() {
             None

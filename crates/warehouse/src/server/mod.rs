@@ -19,16 +19,25 @@
 //!  ───────────────          ─────────────────────────         ──────────────
 //!  connect ───────────────▶ SessionManager ─ grant(resume)
 //!  deliver(env) ──────────▶ Batcher ──full──▶ CommitPipeline
-//!  tick(now) ─────────────▶ Batcher ──wait──▶   │ offer_batch (N frames, 1 fsync)
-//!                                               │ publish epoch ───▶ EpochReader.load()
+//!  commit_pending(now) ───▶ Batcher ──idle──▶   │ offer_batch (N frames, 1 append, 1 fsync)
+//!  tick(now) ─────────────▶ Batcher ──aged──▶   │ publish epoch ───▶ EpochReader.load()
 //!  acks ◀── per-session ◀───────────────────────┘ mint acks
 //! ```
 //!
 //! * **Writes** enter via [`ServerCore::deliver`] and are grouped by
-//!   the [`Batcher`] under a [`BatchPolicy`] (size cap + max wait). A
-//!   released batch goes through [`CommitPipeline::submit`]: N WAL
-//!   frames, **one** fsync, then epoch publication, then acks. A
-//!   session is never acked before its envelope's fsync returned.
+//!   the [`Batcher`]. A batch is released when it is full, when the
+//!   engine runs out of ready messages ([`EngineStep::Commit`]: the
+//!   self-clocking group commit), or — only while the engine stays busy
+//!   — once its oldest envelope reaches the [`BatchPolicy`] age
+//!   ceiling. A released batch goes through [`CommitPipeline::submit`]:
+//!   N WAL frames in one append, **one** fsync, then epoch publication,
+//!   then acks. A session is never acked before its envelope's fsync
+//!   returned.
+//! * **The engine loop** asks [`ServerCore::next_step`] what to do
+//!   next; [`next_step`] is the whole decision, a pure function the
+//!   runtime and the scheduler suites share. A due deadline runs before
+//!   any message, ready messages run before a commit, and the engine
+//!   blocks only when nothing is pending.
 //! * **Reads** never enter the core at all: a [`QueryClient`] holds an
 //!   [`EpochReader`] and answers against an immutable [`StateEpoch`]
 //!   snapshot, so queries neither block nor observe half-applied
@@ -113,6 +122,45 @@ impl std::error::Error for ServerError {}
 impl From<StorageError> for ServerError {
     fn from(e: StorageError) -> ServerError {
         ServerError::Storage(e)
+    }
+}
+
+/// What the single-writer engine loop does next; see [`next_step`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EngineStep {
+    /// A deadline is due: call [`ServerCore::tick`] before taking any
+    /// message, however many are ready.
+    Tick,
+    /// Take the next ready message.
+    Take,
+    /// No message is ready and envelopes are pending: commit them now
+    /// with [`ServerCore::commit_pending`]. Whatever arrives while that
+    /// commit runs becomes the next batch.
+    Commit,
+    /// Nothing is ready or pending: block for a message, but no later
+    /// than `until` (virtual microseconds; `None` waits for traffic).
+    Block {
+        /// The next deadline [`ServerCore::tick`] must run by.
+        until: Option<u64>,
+    },
+}
+
+/// The engine loop's decision at virtual time `now`, given the core's
+/// next deadline, whether envelopes are pending in the batcher, and
+/// whether a message is ready. A due deadline comes first, then a ready
+/// message, then the pending batch, so a due deadline — the busy-engine
+/// batch ceiling, a degraded-mode retry, a read-only heal probe, idle
+/// reaping — runs even under a flood of messages, and the engine never
+/// blocks while a batch is pending.
+pub fn next_step(now: u64, deadline: Option<u64>, pending: bool, ready: bool) -> EngineStep {
+    if deadline.is_some_and(|at| at <= now) {
+        EngineStep::Tick
+    } else if ready {
+        EngineStep::Take
+    } else if pending {
+        EngineStep::Commit
+    } else {
+        EngineStep::Block { until: deadline }
     }
 }
 
@@ -262,12 +310,13 @@ impl<M: StorageMedium> ServerCore<M> {
     }
 
     /// Timer tick at virtual time `now`: commits the pending batch if
-    /// its max-wait deadline has passed, runs the due degraded-mode
-    /// retry or read-only heal probe (draining parked batches on
-    /// success), and reaps idle sessions. The runtime must call this by
-    /// [`ServerCore::next_deadline`] — sleeping past it with envelopes
-    /// pending *or a retry scheduled* is the lost-wakeup bug the
-    /// scheduler tests hunt.
+    /// its oldest envelope has reached the age ceiling (the engine was
+    /// busy that long), runs the due degraded-mode retry or read-only
+    /// heal probe (draining parked batches on success), and reaps idle
+    /// sessions. The runtime must call this by
+    /// [`ServerCore::next_deadline`], before any further message —
+    /// sleeping past it with a retry scheduled, or starving it behind
+    /// traffic, is the lost-wakeup bug the scheduler tests hunt.
     pub fn tick(&mut self, now: u64) -> Result<Vec<Ack>, ServerError> {
         self.last_now = self.last_now.max(now);
         let mut acks = match self.batcher.poll(now) {
@@ -288,6 +337,15 @@ impl<M: StorageMedium> ServerCore<M> {
         Ok(acks)
     }
 
+    /// The self-clocking group commit at virtual time `now`: commits
+    /// whatever is pending because the engine has nothing else to do
+    /// ([`EngineStep::Commit`]). Under degradation the batch parks, as
+    /// for any commit.
+    pub fn commit_pending(&mut self, now: u64) -> Result<Vec<Ack>, ServerError> {
+        self.last_now = self.last_now.max(now);
+        self.flush()
+    }
+
     /// Commits whatever is pending regardless of deadlines (shutdown
     /// barrier). Under degradation the batch parks instead — shutting
     /// down then loses only unacked envelopes, which is the crash
@@ -302,9 +360,22 @@ impl<M: StorageMedium> ServerCore<M> {
         }
     }
 
+    /// What the engine loop does next at virtual time `now`, with
+    /// `ready` telling whether a message is waiting: [`next_step`] over
+    /// this core's deadline and batcher.
+    pub fn next_step(&self, now: u64, ready: bool) -> EngineStep {
+        next_step(now, self.next_deadline(), !self.batcher.is_empty(), ready)
+    }
+
+    /// Envelopes waiting in the batcher for the next commit (parked
+    /// batches not included; see [`ServerCore::parked_len`]).
+    pub fn pending_len(&self) -> usize {
+        self.batcher.len()
+    }
+
     /// When [`ServerCore::tick`] must next run: the earliest of the
-    /// batcher's max-wait deadline, the pipeline's retry/probe deadline
-    /// (so a failed commit re-arms the schedule instead of waiting for
+    /// batcher's age ceiling, the pipeline's retry/probe deadline (so a
+    /// failed commit re-arms the schedule instead of waiting for
     /// traffic), and the next idle-session expiry.
     pub fn next_deadline(&self) -> Option<u64> {
         let idle = match self.idle_timeout {
@@ -471,5 +542,48 @@ impl QueryClient {
     /// The full current snapshot (epoch + immutable state).
     pub fn snapshot(&self) -> Arc<StateEpoch> {
         self.reader.load()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The starvation regression: once a deadline is due, the engine
+    /// ticks before taking another message, however many keep coming.
+    /// A loop that ticked only when its blocking receive timed out
+    /// skipped due retries for as long as a flood of `ping`s lasted.
+    #[test]
+    fn a_due_deadline_runs_before_a_flood_of_messages() {
+        let retry_at = 1_000;
+        let mut ticked_at = None;
+        for now in (0..5_000).step_by(7) {
+            match next_step(now, Some(retry_at), false, true) {
+                EngineStep::Tick => {
+                    ticked_at = Some(now);
+                    break;
+                }
+                step => assert_eq!(step, EngineStep::Take, "at {now}"),
+            }
+        }
+        let ticked_at = ticked_at.expect("the flood starved the due retry");
+        assert!((retry_at..retry_at + 7).contains(&ticked_at), "ticked at {ticked_at}");
+    }
+
+    /// The engine never blocks while a batch is pending: with nothing
+    /// ready it commits; with a message ready it takes it first, so
+    /// what arrives during one commit joins the next batch.
+    #[test]
+    fn pending_envelopes_commit_as_soon_as_nothing_is_ready() {
+        for deadline in [None, Some(50), Some(10_000)] {
+            assert_eq!(next_step(10, deadline, true, false), EngineStep::Commit);
+            assert_eq!(next_step(10, deadline, true, true), EngineStep::Take);
+            match next_step(10, deadline, false, false) {
+                EngineStep::Block { until } => assert_eq!(until, deadline),
+                step => panic!("idle engine with nothing pending chose {step:?}"),
+            }
+        }
+        assert_eq!(next_step(50, Some(50), true, false), EngineStep::Tick);
+        assert_eq!(next_step(50, Some(50), false, false), EngineStep::Tick);
     }
 }

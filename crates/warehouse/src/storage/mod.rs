@@ -54,6 +54,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use wal::WalRecord;
 
 /// One failed operation of a [`StorageMedium`].
@@ -307,9 +308,25 @@ impl From<MediumError> for StorageError {
 /// The production [`StorageMedium`]: one directory of flat files on the
 /// real filesystem. The only place in the workspace allowed to write
 /// through `std::fs` (srclint rule `DWC-S504`).
-#[derive(Clone, Debug)]
+///
+/// The medium keeps **one** append handle open: the file it last
+/// appended to, which is the live WAL segment. A group commit is then
+/// one `write` and one `fdatasync` on that handle — no `open` per
+/// frame, no second `open` to sync. Appending to another file replaces
+/// the handle (the segment rolls with the generation), and a
+/// `write_all`, `rename` or `remove` naming the held file drops it, so
+/// the handle never outlives the name it was opened under. A clone
+/// starts with no handle of its own.
+#[derive(Debug)]
 pub struct FsMedium {
     root: PathBuf,
+    held: Mutex<Option<(String, fs::File)>>,
+}
+
+impl Clone for FsMedium {
+    fn clone(&self) -> FsMedium {
+        FsMedium { root: self.root.clone(), held: Mutex::new(None) }
+    }
 }
 
 impl FsMedium {
@@ -319,7 +336,7 @@ impl FsMedium {
         fs::create_dir_all(&root).map_err(|e| {
             MediumError::fatal("create_dir", root.display().to_string(), e.to_string())
         })?;
-        Ok(FsMedium { root })
+        Ok(FsMedium { root, held: Mutex::new(None) })
     }
 
     /// The directory this medium stores into.
@@ -329,6 +346,18 @@ impl FsMedium {
 
     fn full(&self, name: &str) -> PathBuf {
         self.root.join(name)
+    }
+
+    fn held(&self) -> MutexGuard<'_, Option<(String, fs::File)>> {
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Closes the held append handle if it was opened under `name`.
+    fn release(&self, name: &str) {
+        let mut held = self.held();
+        if held.as_ref().is_some_and(|(path, _)| path == name) {
+            *held = None;
+        }
     }
 
     fn err(&self, op: &'static str, name: &str, e: std::io::Error) -> MediumError {
@@ -350,29 +379,54 @@ impl StorageMedium for FsMedium {
     }
 
     fn write_all(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
+        self.release(path);
         fs::write(self.full(path), bytes).map_err(|e| self.err("write", path, e))
     }
 
     fn append(&self, path: &str, bytes: &[u8]) -> Result<(), MediumError> {
-        let mut f = fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(self.full(path))
-            .map_err(|e| self.err("append", path, e))?;
-        f.write_all(bytes).map_err(|e| self.err("append", path, e))
+        let mut held = self.held();
+        let file = match &mut *held {
+            Some((name, file)) if name == path => file,
+            slot => {
+                // Close the old handle before opening the new one.
+                *slot = None;
+                let file = fs::OpenOptions::new()
+                    .append(true)
+                    .create(true)
+                    .open(self.full(path))
+                    .map_err(|e| self.err("append", path, e))?;
+                &mut slot.insert((path.to_owned(), file)).1
+            }
+        };
+        let written = file.write_all(bytes);
+        if let Err(e) = written {
+            // A failed write leaves the file unknowable; the next
+            // append starts from a fresh open.
+            *held = None;
+            return Err(self.err("append", path, e));
+        }
+        Ok(())
     }
 
     fn sync(&self, path: &str) -> Result<(), MediumError> {
+        if let Some((name, file)) = &*self.held() {
+            if name == path {
+                return file.sync_data().map_err(|e| self.err("sync", path, e));
+            }
+        }
         fs::File::open(self.full(path))
             .and_then(|f| f.sync_all())
             .map_err(|e| self.err("sync", path, e))
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<(), MediumError> {
+        self.release(from);
+        self.release(to);
         fs::rename(self.full(from), self.full(to)).map_err(|e| self.err("rename", from, e))
     }
 
     fn remove(&self, path: &str) -> Result<(), MediumError> {
+        self.release(path);
         fs::remove_file(self.full(path)).map_err(|e| self.err("remove", path, e))
     }
 
@@ -427,7 +481,8 @@ impl Default for DurabilityConfig {
 /// Cumulative counters of a [`DurableWarehouse`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StorageStats {
-    /// WAL records appended.
+    /// WAL records appended — frames, not `append` calls: a group commit
+    /// of N records counts N here and issues one append.
     pub wal_appends: u64,
     /// Bytes appended to the WAL (frames included).
     pub wal_bytes: u64,
@@ -506,8 +561,14 @@ pub struct DurableWarehouse<M: StorageMedium> {
     poisoned: bool,
     dirty: bool,
     unlogged: Vec<WalRecord>,
+    /// The reused encode buffer of [`DurableWarehouse::flush_unlogged`].
+    frames: Vec<u8>,
     stats: StorageStats,
 }
+
+/// Capacity the WAL encode buffer keeps across commits: one outsized
+/// record (a long recovered log) must not pin its size for good.
+const FRAMES_KEEP: usize = 1 << 20;
 
 impl<M: StorageMedium> DurableWarehouse<M> {
     /// Creates a fresh durable warehouse in an empty medium: writes the
@@ -536,6 +597,7 @@ impl<M: StorageMedium> DurableWarehouse<M> {
             poisoned: false,
             dirty: false,
             unlogged: Vec::new(),
+            frames: Vec::new(),
             stats: StorageStats::default(),
         };
         dw.roll_generation()?;
@@ -555,8 +617,9 @@ impl<M: StorageMedium> DurableWarehouse<M> {
 
     /// Offers a batch of envelopes as one **group commit**: the batch
     /// is applied in memory as one slice (one maintenance pass over its
-    /// net delta), each envelope is appended as its own WAL frame, then
-    /// the segment is fsynced *once* for the whole batch. When
+    /// net delta), each envelope is encoded as its own WAL frame, all
+    /// frames leave in *one* append, and the segment is fsynced *once*
+    /// for the whole batch. When
     /// this returns `Ok`, every envelope in the batch is durable —
     /// regardless of [`DurabilityConfig::sync_every_append`], which
     /// tunes the single-envelope [`DurableWarehouse::offer`] path only.
@@ -593,7 +656,8 @@ impl<M: StorageMedium> DurableWarehouse<M> {
 
     /// Makes every applied-but-not-yet-durable record durable: the
     /// group-commit second half. On a clean segment this appends the
-    /// queued records and issues one fsync; on a dirty segment it heals
+    /// queued records' frames in one append and issues one fsync; on a
+    /// dirty segment it heals
     /// by rolling a generation (see [`DurableWarehouse::heal`]). When
     /// this returns `Ok`, everything previously applied in memory is
     /// durable and it is sound to ack.
@@ -812,37 +876,36 @@ impl<M: StorageMedium> DurableWarehouse<M> {
         self.flush_unlogged(sync)
     }
 
-    /// Drains the unlogged queue to the WAL (front first, removing each
-    /// record only once its append succeeded), then optionally fsyncs.
-    /// A dirty segment is never appended to: the whole flush happens by
-    /// rolling a generation instead. Failures route through
-    /// [`note_failure`], so the queue keeps exactly the records whose
-    /// durability is still unproven.
+    /// Drains the unlogged queue to the WAL as **one** append — every
+    /// queued record encoded as its own frame into one reused buffer —
+    /// then optionally fsyncs. A dirty segment is never appended to: the
+    /// whole flush happens by rolling a generation instead. A failed
+    /// append keeps the whole queue (no frame of it is proven durable)
+    /// and routes through [`note_failure`]; a torn append leaves at most
+    /// a frame prefix that replay takes, which is sound because every
+    /// queued record is already applied in memory.
     ///
     /// [`note_failure`]: DurableWarehouse::note_failure
     fn flush_unlogged(&mut self, sync: bool) -> Result<(), StorageError> {
         if self.dirty {
             return self.roll_generation();
         }
-        let mut appended = 0;
-        let mut failure = None;
-        for record in &self.unlogged {
-            match wal::append_record(&self.medium, &self.wal_name, record, false) {
-                Ok(bytes) => {
-                    self.stats.wal_appends += 1;
-                    self.stats.wal_bytes += bytes as u64;
-                    self.records_since_snapshot += 1;
-                    appended += 1;
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
+        if !self.unlogged.is_empty() {
+            self.frames.clear();
+            for record in &self.unlogged {
+                wal::encode_frame(&mut self.frames, record);
             }
-        }
-        self.unlogged.drain(..appended);
-        if let Some(e) = failure {
-            return Err(self.note_failure(e));
+            if let Err(e) = self.medium.append(&self.wal_name, &self.frames) {
+                return Err(self.note_failure(StorageError::from(e)));
+            }
+            let records = self.unlogged.len() as u64;
+            self.stats.wal_appends += records;
+            self.stats.wal_bytes += self.frames.len() as u64;
+            self.records_since_snapshot += records;
+            self.unlogged.clear();
+            if self.frames.capacity() > FRAMES_KEEP {
+                self.frames = Vec::new();
+            }
         }
         if sync {
             match self.medium.sync(&self.wal_name) {
@@ -1085,6 +1148,7 @@ impl Recovery {
             poisoned: false,
             dirty: false,
             unlogged: Vec::new(),
+            frames: Vec::new(),
             stats: StorageStats::default(),
         };
         // Roll a fresh generation: recovery must never append to a
@@ -1227,5 +1291,118 @@ mod tests {
             (a.updates_processed, a.delta_tuples),
             (b.updates_processed, b.delta_tuples)
         );
+    }
+
+    /// A fresh directory under the system temp dir, unique per test.
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("dwc-fsmedium-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn held_name(m: &FsMedium) -> Option<String> {
+        m.held().as_ref().map(|(name, _)| name.clone())
+    }
+
+    /// A `write_all`, `rename` (either side) or `remove` of the held
+    /// file closes the handle, so the next append reopens by name and
+    /// lands in the file that now carries it — not in an unlinked or
+    /// renamed inode.
+    #[test]
+    fn fs_medium_drops_the_held_handle_when_its_name_changes_hands() {
+        let dir = temp_dir("drop");
+        let m = FsMedium::new(&dir).unwrap();
+        m.append("a", b"1").unwrap();
+        assert_eq!(held_name(&m).as_deref(), Some("a"));
+        m.write_all("a", b"x").unwrap();
+        assert_eq!(held_name(&m), None, "write_all of the held file");
+        m.append("a", b"2").unwrap();
+        assert_eq!(m.read("a").unwrap(), b"x2");
+
+        m.rename("a", "b").unwrap();
+        assert_eq!(held_name(&m), None, "rename from the held file");
+        m.append("a", b"3").unwrap();
+        assert_eq!((m.read("a").unwrap(), m.read("b").unwrap()), (b"3".to_vec(), b"x2".to_vec()));
+
+        m.write_all("tmp", b"T").unwrap();
+        m.rename("tmp", "a").unwrap();
+        assert_eq!(held_name(&m), None, "rename over the held file");
+        m.append("a", b"4").unwrap();
+        assert_eq!(m.read("a").unwrap(), b"T4");
+
+        m.remove("a").unwrap();
+        assert_eq!(held_name(&m), None, "remove of the held file");
+        m.append("a", b"5").unwrap();
+        assert_eq!(m.read("a").unwrap(), b"5");
+
+        // Operations on other names leave the handle alone.
+        m.write_all("c", b"c").unwrap();
+        m.rename("c", "d").unwrap();
+        m.remove("d").unwrap();
+        assert_eq!(held_name(&m).as_deref(), Some("a"));
+        assert_eq!(held_name(&m.clone()), None, "a clone holds no handle");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `sync` of a file that is not held opens and syncs that file by
+    /// name — it never syncs the held handle in its place.
+    #[test]
+    fn fs_medium_syncs_an_unheld_file_by_name() {
+        let dir = temp_dir("sync");
+        let m = FsMedium::new(&dir).unwrap();
+        m.append("held", b"h").unwrap();
+        m.write_all("other", b"o").unwrap();
+        m.sync("other").unwrap();
+        m.sync("held").unwrap();
+        assert_eq!(held_name(&m).as_deref(), Some("held"));
+        let err = m.sync("missing").unwrap_err();
+        assert_eq!((err.op, err.path.as_str()), ("sync", "missing"));
+        assert_eq!(m.read("other").unwrap(), b"o");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// On the real filesystem, group commits append through the held
+    /// handle, a generation roll moves it to the new segment, and a
+    /// cold recovery of the directory replays both generations' frames
+    /// to the live state.
+    #[test]
+    fn fs_medium_appends_follow_the_generation_roll() {
+        let dir = temp_dir("roll");
+        let spec = fig1_spec();
+        let site = SourceSite::new(spec.catalog().clone(), fig1_state()).unwrap();
+        let aug = spec.augment().unwrap();
+        let integ = Integrator::initial_load(aug.clone(), &site).unwrap();
+        let mut src = SequencedSource::new("fig1", site);
+        let ingest = IngestingIntegrator::new(integ, IngestConfig::default()).unwrap();
+        let config = DurabilityConfig { retain_generations: 3, ..DurabilityConfig::default() };
+        let mut dw = DurableWarehouse::create(FsMedium::new(&dir).unwrap(), ingest, config)
+            .unwrap();
+        let mut batch = |n: usize| -> Vec<Envelope> {
+            (0..n)
+                .map(|i| {
+                    let row = rel! { ["item", "clerk"] => (format!("item{i}-{n}"), "Mary") };
+                    src.apply_update(&Update::inserting("Sale", row)).unwrap()
+                })
+                .collect()
+        };
+        dw.offer_batch(&batch(5)).unwrap();
+        let first = dw.wal_name.clone();
+        assert_eq!(held_name(&dw.medium), Some(first.clone()));
+        dw.snapshot().unwrap();
+        dw.offer_batch(&batch(3)).unwrap();
+        assert_ne!(dw.wal_name, first);
+        assert_eq!(held_name(&dw.medium), Some(dw.wal_name.clone()));
+        let st = dw.storage_stats();
+        assert_eq!((st.wal_appends, st.wal_syncs, st.group_commits), (8, 2, 2));
+        assert_eq!(wal::scan_segment(&dw.medium, &first, 1).unwrap().records.len(), 5);
+        assert_eq!(wal::scan_segment(&dw.medium, &dw.wal_name, 2).unwrap().records.len(), 3);
+
+        let (rec, report) =
+            Recovery::open(FsMedium::new(&dir).unwrap(), aug, config).unwrap();
+        assert_eq!(report.records_replayed, 3);
+        assert_eq!(rec.state(), dw.state());
+        drop((dw, rec));
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

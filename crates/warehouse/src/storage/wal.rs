@@ -88,24 +88,21 @@ pub(crate) fn create_segment<M: StorageMedium>(
     Ok(name)
 }
 
-/// Appends one record as a checksummed frame; returns the bytes
-/// written. With `sync`, the segment is fsynced after the append.
-pub(crate) fn append_record<M: StorageMedium>(
-    medium: &M,
-    segment: &str,
-    record: &WalRecord,
-    sync: bool,
-) -> Result<usize, StorageError> {
-    let payload = encode_record(record);
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    medium.append(segment, &frame)?;
-    if sync {
-        medium.sync(segment)?;
-    }
-    Ok(frame.len())
+/// Encodes `record` as one checksummed frame at the end of `out`
+/// (whatever `out` already holds is kept) and returns the frame's
+/// length. A group commit encodes all of its frames into one buffer
+/// and hands the medium a single append.
+pub(crate) fn encode_frame(out: &mut Vec<u8>, record: &WalRecord) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    let mut w = ByteWriter::from_vec(std::mem::take(out));
+    put_record(&mut w, record);
+    *out = w.into_bytes();
+    let payload = &out[start + 8..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    out.len() - start
 }
 
 /// Reads a little-endian u32 at `pos`; the caller guarantees bounds.
@@ -191,19 +188,18 @@ pub(crate) fn scan_segment<M: StorageMedium>(
     Ok(WalScan { records, torn_bytes })
 }
 
-fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn put_record(w: &mut ByteWriter, record: &WalRecord) {
     match record {
         WalRecord::Offered(env) => {
             w.put_u8(1);
-            put_envelope(&mut w, env);
+            put_envelope(w, env);
         }
         WalRecord::Recovered { source, log } => {
             w.put_u8(2);
             w.put_str(source.as_str());
             w.put_u32(log.len() as u32);
             for env in log {
-                put_envelope(&mut w, env);
+                put_envelope(w, env);
             }
         }
         WalRecord::Requeued { index } => {
@@ -216,7 +212,6 @@ fn encode_record(record: &WalRecord) -> Vec<u8> {
             w.put_str(reason);
         }
     }
-    w.into_bytes()
 }
 
 fn decode_record(payload: &[u8]) -> Result<WalRecord, RelalgError> {
@@ -319,6 +314,13 @@ mod tests {
         }
     }
 
+    /// One record, one frame, one append.
+    fn append_record(m: &DiskMedium, seg: &str, record: &WalRecord) {
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, record);
+        m.append(seg, &frame).unwrap();
+    }
+
     #[test]
     fn records_roundtrip_through_a_segment() {
         let m = DiskMedium::default();
@@ -335,7 +337,7 @@ mod tests {
             WalRecord::Discarded { index: 0, reason: "ghost relation".to_owned() },
         ];
         for r in &records {
-            append_record(&m, &seg, r, true).unwrap();
+            append_record(&m, &seg, r);
         }
         let scan = scan_segment(&m, &seg, 7).unwrap();
         assert_eq!(scan.records, records);
@@ -346,9 +348,9 @@ mod tests {
     fn torn_tails_truncate_and_count() {
         let m = DiskMedium::default();
         let seg = create_segment(&m, 1).unwrap();
-        append_record(&m, &seg, &WalRecord::Offered(sample_envelope(0)), true).unwrap();
+        append_record(&m, &seg, &WalRecord::Offered(sample_envelope(0)));
         let full = m.read(&seg).unwrap();
-        append_record(&m, &seg, &WalRecord::Offered(sample_envelope(1)), true).unwrap();
+        append_record(&m, &seg, &WalRecord::Offered(sample_envelope(1)));
         let longer = m.read(&seg).unwrap();
         // Tear the second frame at every possible length.
         for cut in full.len() + 1..longer.len() {
@@ -359,11 +361,47 @@ mod tests {
         }
     }
 
+    /// A group commit's one buffer holds exactly the frames one append
+    /// per record would have written, and a tear anywhere inside it
+    /// scans as the longest intact frame prefix.
+    #[test]
+    fn one_buffer_of_frames_is_byte_identical_and_tears_to_a_frame_prefix() {
+        let records: Vec<WalRecord> =
+            (0..5).map(|seq| WalRecord::Offered(sample_envelope(seq))).collect();
+        let one_by_one = DiskMedium::default();
+        let seg = create_segment(&one_by_one, 1).unwrap();
+        let mut ends = vec![one_by_one.read(&seg).unwrap().len()];
+        for r in &records {
+            append_record(&one_by_one, &seg, r);
+            ends.push(one_by_one.read(&seg).unwrap().len());
+        }
+        let mut buf = vec![0xAA];
+        let mut lens = 0;
+        for r in &records {
+            lens += encode_frame(&mut buf, r);
+        }
+        assert_eq!(buf[0], 0xAA, "encoding must keep what the buffer held");
+        assert_eq!(lens, buf.len() - 1);
+
+        let m = DiskMedium::default();
+        create_segment(&m, 1).unwrap();
+        m.append(&seg, &buf[1..]).unwrap();
+        let whole = m.read(&seg).unwrap();
+        assert_eq!(whole, one_by_one.read(&seg).unwrap());
+        for cut in ends[0]..=whole.len() {
+            m.write_all(&seg, &whole[..cut]).unwrap();
+            let scan = scan_segment(&m, &seg, 1).unwrap();
+            let intact = ends.iter().rposition(|&end| end <= cut).unwrap();
+            assert_eq!(scan.records, records[..intact], "cut at {cut}");
+            assert_eq!(scan.torn_bytes, cut - ends[intact], "cut at {cut}");
+        }
+    }
+
     #[test]
     fn header_and_frame_corruption_are_typed() {
         let m = DiskMedium::default();
         let seg = create_segment(&m, 1).unwrap();
-        append_record(&m, &seg, &WalRecord::Offered(sample_envelope(0)), true).unwrap();
+        append_record(&m, &seg, &WalRecord::Offered(sample_envelope(0)));
         let good = m.read(&seg).unwrap();
 
         // Bit flip in the header.

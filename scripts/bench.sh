@@ -15,11 +15,24 @@
 # degraded-mode serving suite (injected faults, modeled fsync stalls)
 # in BENCH_faults.json.
 #
-# Usage: scripts/bench.sh [--quick] [--out FILE]
+# Usage: scripts/bench.sh [--quick] [--out FILE] [--help]
 #   --quick      smoke pass (fewer samples, 2ms target per sample)
 #   --out FILE   result file (default BENCH_eval.json; verify.sh points
 #                this at a scratch file so a smoke run never overwrites
 #                recorded numbers)
+#   --help       print this text
+#
+# These are in-process rows. The end-to-end comparison of a change
+# against its parent is scripts/ab.py: it exports the parent revision
+# with `git archive` into a scratch directory, builds both sides, runs
+# BENCHMARK.json's command (the wire-to-ack load generator) in N
+# alternating parent/change pairs per workload, and prints per-pair
+# ratios, medians with quartiles, and pass/fail against each end-to-end
+# bound (plus an optional nine-of-ten-pairs claim check):
+#
+#   python3 scripts/ab.py HEAD~1 --workloads mixed-open --pairs 10 \
+#       --claim mixed-open:ack_p50_ms
+#   python3 scripts/ab.py HEAD~1 --trace    # per-layer rows instead
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,6 +43,7 @@ while [ $# -gt 0 ]; do
   case "$1" in
     --quick) QUICK=1; shift ;;
     --out) OUT="$2"; shift 2 ;;
+    -h|--help) sed -n '2,/^$/s/^# \{0,1\}//p' "$0"; exit 0 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done

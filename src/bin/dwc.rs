@@ -58,17 +58,19 @@ states; corruption then surfaces lazily).";
 
 const SERVE_USAGE: &str = "\
 usage: dwc serve --spec <spec.dwc> [--addr HOST:PORT] [--batch N]
-                 [--max-wait-us U] [--idle-timeout-us U] [--no-verify] <dir>
+                 [--idle-timeout-us U] [--no-verify] <dir>
 
 Runs the warehouse as a long-running server over <dir>: many source
-sessions ingest concurrently through group-committed WAL appends (N
-envelopes, one fsync; acks only after the fsync), readers query
+sessions ingest concurrently through group commits (N envelopes, one
+WAL append, one fsync; acks only after the fsync), readers query
 immutable epoch snapshots, and a restart resumes every source at its
 acked sequence number. Binds --addr (default 127.0.0.1:4710; port 0
 picks a free port) and prints `listening on <addr>`.
 
---batch and --max-wait-us tune the group-commit policy (defaults 64
-envelopes / 2000 us). --idle-timeout-us reaps sessions silent past the
+Group commit is self-clocking: the server commits whatever is pending
+as soon as it has no other message to handle, so a lone report waits
+for no timer and, under load, what arrives during one commit forms the
+next batch. --batch caps a batch (default 64 envelopes). --idle-timeout-us reaps sessions silent past the
 timeout (default 0 = never; reconnect resumes losslessly — send `ping`
 to keep an idle session alive). On storage faults the server degrades
 instead of dying: transient failures park writes and retry with
@@ -209,7 +211,7 @@ fn load_spec(spec_path: &str) -> Result<WarehouseSpec, String> {
         .map_err(|e| format!("{spec_path}: not a usable warehouse spec: {e}"))
 }
 
-/// `dwc serve --spec <spec.dwc> [--addr A] [--batch N] [--max-wait-us U]
+/// `dwc serve --spec <spec.dwc> [--addr A] [--batch N]
 /// [--idle-timeout-us U] [--no-verify] <dir>`.
 fn cmd_serve(args: &[String]) -> ExitCode {
     let mut spec_path: Option<String> = None;
@@ -239,13 +241,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 Some(n) => options.max_batch = n,
                 None => {
                     eprintln!("--batch needs an integer\n{SERVE_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--max-wait-us" => match take("--max-wait-us").and_then(|v| v.parse().ok()) {
-                Some(u) => options.max_wait_micros = u,
-                None => {
-                    eprintln!("--max-wait-us needs an integer\n{SERVE_USAGE}");
                     return ExitCode::from(2);
                 }
             },

@@ -6,11 +6,16 @@
 //! exercised by the scheduler test suites over a simulated filesystem.
 //! This module adds only the unavoidable runtime shell:
 //!
-//! * one **engine thread** owning the [`ServerCore`], draining a
-//!   channel of connection events with `recv_timeout` armed from
-//!   [`ServerCore::next_deadline`] (so a pending batch commits on time
-//!   even when no new envelope arrives — the classic lost-wakeup bug
-//!   the deterministic tests pin down);
+//! * one **engine thread** owning the [`ServerCore`] and draining a
+//!   channel of connection events. Each turn it asks
+//!   [`ServerCore::next_step`] what comes next: a due deadline (retry,
+//!   heal probe, idle reaping, the busy-engine batch ceiling) before
+//!   any message, then every ready message, and — the moment none is
+//!   ready — the group commit of whatever is pending. It blocks in
+//!   `recv_timeout`, armed from [`ServerCore::next_deadline`], only
+//!   when nothing is pending, so a lone report's ack waits for its
+//!   maintenance pass and one fsync, not for a timer, and under load
+//!   whatever arrives during one commit forms the next batch;
 //! * one **acceptor thread** per listener ([`run`], on its caller's
 //!   thread) plus, per connection, a command thread (`dwc-conn`) and —
 //!   from `hello` on — an ack writer (`dwc-acks`); acks flow back over a
@@ -86,7 +91,7 @@ use crate::relalg::{Catalog, DbState, RaExpr, Relation};
 use crate::shell::parse_update;
 use crate::warehouse::integrator::{Integrator, IntegratorConfig};
 use crate::warehouse::server::{
-    Ack, BatchPolicy, Health, QueryClient, ServerCore, SessionGrant, SessionId,
+    Ack, BatchPolicy, EngineStep, Health, QueryClient, ServerCore, SessionGrant, SessionId,
 };
 use crate::warehouse::{
     AdaptivePolicy, DurabilityConfig, DurableWarehouse, Envelope, FsMedium, IngestConfig,
@@ -107,10 +112,9 @@ pub struct ServeOptions {
     /// Address to listen on (`127.0.0.1:0` picks a free port and prints
     /// it).
     pub addr: String,
-    /// Group-commit size cap.
+    /// Group-commit size cap. There is no wait to tune: the engine
+    /// commits whenever no message is ready.
     pub max_batch: usize,
-    /// Group-commit max wait in microseconds.
-    pub max_wait_micros: u64,
     /// Cross-check `W(W⁻¹(w)) = w` when opening an existing directory.
     pub verify_on_open: bool,
     /// Reap sessions silent for longer than this many microseconds
@@ -121,11 +125,9 @@ pub struct ServeOptions {
 
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
-        let p = BatchPolicy::default();
         ServeOptions {
             addr: "127.0.0.1:4710".to_owned(),
-            max_batch: p.max_batch,
-            max_wait_micros: p.max_wait_micros,
+            max_batch: BatchPolicy::default().max_batch,
             verify_on_open: true,
             idle_timeout_micros: 0,
         }
@@ -481,10 +483,7 @@ pub fn open_core(
         verify_on_open: options.verify_on_open,
         ..DurabilityConfig::default()
     };
-    let policy = BatchPolicy {
-        max_batch: options.max_batch.max(1),
-        max_wait_micros: options.max_wait_micros,
-    };
+    let policy = BatchPolicy::with_max_batch(options.max_batch);
     // A fresh store (and a legacy store predating the persisted policy
     // byte) defaults to adaptive maintenance; a recovered v2 store
     // keeps whatever mode its manifest carries.
@@ -557,117 +556,164 @@ fn peer_gone(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::ConnectionReset | io::ErrorKind::BrokenPipe)
 }
 
-/// The single-writer commit loop: drains connection events, arms its
-/// sleep from the batcher deadline, and routes acks back per session.
-fn run_engine(mut core: ServerCore<FsMedium>, rx: mpsc::Receiver<EngineMsg>, memo: &ReplyMemo) {
+/// The single-writer commit loop. Each turn asks the core what to do
+/// next ([`ServerCore::next_step`]) with one message held back from the
+/// channel, so a due deadline runs before that message whatever the
+/// channel holds; a commit starts the moment no message is ready, and
+/// the loop blocks only when nothing is pending.
+fn run_engine(core: ServerCore<FsMedium>, rx: mpsc::Receiver<EngineMsg>, memo: &ReplyMemo) {
+    let mut engine = Engine { core, acks: AckRoutes::new(), next_serial: 0, memo };
     let start = Instant::now();
-    let mut acks = AckRoutes::new();
-    let mut next_serial = 0u64;
-    let now = |start: &Instant| start.elapsed().as_micros() as u64;
+    let now = || start.elapsed().as_micros() as u64;
+    let mut ready = None;
     loop {
-        let timeout = match core.next_deadline() {
-            Some(deadline) => Duration::from_micros(deadline.saturating_sub(now(&start))),
-            None => Duration::from_secs(3600),
-        };
-        match rx.recv_timeout(timeout) {
-            Ok(EngineMsg::Connect { source, reply }) => {
-                let grant = core.connect_at(SourceId::new(source), now(&start));
+        if ready.is_none() {
+            match rx.try_recv() {
+                Ok(msg) => ready = Some(msg),
+                Err(mpsc::TryRecvError::Empty) => {}
+                Err(mpsc::TryRecvError::Disconnected) => return engine.shut_down(),
+            }
+        }
+        let at = now();
+        match engine.core.next_step(at, ready.is_some()) {
+            EngineStep::Tick => engine.tick(at),
+            EngineStep::Take => {
+                if let Some(msg) = ready.take() {
+                    engine.handle(msg, at);
+                }
+            }
+            EngineStep::Commit => match engine.core.commit_pending(at) {
+                Ok(released) => route(&engine.acks, released),
+                Err(e) => eprintln!("commit failure: {e}"),
+            },
+            EngineStep::Block { until } => {
+                let timeout = match until {
+                    Some(deadline) => Duration::from_micros(deadline.saturating_sub(at)),
+                    None => Duration::from_secs(3600),
+                };
+                match rx.recv_timeout(timeout) {
+                    Ok(msg) => ready = Some(msg),
+                    Err(mpsc::RecvTimeoutError::Timeout) => {}
+                    Err(mpsc::RecvTimeoutError::Disconnected) => return engine.shut_down(),
+                }
+            }
+        }
+    }
+}
+
+/// What the engine thread owns: the core, the ack routing table and
+/// the server's reply memo (read for `stats`).
+struct Engine<'m> {
+    core: ServerCore<FsMedium>,
+    acks: AckRoutes,
+    next_serial: u64,
+    memo: &'m ReplyMemo,
+}
+
+impl Engine<'_> {
+    fn handle(&mut self, msg: EngineMsg, now: u64) {
+        let core = &mut self.core;
+        match msg {
+            EngineMsg::Connect { source, reply } => {
+                let grant = core.connect_at(SourceId::new(source), now);
                 let (tx, ack_rx) = mpsc::channel();
-                next_serial += 1;
+                self.next_serial += 1;
                 // Replacing a reconnecting source's previous sender ends
                 // that registration's ack writer.
-                acks.insert(grant.session, (next_serial, tx));
-                let _ = reply.send((AckRoute { grant, serial: next_serial }, ack_rx));
+                self.acks.insert(grant.session, (self.next_serial, tx));
+                let _ = reply.send((AckRoute { grant, serial: self.next_serial }, ack_rx));
             }
-            Ok(EngineMsg::Disconnect { route }) => {
+            EngineMsg::Disconnect { route } => {
                 // Dropping the sender ends the ack writer, and with it
                 // the last handle on the socket. Session and cursors
                 // stay, exactly as for a reaped session.
                 let session = route.grant.session;
-                if acks.get(&session).is_some_and(|(serial, _)| *serial == route.serial) {
-                    acks.remove(&session);
+                if self.acks.get(&session).is_some_and(|(serial, _)| *serial == route.serial) {
+                    self.acks.remove(&session);
                 }
             }
-            Ok(EngineMsg::Deliver { session, envelope }) => {
-                match core.deliver(session, envelope, now(&start)) {
-                    Ok(released) => route(&acks, released),
-                    Err(e) => complain(&acks, session, e.to_string()),
+            EngineMsg::Deliver { session, envelope } => {
+                match core.deliver(session, envelope, now) {
+                    Ok(released) => route(&self.acks, released),
+                    Err(e) => complain(&self.acks, session, e.to_string()),
                 }
             }
-            Ok(EngineMsg::Recover { session, log }) => {
-                match core.recover_source(session, &log) {
-                    Ok(released) => route(&acks, released),
-                    Err(e) => complain(&acks, session, e.to_string()),
-                }
-            }
-            Ok(EngineMsg::Ping { session, reply }) => {
-                let _ = reply.send(
-                    core.ping(session, now(&start)).map_err(|e| e.to_string()),
-                );
-            }
-            Ok(EngineMsg::Stats { reply }) => {
-                let s = core.stats();
-                let st = core.warehouse().storage_stats();
-                let health = match core.health() {
-                    Health::Healthy => "healthy".to_owned(),
-                    Health::Degraded { attempts, .. } => {
-                        format!("degraded(attempts={attempts})")
-                    }
-                    Health::ReadOnly { .. } => "read-only".to_owned(),
-                };
-                let p = core.warehouse().ingestor().policy().stats();
-                let m = memo.stats();
-                let _ = reply.send(format!(
-                    "stats epoch={} delivered={} batches={} acks={} wal_syncs={} \
-                     group_commits={} generation={} health={} parked={} \
-                     planner=plans:{},incr:{},mirr:{},recon:{},mispredict:{},passes:{},\
-                     fallbacks:{} answers=hits:{},misses:{},bytes:{},over:{}",
-                    core.commit_epoch(),
-                    s.delivered,
-                    s.batches_committed,
-                    s.acks_minted,
-                    st.wal_syncs,
-                    st.group_commits,
-                    core.warehouse().generation(),
-                    health,
-                    core.parked_len(),
-                    p.plans,
-                    p.chosen_incremental,
-                    p.chosen_mirrored,
-                    p.chosen_reconstruction,
-                    p.mispredictions,
-                    p.passes,
-                    p.fallbacks,
-                    m.hits,
-                    m.misses,
-                    m.bytes,
-                    m.over,
-                ));
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => match core.tick(now(&start)) {
-                Ok(released) => {
-                    route(&acks, released);
-                    // The ack sender stays registered: a report sent on
-                    // the dead session still gets its "unknown session"
-                    // complaint instead of silence.
-                    for (session, source) in core.take_reaped() {
-                        complain(
-                            &acks,
-                            session,
-                            format!("session reaped after idle timeout (source `{source}` \
-                                     resumes losslessly on reconnect)"),
-                        );
-                    }
-                }
-                Err(e) => eprintln!("commit failure on tick: {e}"),
+            EngineMsg::Recover { session, log } => match core.recover_source(session, &log) {
+                Ok(released) => route(&self.acks, released),
+                Err(e) => complain(&self.acks, session, e.to_string()),
             },
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                if let Err(e) = core.flush() {
-                    eprintln!("commit failure on shutdown flush: {e}");
-                }
-                return;
+            EngineMsg::Ping { session, reply } => {
+                let _ = reply.send(core.ping(session, now).map_err(|e| e.to_string()));
+            }
+            EngineMsg::Stats { reply } => {
+                let _ = reply.send(self.stats_line());
             }
         }
+    }
+
+    fn tick(&mut self, now: u64) {
+        match self.core.tick(now) {
+            Ok(released) => {
+                route(&self.acks, released);
+                // The ack sender stays registered: a report sent on the
+                // dead session still gets its "unknown session"
+                // complaint instead of silence.
+                for (session, source) in self.core.take_reaped() {
+                    complain(
+                        &self.acks,
+                        session,
+                        format!("session reaped after idle timeout (source `{source}` \
+                                 resumes losslessly on reconnect)"),
+                    );
+                }
+            }
+            Err(e) => eprintln!("commit failure on tick: {e}"),
+        }
+    }
+
+    fn shut_down(mut self) {
+        if let Err(e) = self.core.flush() {
+            eprintln!("commit failure on shutdown flush: {e}");
+        }
+    }
+
+    fn stats_line(&self) -> String {
+        let core = &self.core;
+        let s = core.stats();
+        let st = core.warehouse().storage_stats();
+        let health = match core.health() {
+            Health::Healthy => "healthy".to_owned(),
+            Health::Degraded { attempts, .. } => format!("degraded(attempts={attempts})"),
+            Health::ReadOnly { .. } => "read-only".to_owned(),
+        };
+        let p = core.warehouse().ingestor().policy().stats();
+        let m = self.memo.stats();
+        format!(
+            "stats epoch={} delivered={} batches={} acks={} wal_syncs={} \
+             group_commits={} generation={} health={} parked={} \
+             planner=plans:{},incr:{},mirr:{},recon:{},mispredict:{},passes:{},\
+             fallbacks:{} answers=hits:{},misses:{},bytes:{},over:{}",
+            core.commit_epoch(),
+            s.delivered,
+            s.batches_committed,
+            s.acks_minted,
+            st.wal_syncs,
+            st.group_commits,
+            core.warehouse().generation(),
+            health,
+            core.parked_len(),
+            p.plans,
+            p.chosen_incremental,
+            p.chosen_mirrored,
+            p.chosen_reconstruction,
+            p.mispredictions,
+            p.passes,
+            p.fallbacks,
+            m.hits,
+            m.misses,
+            m.bytes,
+            m.over,
+        )
     }
 }
 

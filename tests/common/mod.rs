@@ -12,6 +12,7 @@ use dwcomplements::relalg::{
     AttrSet, Catalog, DbState, Delta, Predicate, RaExpr, RelName, Relation, Tuple, Update,
     Value,
 };
+use dwcomplements::warehouse::server::{Ack, EngineStep, ServerCore};
 use dwcomplements::warehouse::{MediumError, StorageMedium};
 
 // ---------------------------------------------------------------------
@@ -58,6 +59,43 @@ impl StorageMedium for DiskMedium {
     }
     fn exists(&self, path: &str) -> bool {
         self.0.exists(path)
+    }
+}
+
+// ---------------------------------------------------------------------
+// The engine loop, as `dwc serve` runs it
+// ---------------------------------------------------------------------
+
+/// Runs the engine loop's steps at virtual time `now` after a message
+/// was handled, up to the point where it would take the next message
+/// or block. `channel_empty` is the scheduler's coin: whether any
+/// message is ready. Due ticks run first, a pending batch commits the
+/// moment nothing is ready, and — the invariant that replaces the old
+/// lost-wakeup check — the engine never blocks while a batch is
+/// pending. Returns the acks released, in order.
+pub fn settle_engine<M: StorageMedium>(
+    core: &mut ServerCore<M>,
+    now: u64,
+    channel_empty: bool,
+) -> Result<Vec<Ack>, String> {
+    let mut acks = Vec::new();
+    loop {
+        match core.next_step(now, !channel_empty) {
+            EngineStep::Tick => acks.extend(core.tick(now).map_err(|e| e.to_string())?),
+            EngineStep::Commit => {
+                acks.extend(core.commit_pending(now).map_err(|e| e.to_string())?);
+            }
+            EngineStep::Take => return Ok(acks),
+            EngineStep::Block { .. } => {
+                if core.pending_len() != 0 {
+                    return Err(format!(
+                        "engine blocked with {} envelope(s) pending",
+                        core.pending_len()
+                    ));
+                }
+                return Ok(acks);
+            }
+        }
     }
 }
 

@@ -299,6 +299,81 @@ fn recovery_survives_crashes_during_recovery() {
     }
 }
 
+/// A group commit hands the medium all of its frames in one append. A
+/// crash inside a 64-frame append tears that write at a seeded length:
+/// recovery replays exactly the longest intact frame prefix (a torn
+/// tail, never an error), every envelope acked before the crash
+/// survives, and redelivery converges on the never-crashed oracle.
+/// Frames of the torn batch that survive whole replay too — no caller
+/// was acked for them, and replay is idempotent.
+#[test]
+fn crash_inside_a_64_frame_append_keeps_the_longest_intact_frame_prefix() {
+    const BATCH: usize = 64;
+    let init: ChainRows = (vec![], vec![], vec![]);
+    let site = SourceSite::new(chain_catalog(), chain_state(&init)).expect("site");
+    let mut src = SequencedSource::new("bulk", site);
+    let envs: Vec<Envelope> = (0..2 * BATCH as i64)
+        .map(|i| {
+            let row = relation_from(&["a", "b"], &[vec![i, 1000 + i]]);
+            src.apply_update(&Update::inserting("R", row)).expect("own update")
+        })
+        .collect();
+    let run = |fs: &SimDisk| -> Result<(), StorageError> {
+        let mut dw =
+            DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(&init), config())?;
+        for batch in envs.chunks(BATCH) {
+            dw.offer_batch(batch)?;
+        }
+        Ok(())
+    };
+
+    // The clean run: where the second batch's append falls, and where
+    // each frame of the segment ends.
+    let clean = SimDisk::default();
+    run(&clean).expect("never-crashed run");
+    let second_append = clean.ops() - 2;
+    let segment = segment_name(1);
+    let bytes = clean.read(&segment).expect("segment");
+    let mut frame_ends = vec![20];
+    while let Some(&end) = frame_ends.last().filter(|&&end| end < bytes.len()) {
+        let len = u32::from_le_bytes(bytes[end..end + 4].try_into().expect("4 bytes"));
+        frame_ends.push(end + 8 + len as usize);
+    }
+    assert_eq!(frame_ends.len(), 2 * BATCH + 1, "one frame per envelope");
+    let mut oracle = fresh_ingest(&init);
+    for env in &envs {
+        oracle.offer(env);
+    }
+    let oracle = fingerprint(&oracle);
+
+    let mut mid_frame_tears = 0;
+    for t in 0..24u64 {
+        let torn_seed = CRASH_SEED ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let fs = SimDisk::new(MediumPlan::crash_at(second_append, torn_seed));
+        assert!(run(&fs).is_err(), "tear {t}: the crash surfaced no error");
+        let survivors = fs.survivors();
+        let kept = survivors[&segment].len();
+        assert!(kept >= frame_ends[BATCH], "tear {t}: the synced batch lost bytes");
+        let intact = frame_ends.iter().rposition(|&end| end <= kept).expect("header");
+        mid_frame_tears += usize::from(kept != frame_ends[intact]);
+
+        let (mut rec, report) =
+            Recovery::open(DiskMedium(SimDisk::from_files(survivors)), fresh_aug(), config())
+                .unwrap_or_else(|e| panic!("tear {t}: recovery failed: {e}"));
+        assert_eq!(report.records_replayed, intact, "tear {t}: not the intact prefix");
+        assert_eq!(report.torn_tails, usize::from(kept != frame_ends[intact]), "tear {t}");
+        // The acked first batch survived; so did exactly the intact
+        // frames of the torn one.
+        let cursor = &rec.ingestor().sequencing()[0];
+        assert_eq!(cursor.next_seq, intact as u64, "tear {t}: cursor");
+        for env in &envs {
+            rec.offer(env).expect("redelivery");
+        }
+        assert_eq!(fingerprint(rec.ingestor()), oracle, "tear {t}: diverged");
+    }
+    assert!(mid_frame_tears > 0, "no seeded tear fell inside a frame");
+}
+
 /// Seeded in-place corruption of each committed file class yields its
 /// documented `DWC-SNNN` code — or, for damage that structurally reads
 /// as a torn tail, a successful recovery that converges after

@@ -45,7 +45,7 @@ use dwcomplements::warehouse::ingest::{IngestConfig, IngestingIntegrator};
 use dwcomplements::warehouse::integrator::{Integrator, SourceSite};
 use dwcomplements::warehouse::storage::snapshot::snapshot_name;
 use dwcomplements::warehouse::server::{
-    Ack, BatchPolicy, Health, RetryPolicy, ServerCore, ServerError,
+    Ack, BatchPolicy, EngineStep, Health, RetryPolicy, ServerCore, ServerError,
 };
 use dwcomplements::warehouse::{
     AugmentedWarehouse, DurabilityConfig, DurableWarehouse, ErrorClass, MediumError, Recovery,
@@ -147,11 +147,17 @@ fn fingerprint(ing: &IngestingIntegrator) -> Fingerprint {
     }
 }
 
-/// The fixed two-lane schedule of the matrix (11 envelopes).
+/// Envelopes in the matrix schedule. A group commit is one append and
+/// one sync, so the run needs eight batches of four (the last one
+/// partial) to visit as many IO boundaries as it did when each frame
+/// was its own append.
+const MATRIX_ENVELOPES: usize = 29;
+
+/// The fixed two-lane schedule of the matrix.
 fn matrix_schedule() -> (ChainRows, [SequencedSource; 2], Vec<(usize, Envelope)>) {
     let init: ChainRows = (vec![vec![1, 101]], vec![vec![101, 201]], vec![]);
-    let (src_a, lane_a) = insert_lane(&init, "lane-a", "R", 6, 10);
-    let (src_b, lane_b) = insert_lane(&init, "lane-b", "S", 5, 50);
+    let (src_a, lane_a) = insert_lane(&init, "lane-a", "R", 15, 10);
+    let (src_b, lane_b) = insert_lane(&init, "lane-b", "S", MATRIX_ENVELOPES - 15, 50);
     let schedule = Interleaver::new(FAULT_SEED).merge(vec![lane_a, lane_b]);
     (init, [src_a, src_b], schedule)
 }
@@ -325,10 +331,11 @@ fn oracle_run() -> (Vec<Ack>, Fingerprint, u64) {
     let fs = SimDisk::default();
     let (acks, _, fp) = drive_faulty(&fs, &init, &schedule, &sources);
     let oracle = fp.expect("clean run converges");
-    assert_eq!(acks.len(), 11, "every envelope acks in the clean run");
+    assert_eq!(acks.len(), MATRIX_ENVELOPES, "every envelope acks in the clean run");
     let total = fs.ops();
     // 22 before the merge, the same count: the fault simulator already
-    // counted every read and write attempt.
+    // counted every read and write attempt. Kept since group commits
+    // became one append each by lengthening the schedule.
     assert!(total >= 22, "the sweeps narrowed to {total} IO boundaries");
     (acks, oracle, total)
 }
@@ -699,6 +706,51 @@ fn failed_commit_rearms_the_tick_deadline() {
     assert_eq!(retried.len(), 4, "the healed retry must drain and ack the parked batch");
     assert_eq!(core.health(), Health::Healthy);
     assert_eq!(core.next_deadline(), None, "nothing pending after the drain");
+}
+
+/// The engine loop's starvation regression, on a degraded server: a
+/// client that pings without pause keeps a message ready at every
+/// turn, and the due retry must still run — before the next ping —
+/// and drain the parked batch.
+#[test]
+fn a_due_retry_runs_under_a_flood_of_pings() {
+    let init: ChainRows = (vec![], vec![], vec![]);
+    let (_, envs) = insert_lane(&init, "flood", "R", 4, 0);
+    let plan = MediumPlan {
+        seed: 9,
+        transient_at_op: Some(ops_after_create(&init)),
+        ..MediumPlan::clean()
+    };
+    let fs = SimDisk::new(plan);
+    let dw = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(&init), server_config())
+        .expect("create");
+    let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 4, max_wait_micros: 1_000 });
+    let session = core.connect(SourceId::new("flood")).session;
+    for env in envs {
+        assert!(core.deliver(session, env, 0).expect("deliver admits").is_empty());
+    }
+    assert!(matches!(core.health(), Health::Degraded { .. }), "the commit must have faulted");
+    let retry_at = core.next_deadline().expect("a parked batch arms its retry");
+
+    let mut acks = Vec::new();
+    let mut pings = 0;
+    let mut now = 0;
+    while acks.is_empty() {
+        assert!(now <= retry_at + 10, "the flood starved the retry due at {retry_at}");
+        // A ping is always ready: the channel never empties.
+        match core.next_step(now, true) {
+            EngineStep::Tick => acks = core.tick(now).expect("due tick"),
+            EngineStep::Take => {
+                core.ping(session, now).expect("ping");
+                pings += 1;
+            }
+            step => panic!("a ready message and no pending batch chose {step:?} at {now}"),
+        }
+        now += 10;
+    }
+    assert_eq!(acks.len(), 4, "the retry must drain and ack the parked batch");
+    assert!(pings > 0 && now - 10 >= retry_at, "the retry ran before it was due");
+    assert_eq!(core.health(), Health::Healthy);
 }
 
 // ---------------------------------------------------------------------

@@ -281,8 +281,11 @@ fn drive(
 #[test]
 fn kill_mid_batch_loses_only_unacked_envelopes() {
     let init: ChainRows = (vec![vec![1, 101]], vec![vec![101, 201]], vec![]);
-    let (src_a, lane_a) = insert_lane(&init, "lane-a", "R", 6, 10);
-    let (src_b, lane_b) = insert_lane(&init, "lane-b", "S", 5, 50);
+    // Eight batches of four, the last one partial: a group commit is
+    // one append and one sync, so this many keep the sweep as wide as
+    // when every frame was its own append.
+    let (src_a, lane_a) = insert_lane(&init, "lane-a", "R", 15, 10);
+    let (src_b, lane_b) = insert_lane(&init, "lane-b", "S", 14, 50);
     let sources = [src_a.id().clone(), src_b.id().clone()];
     let schedule =
         Interleaver::new(GROUP_SEED).merge(vec![lane_a.clone(), lane_b.clone()]);
@@ -290,7 +293,7 @@ fn kill_mid_batch_loses_only_unacked_envelopes() {
     let clean_fs = SimDisk::default();
     let (clean_acks, clean_fp) = drive(&clean_fs, &init, &schedule, &sources);
     let oracle = clean_fp.expect("never-crashed run");
-    assert_eq!(clean_acks.len(), 11, "every envelope must be acked in the clean run");
+    assert_eq!(clean_acks.len(), 29, "every envelope must be acked in the clean run");
     let total_ops = clean_fs.ops();
     // 22 before the merge, when only mutating operations were counted.
     assert!(total_ops >= 22, "the sweep narrowed to {total_ops} IO boundaries");
@@ -650,7 +653,38 @@ fn slicing_is_invisible(seed: u64) -> Result<(), String> {
     let i = rec.ingestor().integrator_stats();
     tk_ensure_eq!((i.updates_processed, i.delta_tuples), per_envelope.reports_counted);
     // Restored quarantine errors are rendered text; compare as such.
-    tk_ensure_eq!(fingerprint(rec.ingestor()), per_envelope.fp);
+    tk_ensure_eq!(fingerprint(rec.ingestor()), per_envelope.fp.clone());
+
+    // The engine leg: the stream through the server as `dwc serve`
+    // runs it. Batches close where the seeded coin empties the channel
+    // (the self-clocking group commit), at the size cap, or at the age
+    // ceiling while the channel stays full — and the ack stream is the
+    // per-envelope outcome stream, in order.
+    let dw = DurableWarehouse::create(
+        DiskMedium(SimDisk::default()),
+        fresh_ingest(&arrival.init),
+        server_config(),
+    )
+    .map_err(|e| e.to_string())?;
+    let mut core = ServerCore::new(dw, BatchPolicy::with_max_batch(8));
+    let mut sessions = BTreeMap::new();
+    let mut coin = SplitMix64::new(seed ^ 0x1D1E);
+    let mut acks = Vec::new();
+    let mut now = 0;
+    for env in &arrival.stream {
+        now += 500;
+        let session = *sessions
+            .entry(env.source.clone())
+            .or_insert_with(|| core.connect(env.source.clone()).session);
+        acks.extend(core.deliver(session, env.clone(), now).map_err(|e| e.to_string())?);
+        acks.extend(common::settle_engine(&mut core, now, coin.chance(1, 3))?);
+    }
+    acks.extend(common::settle_engine(&mut core, now, true)?);
+    let expected: Vec<AckOutcome> =
+        per_envelope.outcomes.iter().map(AckOutcome::from_ingest).collect();
+    let got: Vec<AckOutcome> = acks.into_iter().map(|a| a.outcome).collect();
+    tk_ensure_eq!(got, expected);
+    tk_ensure_eq!(fingerprint(core.warehouse().ingestor()), per_envelope.fp);
     Ok(())
 }
 

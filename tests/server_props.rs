@@ -11,8 +11,15 @@
 //!   when a batch commits, and then atomically (the `Arc` swaps; it is
 //!   never mutated in place).
 //! * **Ack ⇒ durable** — every released ack reports a durable outcome,
-//!   and acks are released only by commit events (batch full, deadline
-//!   tick, shutdown flush), never while an envelope merely waits.
+//!   and acks are released only by commit events (batch full, the idle
+//!   engine's group commit, the busy-engine age ceiling), never while
+//!   an envelope merely waits.
+//! * **No blocked batch** — the engine is modeled as `dwc serve` runs
+//!   it: after each delivery a seeded coin says whether the channel ran
+//!   dry, and the engine steps ([`ServerCore::next_step`]) until it
+//!   would take the next message or block. It must never block while a
+//!   batch is pending, and a due deadline must run before the next
+//!   message.
 //!
 //! All scheduling decisions come from one seed via
 //! [`dwc_testkit::sched`], so a failing interleaving replays exactly;
@@ -22,7 +29,9 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{chain_catalog, chain_state, relation_from, ChainRows, DiskMedium, Rows};
+use common::{
+    chain_catalog, chain_state, relation_from, settle_engine, ChainRows, DiskMedium, Rows,
+};
 use dwc_testkit::prop::Runner;
 use dwc_testkit::sched::{sched_seeds, Interleaver, VirtualClock};
 use dwc_testkit::shrink::NoShrink;
@@ -31,7 +40,9 @@ use dwcomplements::relalg::{io, Delta, RaExpr, Update};
 use dwcomplements::warehouse::channel::{Envelope, SequencedSource};
 use dwcomplements::warehouse::ingest::{IngestConfig, IngestingIntegrator};
 use dwcomplements::warehouse::integrator::{Integrator, SourceSite};
-use dwcomplements::warehouse::server::{Ack, AckOutcome, BatchPolicy, ServerCore, ServerError};
+use dwcomplements::warehouse::server::{
+    Ack, AckOutcome, BatchPolicy, EngineStep, ServerCore, ServerError,
+};
 use dwcomplements::warehouse::{
     AugmentedWarehouse, DurabilityConfig, DurableWarehouse, Recovery, WarehouseSpec,
 };
@@ -243,11 +254,13 @@ fn run_server(
 
     for (lane, env) in schedule {
         clock.advance(il.jitter(40));
-        // Occasionally play the timer thread: jump to the batcher's own
-        // deadline and tick — the max-wait release path.
+        // Occasionally the engine stays busy with other messages until
+        // the pending batch reaches its age ceiling: the due tick must
+        // come before the next message — the busy-engine release path.
         if trng.chance(1, 3) {
             if let Some(deadline) = core.next_deadline() {
                 clock.advance_to(deadline);
+                tk_ensure_eq!(core.next_step(clock.now(), true), EngineStep::Tick);
                 let released = core.tick(clock.now()).map_err(|e| e.to_string())?;
                 observe(&released, &mut last)?;
                 acks.extend(released);
@@ -257,11 +270,20 @@ fn run_server(
             core.deliver(session_of[lane], env, clock.now()).map_err(|e| e.to_string())?;
         observe(&released, &mut last)?;
         acks.extend(released);
+        // The seeded coin: did the channel run dry behind this delivery?
+        let channel_empty = trng.chance(1, 3);
+        let released = settle_engine(&mut core, clock.now(), channel_empty)?;
+        observe(&released, &mut last)?;
+        if channel_empty {
+            tk_ensure!(core.pending_len() == 0, "an idle engine left a batch pending");
+        }
+        acks.extend(released);
     }
-    let released = core.flush().map_err(|e| e.to_string())?;
+    // The last delivery drains the channel for good.
+    let released = settle_engine(&mut core, clock.now(), true)?;
     observe(&released, &mut last)?;
     acks.extend(released);
-    tk_ensure!(core.next_deadline().is_none(), "flushed server still holds a deadline");
+    tk_ensure!(core.next_deadline().is_none(), "a settled server still holds a deadline");
 
     // Every envelope acked exactly once, durably, in-sequence per lane.
     tk_ensure!(acks.len() == total, "{} acks for {total} envelopes", acks.len());
@@ -544,10 +566,13 @@ fn query_client_sees_only_published_epochs() {
     );
 }
 
-/// The lost-wakeup contract at the integration level: the deadline is
-/// derived from the OLDEST pending envelope (a trickle of later
-/// deliveries cannot postpone it), ticks before it release nothing, and
-/// the tick at it commits with exactly one fsync.
+/// The busy-engine ceiling at the integration level. Under a continuous
+/// flood the channel never runs dry, so the idle-engine commit never
+/// fires and only the age ceiling can release the batch. The ceiling is
+/// derived from the OLDEST pending envelope (the flood of later
+/// deliveries and pings cannot postpone it), nothing is released before
+/// it, and at it the engine ticks before the next ready message and
+/// commits the whole batch with exactly one fsync.
 #[test]
 fn max_wait_deadline_is_oldest_based_and_releases_on_tick() {
     let (init, [r, _, _]) = pinned_scenario();
@@ -557,20 +582,37 @@ fn max_wait_deadline_is_oldest_based_and_releases_on_tick() {
         .expect("create");
     let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 64, max_wait_micros: 100 });
     let grant = core.connect(sources[0].id().clone());
-
     assert_eq!(core.next_deadline(), None, "idle server armed a deadline");
-    assert!(core.deliver(grant.session, lanes[0][0].clone(), 10).expect("deliver").is_empty());
-    assert_eq!(core.next_deadline(), Some(110));
-    // Later deliveries must NOT push the deadline out.
-    assert!(core.deliver(grant.session, lanes[0][1].clone(), 90).expect("deliver").is_empty());
-    assert_eq!(core.next_deadline(), Some(110), "trickle postponed the group deadline");
 
+    // Every 10 µs one more message is ready: the lane's reports, then
+    // pings. The engine never sees an empty channel.
+    let mut envs = lanes[0].clone().into_iter();
     let syncs_before = fs.syncs();
-    assert!(core.tick(109).expect("early tick").is_empty(), "tick before the deadline fired");
-    assert_eq!(fs.syncs(), syncs_before, "early tick must not touch the disk");
-
-    let acks = core.tick(110).expect("deadline tick");
-    assert_eq!(acks.len(), 2, "deadline tick must commit the whole pending batch");
+    let mut delivered = 0;
+    let mut released = Vec::new();
+    let mut now = 0;
+    while released.is_empty() {
+        now += 10;
+        assert!(now <= 200, "the flood starved the batch ceiling");
+        match core.next_step(now, true) {
+            EngineStep::Take => {
+                if let Some(env) = envs.next() {
+                    assert!(core.deliver(grant.session, env, now).expect("deliver").is_empty());
+                    delivered += 1;
+                } else {
+                    core.ping(grant.session, now).expect("ping");
+                }
+                // Later messages must NOT push the ceiling out.
+                assert_eq!(core.next_deadline(), Some(110), "the flood postponed the ceiling");
+                assert_eq!(fs.syncs(), syncs_before, "released before the ceiling");
+            }
+            EngineStep::Tick => released = core.tick(now).expect("ceiling tick"),
+            step => panic!("a flooded engine chose {step:?} at {now}"),
+        }
+    }
+    assert_eq!(now, 110, "the ceiling tick ran late");
+    assert!(delivered >= 2, "the batch must have grown under the flood");
+    assert_eq!(released.len(), delivered, "the ceiling tick must commit the whole batch");
     assert_eq!(fs.syncs(), syncs_before + 1, "one group commit == one fsync");
     assert_eq!(core.next_deadline(), None, "committed batcher still armed");
 }
