@@ -375,8 +375,8 @@ pub fn estimate(expr: &RaExpr, stats: &TableStats, c: &CostConstants) -> Estimat
 
 /// Estimated rows *changed* in the output of `expr` when each base
 /// relation changes by `deltas` rows. Where [`estimate`] answers "how
-/// big is the result", this answers "how much of it moves" — the figure
-/// the planner's misprediction envelope is pinned against:
+/// big is the result", this answers "how much of it moves" — the
+/// planner's predicted touched-rows figure:
 ///
 /// * a delta entering one side of a join fans out by the *other* side's
 ///   rows-per-matching-value (so a one-row insert against a skew-free

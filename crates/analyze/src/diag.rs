@@ -38,11 +38,9 @@ pub enum Code {
     S504FsWriteOutsideStorage,
     S505AckOutsideCommitLoop,
     S506RawColumnAccess,
-    S507StrategyDispatchOutsidePlanner,
     S509SocketWriteOutsideEncoder,
     P001CostEstimate,
     P101StrategyChosen,
-    P201Misprediction,
     I901CertifiedEmptyComplement,
     I902FullCopyComplement,
     I903UncoveredRelation,
@@ -74,11 +72,9 @@ impl Code {
             Code::S504FsWriteOutsideStorage => "DWC-S504",
             Code::S505AckOutsideCommitLoop => "DWC-S505",
             Code::S506RawColumnAccess => "DWC-S506",
-            Code::S507StrategyDispatchOutsidePlanner => "DWC-S507",
             Code::S509SocketWriteOutsideEncoder => "DWC-S509",
             Code::P001CostEstimate => "DWC-P001",
             Code::P101StrategyChosen => "DWC-P101",
-            Code::P201Misprediction => "DWC-P201",
             Code::I901CertifiedEmptyComplement => "DWC-I901",
             Code::I902FullCopyComplement => "DWC-I902",
             Code::I903UncoveredRelation => "DWC-I903",
@@ -125,17 +121,11 @@ impl Code {
             Code::S506RawColumnAccess => {
                 "raw columnar-storage access outside the relalg crate"
             }
-            Code::S507StrategyDispatchOutsidePlanner => {
-                "maintenance-strategy dispatch outside the planner modules"
-            }
             Code::S509SocketWriteOutsideEncoder => {
                 "socket write outside the server's line encoder"
             }
             Code::P001CostEstimate => "per-view maintenance cost estimate",
             Code::P101StrategyChosen => "maintenance strategy chosen with predicted costs",
-            Code::P201Misprediction => {
-                "maintenance touched far more tuples than the planner predicted"
-            }
             Code::I901CertifiedEmptyComplement => "complement is certified empty (Theorem 2.2)",
             Code::I902FullCopyComplement => "complement stores a full copy of the relation",
             Code::I903UncoveredRelation => "relation appears in no view",

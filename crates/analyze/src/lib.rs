@@ -29,8 +29,10 @@
 //! A fifth family (`P` codes, [`cost`] + [`planner`]) prices the
 //! *maintenance* of certified warehouses: static per-node cardinality
 //! and cost estimates over the certified plans, and a chooser ranking
-//! the four update strategies of Theorem 4.1 — the choice is purely a
-//! cost question since every strategy converges to the same state.
+//! four update strategies of Theorem 4.1 — the choice is purely a cost
+//! question since every strategy converges to the same state. The
+//! chooser is a static what-if (`dwc analyze --cost`); the server runs
+//! one route.
 //!
 //! ## Gates
 //!

@@ -1,6 +1,6 @@
-//! The certified maintenance planner: ranks the four update-processing
-//! strategies the warehouse supports and emits its decisions as
-//! structured `DWC-PNNN` diagnostics.
+//! The certified maintenance planner: ranks four update-processing
+//! strategies and emits its decisions as structured `DWC-PNNN`
+//! diagnostics.
 //!
 //! Theorem 4.1 guarantees every strategy lands on the same state
 //! `w' = W(u(W⁻¹(w)))`, so the choice is *purely* a cost question — and
@@ -13,21 +13,20 @@
 //!   mapping `W⁻¹`) only at the keys the delta reaches: priced as the
 //!   delta rows plus their `estimate_delta` fan-out, each an index probe;
 //! * **incremental-mirrored** — the delta rules over whole relations,
-//!   with `W⁻¹` cached as mirrors that are merged in place;
+//!   with `W⁻¹` cached as mirrors that are merged in place (E4.1 only;
+//!   the integrator keeps no mirrors);
 //! * **reconstruct** — recompute `u(W⁻¹(w))` wholesale and re-apply
 //!   every view definition (the Theorem 4.1 oracle);
 //! * **recompute-at-source** — ask the (reachable) source for fresh
 //!   extents and re-materialize; never available to the decoupled
 //!   ingest path, always available to `dwc analyze --cost` what-ifs.
 //!
-//! [`choose`] returns the ranking plus a predicted *touched-rows* figure;
-//! the warehouse-side policy compares it against what maintenance
-//! actually touched and raises `DWC-P201` on misprediction (see
-//! [`misprediction`]), making bad estimates themselves testable.
-//!
-//! This module and `warehouse::planner` are the only places allowed to
-//! name concrete strategies — srclint rule S507 keeps ad-hoc
-//! `maintain_by_*` dispatch from bypassing the cost model.
+//! [`choose`] returns the ranking plus a predicted *touched-rows* figure.
+//! It is a static what-if only: `dwc analyze --cost` prints it, and the
+//! server does not consult it. Since restricted incremental maintenance
+//! costs O(|Δ| · fan-out) per step and reconstruction O(|state|), the
+//! costs no longer cross on any served workload, so every report takes
+//! the restricted incremental route (EXPERIMENTS E33).
 
 use crate::cost::{estimate, estimate_delta, CostConstants, TableStats};
 use crate::diag::{Code, Report, Severity};
@@ -147,26 +146,10 @@ pub struct PlanChoice {
     /// Per-view attribution (affected views only).
     pub per_view: Vec<ViewEstimate>,
     /// Predicted tuples touched overall: reported delta plus every
-    /// affected view's delta. The misprediction check compares this
-    /// against what maintenance actually produced.
+    /// affected view's delta.
     pub predicted_rows: f64,
     /// The chosen strategy's predicted total, ns.
     pub predicted_ns: f64,
-}
-
-/// A misprediction fires when actual touched rows exceed
-/// `MISPREDICTION_SLACK + MISPREDICTION_FACTOR × predicted`. The factor
-/// is pinned (tests and verify.sh rely on it): small estimation noise
-/// must not fire, a skew the model cannot see must.
-pub const MISPREDICTION_FACTOR: f64 = 4.0;
-/// Absolute slack added before the factor test — tiny deltas (a few
-/// tuples) never count as mispredicted.
-pub const MISPREDICTION_SLACK: f64 = 16.0;
-
-/// True iff `actual` touched rows exceed the pinned misprediction
-/// envelope around `predicted`.
-pub fn misprediction(predicted_rows: f64, actual_rows: f64) -> bool {
-    actual_rows > MISPREDICTION_SLACK + MISPREDICTION_FACTOR * predicted_rows
 }
 
 /// Ranks the four strategies for one delta profile. Purely arithmetic
@@ -389,23 +372,6 @@ pub fn report_choice(choice: &PlanChoice, at: &str, report: &mut Report) {
     );
 }
 
-/// Emits a `DWC-P201` misprediction diagnostic (warning severity — the
-/// state is still correct by Theorem 4.1; only the cost model was off).
-pub fn report_misprediction(at: &str, predicted_rows: f64, actual_rows: f64, report: &mut Report) {
-    report.push_with_data(
-        Code::P201Misprediction,
-        Severity::Warning,
-        at,
-        format!(
-            "maintenance touched {actual_rows:.0} tuples, predicted {predicted_rows:.1} \
-             (> {MISPREDICTION_SLACK:.0} + {MISPREDICTION_FACTOR:.0}x)"
-        ),
-        format!(
-            r#"{{"predicted_rows":{predicted_rows:.1},"actual_rows":{actual_rows:.0},"factor":{MISPREDICTION_FACTOR:.0},"slack":{MISPREDICTION_SLACK:.0}}}"#
-        ),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,14 +538,6 @@ mod tests {
         assert!(json.contains(r#""code":"DWC-P101""#));
         assert!(json.contains(r#""data":{"chosen":"#));
         assert!(json.contains(r#""incremental-mirrored":{"available":true"#));
-
-        assert!(!misprediction(10.0, 40.0));
-        assert!(misprediction(10.0, 80.0));
-        assert!(!misprediction(0.0, 16.0)); // slack protects tiny deltas
-        let mut report = Report::new();
-        report_misprediction("test", 10.0, 80.0, &mut report);
-        assert!(report.has_code(Code::P201Misprediction));
-        assert!(report.to_json_lines().contains(r#""actual_rows":80"#));
     }
 
     #[test]

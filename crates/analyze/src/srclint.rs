@@ -39,16 +39,6 @@
 //!   indexes. Outside `crates/relalg/src`, the raw access tokens
 //!   (`.iter_rows(`, `Columns::`, `KeyIndex::`) are banned; a
 //!   same-line `// lint:allow raw_columns -- reason` waives one line.
-//! * `S507` — maintenance-strategy dispatch goes through the cost-based
-//!   planner. Naming a concrete strategy (`maintain_by_` calls,
-//!   `MaintenanceStrategy::` variants) is confined to the planner
-//!   modules (`crates/analyze/src/planner.rs`,
-//!   `crates/warehouse/src/planner.rs`) and the module defining the
-//!   strategies themselves (`crates/warehouse/src/maintain.rs`); tests
-//!   and benches live outside the scanned src trees and stay free. A
-//!   same-line `// lint:allow strategy_dispatch -- reason` waives one
-//!   line (recovery and verification oracles legitimately pin
-//!   reconstruction).
 //! * `S509` — one reply, one socket write. In `src/serve.rs` the write
 //!   tokens (`write!(`, `writeln!(`, `.write_all(`, `.write(`,
 //!   `.write_fmt(`) may appear only inside the line encoder's own
@@ -137,19 +127,6 @@ const S506_ALLOWED_TREE: &str = "crates/relalg/src";
 /// Raw columnar-access tokens banned outside the relalg crate — all
 /// waived by `raw_columns`.
 const S506_BANNED: &[&str] = &[".iter_rows(", "Columns::", "KeyIndex::"];
-
-/// The files allowed to name concrete maintenance strategies: the two
-/// planner modules (which own the cost-based choice) and the module
-/// that defines the strategies (`S507`).
-const S507_ALLOWED: &[&str] = &[
-    "crates/analyze/src/planner.rs",
-    "crates/warehouse/src/planner.rs",
-    "crates/warehouse/src/maintain.rs",
-];
-
-/// Strategy-dispatch tokens banned outside the planner modules — all
-/// waived by `strategy_dispatch`.
-const S507_BANNED: &[&str] = &["maintain_by_", "MaintenanceStrategy::"];
 
 /// The file whose socket writes `S509` polices: the server runtime and
 /// the `dwc connect` client.
@@ -251,20 +228,6 @@ pub fn self_check(root: &Path) -> Report {
                 continue;
             }
             scan_raw_columns(&file, &rel, &mut report);
-        }
-    }
-
-    // --- S507: strategy dispatch confined to the planner modules. Same
-    // tree set again; the planner files themselves are exempt.
-    let mut src_trees: Vec<PathBuf> = vec![root.join("src")];
-    src_trees.extend(crate_dirs(root, &mut report).into_iter().map(|d| d.join("src")));
-    for tree in src_trees {
-        for file in rust_files(&tree, &mut report) {
-            let rel = rel_path(root, &file);
-            if S507_ALLOWED.contains(&rel.as_str()) {
-                continue;
-            }
-            scan_strategy_dispatch(&file, &rel, &mut report);
         }
     }
 
@@ -547,35 +510,6 @@ fn scan_raw_columns(path: &Path, rel: &str, report: &mut Report) {
                         "`{needle}` outside {S506_ALLOWED_TREE}; go through the Relation \
                          set API so reads share the cached key indexes (or waive with \
                          `// lint:allow raw_columns -- reason`)"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Scans one file for ad-hoc maintenance-strategy dispatch (see
-/// `S507_BANNED`). Test modules at the bottom of a file are exempt
-/// (differential suites legitimately pin every strategy), library code
-/// must route through the planner so the cost model stays in charge.
-fn scan_strategy_dispatch(path: &Path, rel: &str, report: &mut Report) {
-    let Some(lines) = stripped_lines(path, rel, report) else {
-        return;
-    };
-    for (line_no, raw, stripped) in &lines {
-        if raw.trim_start().starts_with("#[cfg(test)]") {
-            break;
-        }
-        for needle in S507_BANNED {
-            if stripped.contains(needle) && !has_waiver(raw, "strategy_dispatch") {
-                report.push(
-                    Code::S507StrategyDispatchOutsidePlanner,
-                    Severity::Error,
-                    format!("{rel}:{line_no}"),
-                    format!(
-                        "`{needle}` outside {S507_ALLOWED:?}; route the choice through the \
-                         cost-based planner (or waive with \
-                         `// lint:allow strategy_dispatch -- reason`)"
                     ),
                 );
             }
@@ -1018,32 +952,6 @@ call(); /* block panic! comment */ after();
             text.matches("DWC-S506").count(),
             3,
             "iter_rows + Columns:: + KeyIndex::; waiver and test module exempt:\n{text}"
-        );
-        fs::remove_file(&file).ok();
-        fs::remove_dir(&dir).ok();
-    }
-
-    #[test]
-    fn s507_flags_strategy_dispatch_outside_planner() {
-        let dir = std::env::temp_dir().join(format!("dwc-srclint-s507-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("rogue.rs");
-        fs::write(
-            &file,
-            "fn f(w: &W, u: &U) {\n    let s = w.maintain_by_reconstruction(state, u);\n    \
-             let pick = MaintenanceStrategy::Incremental;\n    \
-             let o = w.maintain_by_reconstruction(state, u); // lint:allow strategy_dispatch -- oracle\n}\n\
-             #[cfg(test)]\nmod t { fn g(w: &W) { w.maintain_by_reconstruction(s, u); } }\n",
-        )
-        .unwrap();
-        let mut report = Report::new();
-        scan_strategy_dispatch(&file, "src/rogue.rs", &mut report);
-        let text = report.to_string();
-        assert_eq!(
-            text.matches("DWC-S507").count(),
-            2,
-            "one maintain_by_ + one MaintenanceStrategy::; waiver and \
-             test module exempt:\n{text}"
         );
         fs::remove_file(&file).ok();
         fs::remove_dir(&dir).ok();

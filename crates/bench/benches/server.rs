@@ -33,9 +33,7 @@ use dwc_warehouse::ingest::{IngestConfig, IngestingIntegrator};
 use dwc_warehouse::integrator::{Integrator, SourceSite};
 use dwc_warehouse::server::{BatchPolicy, ServerCore, SessionId};
 use dwc_warehouse::integrator::IntegratorConfig;
-use dwc_warehouse::{
-    AdaptivePolicy, DurabilityConfig, DurableWarehouse, FsMedium, StorageMedium, WarehouseSpec,
-};
+use dwc_warehouse::{DurabilityConfig, DurableWarehouse, FsMedium, StorageMedium, WarehouseSpec};
 use dwcomplements::serve::{LineBuf, ReplyMemo};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -213,7 +211,7 @@ fn star_warehouse(
 ) -> DurableWarehouse<FsMedium> {
     let aug = spec.clone().augment().expect("star warehouse augments");
     let state = aug.materialize(base).expect("W(base)");
-    let integ = Integrator::from_state(aug, state, IntegratorConfig::default()).expect("integrator");
+    let integ = Integrator::from_state(aug, state, IntegratorConfig).expect("integrator");
     let ingest = IngestingIntegrator::new(integ, IngestConfig::default()).expect("ingestor");
     let medium = FsMedium::new(dir).expect("scratch dir");
     DurableWarehouse::create(medium, ingest, DurabilityConfig::default()).expect("creates")
@@ -293,8 +291,7 @@ fn star_rows(spec: &WarehouseSpec, base: &DbState, scratch_dirs: &mut Vec<PathBu
     for &max_batch in &[1usize, 64] {
         let dir = scratch(&format!("star-b{max_batch}"));
         scratch_dirs.push(dir.clone());
-        let mut dw = star_warehouse(spec, base, &dir);
-        dw.set_maintenance_policy(AdaptivePolicy::adaptive()).expect("policy persists");
+        let dw = star_warehouse(spec, base, &dir);
         let mut core =
             ServerCore::new(dw, BatchPolicy { max_batch, max_wait_micros: 1_000_000 });
         let session = core.connect(source.clone()).session;

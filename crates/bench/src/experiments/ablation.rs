@@ -79,7 +79,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     let start = Instant::now();
     for _ in 0..reps {
         std::hint::black_box(
-            aug.maintain_by_reconstruction(&w, &u).expect("reconstructs"), // lint:allow strategy_dispatch -- experiment measures every strategy
+            aug.maintain_by_reconstruction(&w, &u).expect("reconstructs"),
         );
     }
     let t_reconstruct = start.elapsed() / reps;

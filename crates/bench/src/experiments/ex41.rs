@@ -57,8 +57,8 @@ pub fn run(quick: bool) -> Vec<Table> {
         &["|delta|", "incremental", "incr+mirrors", "reconstruct", "speedup", "agree"],
     );
 
-    // Mirrors: the materialized source reconstructions (what an
-    // IntegratorConfig { cache_inverses: true } integrator keeps).
+    // Mirrors: the materialized source reconstructions, a full source
+    // copy (the trivial complement) the mirrored evaluation reads.
     let mirrors = aug.reconstruct_sources(&w).expect("reconstructs");
     // One untimed pass first: it builds the key indexes the stored
     // relations then keep across passes (DESIGN.md §15), so every row
@@ -78,7 +78,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         let t_mir = start.elapsed();
 
         let start = Instant::now();
-        let w_rec = aug.maintain_by_reconstruction(&w, &u).expect("reconstruction"); // lint:allow strategy_dispatch -- experiment measures every strategy
+        let w_rec = aug.maintain_by_reconstruction(&w, &u).expect("reconstruction");
         let t_rec = start.elapsed();
 
         let agree = w_inc == w_rec && w_mir == w_rec;

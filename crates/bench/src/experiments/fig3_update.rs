@@ -79,7 +79,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         t_inc += start.elapsed();
 
         let start = Instant::now();
-        let w_rec = aug.maintain_by_reconstruction(&w, &u).expect("reconstruction"); // lint:allow strategy_dispatch -- experiment measures every strategy
+        let w_rec = aug.maintain_by_reconstruction(&w, &u).expect("reconstruction");
         t_rec += start.elapsed();
 
         db = u.apply(&db).expect("update applies");

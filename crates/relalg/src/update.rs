@@ -204,8 +204,10 @@ impl Update {
         Ok(Some(self))
     }
 
-    /// The header-mismatch recorded by [`Update::with`], if any.
-    fn check_valid(&self) -> Result<()> {
+    /// The header mismatch recorded by [`Update::with`], if any, as an
+    /// error. Maintenance paths that never call [`Update::apply`] (the
+    /// incremental plans) check this before they accept a report.
+    pub fn check_valid(&self) -> Result<()> {
         match &self.invalid {
             None => Ok(()),
             Some(e) => Err(e.clone()),

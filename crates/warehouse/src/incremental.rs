@@ -34,9 +34,10 @@
 //! DESIGN.md §15 states the eligibility rules. The stored deltas come
 //! out of the final apply: [`Relation::apply_delta_net`] locates the Δ
 //! rows in the old relation by binary search and splices them in, with
-//! the relation's key indexes carried over. The mirrored path
-//! ([`MaintenancePlan::apply_with_mirrors`]) evaluates whole relations,
-//! as it always did.
+//! the relation's key indexes carried over. The mirrored evaluation
+//! ([`MaintenancePlan::apply_with_mirrors`]) evaluates whole relations
+//! over materialized source copies; only E4.1 and the columnar
+//! differential call it.
 
 use crate::delta::{self, DeltaExpr, DeltaResolver};
 use crate::error::{Result, WarehouseError};
@@ -263,26 +264,17 @@ impl MaintenancePlan {
 
     /// Like [`MaintenancePlan::apply`], but takes pre-materialized source
     /// reconstructions (one relation per base name) instead of evaluating
-    /// the inverse expressions. Mirrors cost a full source copy of
-    /// storage — the trivial complement — and remove the per-update
-    /// reconstruction scans; see [`crate::integrator::IntegratorConfig`].
+    /// the inverse expressions, and evaluates every step over whole
+    /// relations. Mirrors cost a full source copy of storage — the
+    /// trivial complement. The integrator never takes this path; E4.1
+    /// and the columnar differential keep it as a second evaluation of
+    /// the same delta rules.
     pub fn apply_with_mirrors(
         &self,
         warehouse: &DbState,
         update: &Update,
         mirrors: &DbState,
     ) -> Result<DbState> {
-        Ok(self.apply_with_mirrors_detailed(warehouse, update, mirrors)?.0)
-    }
-
-    /// Mirror-backed variant of [`MaintenancePlan::apply_detailed`]:
-    /// whole-relation evaluation over the mirrors.
-    pub fn apply_with_mirrors_detailed(
-        &self,
-        warehouse: &DbState,
-        update: &Update,
-        mirrors: &DbState,
-    ) -> Result<(DbState, Vec<StoredDelta>)> {
         let mut env = self.reported_env(warehouse, update)?;
         for (base, _, inv, newinv) in &self.inverses {
             let old = mirrors.relation_shared(*base)?;
@@ -296,24 +288,18 @@ impl MaintenancePlan {
         }
         let cache = self.memoize_eval.then(EvalCache::new);
         let mut next = warehouse.clone();
-        let mut deltas = Vec::with_capacity(self.order.len());
         for &(name, step) in &self.order {
-            let old = warehouse.relation(name)?;
-            let Some(i) = step else {
-                deltas.push(StoredDelta::none(name, old));
-                continue;
-            };
+            let Some(i) = step else { continue };
             let d = &self.steps[i].1;
             let (plus, minus) = match &cache {
                 Some(c) => (eval_cached(&d.plus, &env, c)?, eval_cached(&d.minus, &env, c)?),
                 None => (eval_arc(&d.plus, &env)?, eval_arc(&d.minus, &env)?),
             };
-            let (new, inserted, deleted) = old.apply_delta_net(&plus, &minus)?;
-            deltas.push(StoredDelta { name, inserted, deleted });
+            let (new, _, _) = warehouse.relation(name)?.apply_delta_net(&plus, &minus)?;
             env.insert_relation(self.compiled[i].next, new.clone());
             next.insert_relation(name, new);
         }
-        Ok((next, deltas))
+        Ok(next)
     }
 }
 

@@ -36,7 +36,6 @@
 use crate::channel::{Envelope, SourceId};
 use crate::error::{Result, WarehouseError};
 use crate::integrator::{Integrator, IntegratorStats};
-use crate::planner::AdaptivePolicy;
 use dwc_relalg::{DbState, RaExpr, Relation, Update};
 use std::collections::BTreeMap;
 
@@ -90,6 +89,16 @@ pub struct IngestStats {
     pub recoveries: usize,
     /// Theorem 4.1 invariant checks that failed and were healed.
     pub invariant_failures: usize,
+    /// Maintenance passes committed: one per non-empty report offered
+    /// alone, one per slice (or replay group) whose net delta is
+    /// non-empty. A runtime counter of how the stream was sliced — not
+    /// persisted in snapshots, so after recovery it counts the replay's
+    /// passes.
+    pub passes: usize,
+    /// Slices rolled back and re-run one report per pass (the coalesced
+    /// pass failed, or the reports would not compose). A runtime counter
+    /// like `passes`.
+    pub fallbacks: usize,
 }
 
 /// What [`IngestingIntegrator::offer`] did with one envelope.
@@ -193,7 +202,6 @@ pub struct IngestingIntegrator {
     discarded: Vec<DiscardedEntry>,
     config: IngestConfig,
     stats: IngestStats,
-    policy: AdaptivePolicy,
 }
 
 impl IngestingIntegrator {
@@ -211,7 +219,6 @@ impl IngestingIntegrator {
             discarded: Vec::new(),
             config,
             stats: IngestStats::default(),
-            policy: AdaptivePolicy::off(),
         })
     }
 
@@ -227,35 +234,7 @@ impl IngestingIntegrator {
         config: IngestConfig,
         stats: IngestStats,
     ) -> IngestingIntegrator {
-        // The policy's decision cache is pure derived state and Theorem
-        // 4.1 makes WAL replay strategy-independent, so a restored
-        // ingestor starts inert; the storage layer re-arms the mode
-        // persisted in the manifest once replay finishes.
-        IngestingIntegrator {
-            integ,
-            cursors,
-            quarantine,
-            discarded,
-            config,
-            stats,
-            policy: AdaptivePolicy::off(),
-        }
-    }
-
-    /// Installs a maintenance policy (see [`crate::planner`]); reports
-    /// applied from here on are routed through it.
-    pub fn set_policy(&mut self, policy: AdaptivePolicy) {
-        self.policy = policy;
-    }
-
-    /// The active maintenance policy.
-    pub fn policy(&self) -> &AdaptivePolicy {
-        &self.policy
-    }
-
-    /// Mutable access to the policy — for draining its diagnostics.
-    pub fn policy_mut(&mut self) -> &mut AdaptivePolicy {
-        &mut self.policy
+        IngestingIntegrator { integ, cursors, quarantine, discarded, config, stats }
     }
 
     /// The raw per-source cursors — read by the snapshot writer.
@@ -296,7 +275,7 @@ impl IngestingIntegrator {
                 return outcomes;
             }
             self.rollback(undo);
-            self.policy.note_fallback();
+            self.stats.fallbacks += 1;
         }
         envelopes.iter().map(|e| self.sequence(e, None)).collect()
     }
@@ -456,15 +435,18 @@ impl IngestingIntegrator {
         }
     }
 
-    /// One maintenance pass over `net`: the cancelled composition of
-    /// `reports` non-empty reports carrying `tuples` tuples between them
-    /// (a lone report is its own net). The integrator's counters advance
-    /// by what was *reported*, not by the one pass over `|net|` tuples,
-    /// so they do not depend on how a stream was sliced or on how replay
-    /// grouped it.
+    /// One maintenance pass over `net` (none when it is empty): the
+    /// cancelled composition of `reports` non-empty reports carrying
+    /// `tuples` tuples between them (a lone report is its own net). The
+    /// integrator's counters advance by what was *reported*, not by the
+    /// one pass over `|net|` tuples, so they do not depend on how a
+    /// stream was sliced or on how replay grouped it.
     fn maintain(&mut self, net: &Update, reports: usize, tuples: usize) -> Result<()> {
         let before = self.integ.stats();
-        crate::planner::maintain_with_policy(&mut self.policy, &mut self.integ, net)?;
+        if !net.is_empty() {
+            self.integ.on_report(net)?;
+            self.stats.passes += 1;
+        }
         self.integ.restore_stats(IntegratorStats {
             updates_processed: before.updates_processed + reports,
             delta_tuples: before.delta_tuples + tuples,
@@ -480,20 +462,23 @@ impl IngestingIntegrator {
         let expected = self
             .integ
             .warehouse()
-            .maintain_by_reconstruction(self.integ.state(), report)?; // lint:allow strategy_dispatch -- verification cross-check oracle
+            .maintain_by_reconstruction(self.integ.state(), report)?;
         self.integ.on_report(report)?;
         if self.integ.state() != &expected {
             self.stats.invariant_failures += 1;
             self.stats.recoveries += 1;
-            self.integ.force_state(expected)?;
+            self.integ.force_state(expected);
         }
         Ok(())
     }
 
     /// Structural validation of a report against the warehouse catalog:
-    /// known relations, schema headers, normalization shape. State-free
-    /// and cheap; runs before any sequencing decision.
+    /// known relations, schema headers, normalization shape, and no
+    /// header mismatch recorded while the report was composed
+    /// ([`Update::check_valid`]). State-free and cheap; runs before any
+    /// sequencing decision.
     fn validate(&self, report: &Update) -> Result<()> {
+        report.check_valid()?;
         let catalog = self.integ.warehouse().catalog();
         for (name, delta) in report.iter() {
             if !catalog.contains(name) {
@@ -1023,7 +1008,7 @@ mod tests {
             .union(&rel! { ["item", "clerk"] => ("Widget", "Mary") })
             .unwrap();
         tampered.insert_relation("C_Sale", extra);
-        ing.integrator_mut().force_state(tampered).unwrap();
+        ing.integrator_mut().force_state(tampered);
 
         let env = sale_insert(&mut src, "Mac", "John");
         assert_eq!(ing.offer(&env), IngestOutcome::Applied(1));
@@ -1049,12 +1034,9 @@ mod tests {
         assert_eq!(ing.state(), &oracle(&src, &ing));
     }
 
-    /// A report that passes [`IngestingIntegrator::validate`] yet fails
-    /// when a reconstruction strategy applies it: [`Update::with`] was
-    /// handed a second `Sale` delta over the wrong header, kept the
-    /// first, and flagged the update for `Update::apply` to report.
-    /// (Incremental plans never call `apply`, so the failure has to be
-    /// met on the reconstruction path.)
+    /// A report [`Update::with`] was handed a second `Sale` delta over
+    /// the wrong header: it kept the first delta and recorded the
+    /// mismatch, which only [`Update::apply`] used to report.
     fn poisoned(mut envelope: Envelope) -> Envelope {
         envelope.report = envelope
             .report
@@ -1063,12 +1045,53 @@ mod tests {
     }
 
     #[test]
-    fn failing_parked_successor_does_not_unapply_the_offered_envelope() {
-        use crate::planner::MaintenanceStrategy;
+    fn poisoned_report_is_quarantined_before_sequencing() {
         let (mut src, mut ing) = setup(IngestConfig::default());
-        ing.set_policy(AdaptivePolicy::fixed(MaintenanceStrategy::Reconstruction));
-        let first = sale_insert(&mut src, "Mac", "Paula");
-        let second = poisoned(sale_insert(&mut src, "Modem", "John"));
+        let good = sale_insert(&mut src, "Mac", "Paula");
+        let before = ing.state().clone();
+        let outcome = ing.offer(&poisoned(good.clone()));
+        assert!(
+            matches!(
+                outcome,
+                IngestOutcome::Quarantined(WarehouseError::Relalg(
+                    dwc_relalg::RelalgError::HeaderMismatch { .. }
+                ))
+            ),
+            "{outcome:?}"
+        );
+        assert_eq!(ing.state(), &before, "a rejected report must not move the state");
+        assert_eq!((ing.stats().applied, ing.stats().passes), (0, 0));
+        // Its sequence number was not consumed.
+        assert_eq!(ing.offer(&good), IngestOutcome::Applied(1));
+        assert_eq!(ing.state(), &oracle(&src, &ing));
+    }
+
+    /// A parked successor whose pass fails is quarantined under its own
+    /// sequence number, and the envelope that drained it still reports
+    /// its own application. The successor is well-formed: it touches
+    /// `Dept`, whose stored view was tampered to a wrong header, while a
+    /// `Sale` report's pass never reads that view.
+    #[test]
+    fn failing_parked_successor_does_not_unapply_the_offered_envelope() {
+        let mut catalog = crate::testutil::fig1_catalog();
+        catalog.add_schema("Dept", &["dept"]).unwrap();
+        let aug = crate::spec::WarehouseSpec::parse(
+            catalog,
+            &[("Sold", "Sale join Emp"), ("Depts", "Dept")],
+        )
+        .unwrap()
+        .augment()
+        .unwrap();
+        let mut db = fig1_state();
+        db.insert_relation("Dept", rel! { ["dept"] => ("Toys",) });
+        let mut state = aug.materialize(&db).unwrap();
+        state.insert_relation("Depts", rel! { ["zzz"] => (1,) });
+        let integ = Integrator::from_state(aug, state, crate::integrator::IntegratorConfig).unwrap();
+        let mut ing = IngestingIntegrator::new(integ, IngestConfig::default()).unwrap();
+        let envelope = |seq, report| Envelope { source: SourceId::new("s"), epoch: 0, seq, report };
+        let first =
+            envelope(0, Update::inserting("Sale", rel! { ["item", "clerk"] => ("Mac", "Paula") }));
+        let second = envelope(1, Update::inserting("Dept", rel! { ["dept"] => ("Tools",) }));
         assert_eq!(ing.offer(&second), IngestOutcome::Buffered);
         // Seq 0 applies and drains seq 1, whose maintenance fails: the
         // successor is quarantined under its own sequence number, and
@@ -1079,9 +1102,9 @@ mod tests {
         assert_eq!(ing.quarantine()[0].envelope, second);
         assert_eq!(ing.stats().applied, 1);
         assert_eq!(ing.offer(&first), IngestOutcome::Duplicate);
-        // The two reports would not compose into one pass; that is what
+        // The slice's one pass over both reports failed; that is what
         // sent them one per pass.
-        assert_eq!(ing.policy().stats().fallbacks, 1);
+        assert_eq!(ing.stats().fallbacks, 1);
     }
 
     #[test]
@@ -1094,7 +1117,7 @@ mod tests {
             assert!(outcomes.iter().all(|o| *o == IngestOutcome::Applied(1)));
         }
         assert_eq!(ing.state(), &oracle(&src, &ing));
-        let p = ing.policy().stats();
+        let p = ing.stats();
         assert_eq!((p.passes, p.fallbacks), (3, 0)); // ⌈10/4⌉
         // Counters count reports and reported tuples, not passes.
         let i = ing.integrator_stats();
@@ -1116,7 +1139,7 @@ mod tests {
         );
         let after = ing.state().iter().map(|(n, _)| ing.state().relation_shared(n).unwrap());
         assert!(before.iter().zip(after).all(|(b, a)| std::sync::Arc::ptr_eq(b, &a)));
-        assert_eq!(ing.policy().stats().passes, 3);
+        assert_eq!(ing.stats().passes, 3);
         assert_eq!(ing.integrator_stats().updates_processed, 12);
         assert_eq!(ing.state(), &oracle(&src, &ing));
     }
@@ -1133,14 +1156,14 @@ mod tests {
         let third = sale_insert(&mut src, "Printer", "Mary");
         let slice = [first, second, third];
         let outcomes = ing.offer_batch(&slice);
-        let p = ing.policy().stats();
+        let p = ing.stats();
         assert_eq!((p.passes, p.fallbacks), (3, 1));
         // Exactly what offering them one by one does today.
         sale_insert(&mut src2, "Mac", "Paula");
         let expected: Vec<IngestOutcome> = slice.iter().map(|e| alone.offer(e)).collect();
         assert_eq!(outcomes, expected);
         assert_eq!(ing.state(), alone.state());
-        assert_eq!(ing.stats(), alone.stats());
+        assert_eq!(IngestStats { fallbacks: 0, ..ing.stats() }, alone.stats());
         assert_eq!(ing.integrator_stats(), alone.integrator_stats());
     }
 }

@@ -143,17 +143,11 @@ pub struct IntegratorStats {
     pub queries_answered: usize,
 }
 
-/// Integrator tuning.
+/// Integrator tuning: nothing is left to tune. Kept as a field-less type
+/// so `Integrator::from_state(aug, state, IntegratorConfig::default())`
+/// still compiles; ROADMAP 8e removes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IntegratorConfig {
-    /// Keep materialized mirrors of the reconstructed base relations and
-    /// maintain them delta-wise, instead of re-deriving `R@inv` from the
-    /// warehouse on every update. Removes the per-update reconstruction
-    /// scans at the cost of storing a full source copy — exactly the
-    /// trade the paper's Section 6 remark describes (keep the expression,
-    /// or keep the materialization). Still zero source queries.
-    pub cache_inverses: bool,
-}
+pub struct IntegratorConfig;
 
 /// The integrator of Figure 1: maintains `W(d)` from delta reports alone.
 #[derive(Clone, Debug)]
@@ -162,9 +156,6 @@ pub struct Integrator {
     warehouse: DbState,
     plans: BTreeMap<Vec<RelName>, MaintenancePlan>,
     stats: IntegratorStats,
-    /// Materialized source reconstructions, maintained delta-wise
-    /// (present iff `IntegratorConfig::cache_inverses`).
-    mirrors: Option<DbState>,
 }
 
 impl Integrator {
@@ -172,15 +163,6 @@ impl Integrator {
     /// the only moment the integrator sees base data (and it is counted
     /// at the site as a query per stored relation).
     pub fn initial_load(aug: AugmentedWarehouse, site: &SourceSite) -> Result<Integrator> {
-        Integrator::initial_load_with(aug, site, IntegratorConfig::default())
-    }
-
-    /// Initial load with explicit tuning.
-    pub fn initial_load_with(
-        aug: AugmentedWarehouse,
-        site: &SourceSite,
-        config: IntegratorConfig,
-    ) -> Result<Integrator> {
         let mut warehouse = DbState::new();
         for name in aug.stored_relations() {
             let def = aug
@@ -188,65 +170,30 @@ impl Integrator {
                 .ok_or(WarehouseError::MissingDefinition(name))?;
             warehouse.insert_relation(name, site.answer(&def)?);
         }
-        // Mirrors are derived from the warehouse itself (the inverse
-        // expressions), not from the sources: no extra source access.
-        let mirrors = if config.cache_inverses {
-            let mut m = DbState::new();
-            for (base, inv) in aug.inverse() {
-                m.insert_relation(*base, inv.eval(&warehouse)?);
-            }
-            Some(m)
-        } else {
-            None
-        };
-        Ok(Integrator {
-            aug,
-            warehouse,
-            plans: BTreeMap::new(),
-            stats: IntegratorStats::default(),
-            mirrors,
-        })
+        Ok(Integrator::around(aug, warehouse))
     }
 
     /// Rebuilds an integrator around an already-materialized warehouse
     /// state — the restore half of [`crate::storage`]'s snapshot cycle.
-    /// No source is consulted: inverse mirrors (when configured) are
-    /// re-derived from the state itself, exactly as
-    /// [`Integrator::force_state`] does. The state is *trusted* here;
-    /// recovery cross-checks it separately before serving.
+    /// No source is consulted. The state is *trusted* here; recovery
+    /// cross-checks it separately before serving. Never fails; the
+    /// `Result` and the `config` argument stay until ROADMAP 8e.
     pub fn from_state(
         aug: AugmentedWarehouse,
         state: DbState,
-        config: IntegratorConfig,
+        _config: IntegratorConfig,
     ) -> Result<Integrator> {
-        let mirrors = if config.cache_inverses {
-            let mut m = DbState::new();
-            for (base, inv) in aug.inverse() {
-                m.insert_relation(*base, inv.eval(&state)?);
-            }
-            Some(m)
-        } else {
-            None
-        };
-        Ok(Integrator {
-            aug,
-            warehouse: state,
-            plans: BTreeMap::new(),
-            stats: IntegratorStats::default(),
-            mirrors,
-        })
+        Ok(Integrator::around(aug, state))
+    }
+
+    fn around(aug: AugmentedWarehouse, warehouse: DbState) -> Integrator {
+        Integrator { aug, warehouse, plans: BTreeMap::new(), stats: IntegratorStats::default() }
     }
 
     /// Overwrites the counters — used by snapshot restore so a replayed
     /// prefix reproduces the full run's statistics exactly.
     pub(crate) fn restore_stats(&mut self, stats: IntegratorStats) {
         self.stats = stats;
-    }
-
-    /// The effective tuning (reconstructed from structure: mirrors are
-    /// present iff inverse caching is on).
-    pub fn config(&self) -> IntegratorConfig {
-        IntegratorConfig { cache_inverses: self.mirrors.is_some() }
     }
 
     /// The warehouse definition.
@@ -269,25 +216,13 @@ impl Integrator {
     /// Like [`Integrator::on_report`], additionally returning the net
     /// per-stored-relation deltas, for cascading layers (summary tables).
     ///
-    /// Application is transactional: the next warehouse state *and* the
-    /// next mirror state are both staged in full before either is
-    /// committed, so an evaluation error on any path leaves the
+    /// This is the one maintenance route: the plan's restricted pass
+    /// ([`MaintenancePlan::apply_detailed`]), which falls back to whole
+    /// evaluation step by step where a step is not delta-sized.
+    /// Application is transactional: the next state is staged in full
+    /// before it is committed, so an evaluation error leaves the
     /// integrator exactly as it was.
     pub fn on_report_detailed(&mut self, report: &Update) -> Result<Vec<StoredDelta>> {
-        self.on_report_detailed_with(report, true)
-    }
-
-    /// Like [`Integrator::on_report_detailed`], but with the mirror
-    /// *plan path* under caller control: `use_mirrors: false` evaluates
-    /// the inverse expressions afresh (the plain incremental strategy)
-    /// even when mirrors are cached — the mirrors themselves are still
-    /// delta-maintained so later reports can use them. The adaptive
-    /// maintenance policy ([`crate::planner`]) dispatches through this.
-    pub fn on_report_detailed_with(
-        &mut self,
-        report: &Update,
-        use_mirrors: bool,
-    ) -> Result<Vec<StoredDelta>> {
         if report.is_empty() {
             return Ok(Vec::new());
         }
@@ -298,52 +233,19 @@ impl Integrator {
             self.plans.insert(touched.clone(), plan);
             self.stats.plans_compiled += 1;
         }
-        let plan = &self.plans[&touched];
-        let (next, deltas) = match &self.mirrors {
-            Some(m) if use_mirrors => {
-                plan.apply_with_mirrors_detailed(&self.warehouse, report, m)?
-            }
-            _ => plan.apply_detailed(&self.warehouse, report)?,
-        };
-        // Mirrors are themselves maintained delta-wise: the mirror IS the
-        // base relation (Proposition 2.1), so the reported delta applies
-        // directly. Staged before the swap below — no partial commits.
-        let next_mirrors = match &self.mirrors {
-            Some(m) => {
-                let mut staged = m.clone();
-                for (base, delta) in report.iter() {
-                    let next = delta.apply(staged.relation(base)?)?;
-                    staged.insert_relation(base, next);
-                }
-                Some(staged)
-            }
-            None => None,
-        };
+        let (next, deltas) = self.plans[&touched].apply_detailed(&self.warehouse, report)?;
         self.warehouse = next;
-        self.mirrors = next_mirrors;
         self.stats.updates_processed += 1;
         self.stats.delta_tuples += report.len();
         Ok(deltas)
     }
 
-    /// Replaces the warehouse state wholesale and rebuilds any inverse
-    /// mirrors from it. This is the commit half of the recovery paths in
-    /// [`crate::ingest`] (and the corruption-injection hook of the chaos
-    /// suites); normal maintenance goes through [`Integrator::on_report`].
-    pub fn force_state(&mut self, state: DbState) -> Result<()> {
-        let mirrors = match &self.mirrors {
-            Some(_) => {
-                let mut m = DbState::new();
-                for (base, inv) in self.aug.inverse() {
-                    m.insert_relation(*base, inv.eval(&state)?);
-                }
-                Some(m)
-            }
-            None => None,
-        };
+    /// Replaces the warehouse state wholesale. This is the commit half of
+    /// the recovery paths in [`crate::ingest`] (and the
+    /// corruption-injection hook of the chaos suites); normal maintenance
+    /// goes through [`Integrator::on_report`].
+    pub fn force_state(&mut self, state: DbState) {
         self.warehouse = state;
-        self.mirrors = mirrors;
-        Ok(())
     }
 
     /// The source-free fallback: rebuilds every stored relation through
@@ -351,29 +253,16 @@ impl Integrator {
     /// ([`AugmentedWarehouse::maintain_by_reconstruction`]) instead of
     /// the incremental plans. Used by the ingestion layer to repair
     /// sequence gaps (where `update` is a composition of several backed-up
-    /// reports, possibly unnormalized with respect to the current state)
-    /// and failed invariant checks. Still zero source queries.
+    /// reports, possibly unnormalized with respect to the current state).
+    /// Still zero source queries.
     pub fn recover_by_reconstruction(&mut self, update: &Update) -> Result<()> {
-        let next = self.aug.maintain_by_reconstruction(&self.warehouse, update)?; // lint:allow strategy_dispatch -- the recovery path IS the reconstruction strategy
+        let next = self.aug.maintain_by_reconstruction(&self.warehouse, update)?;
         // Counted only once the swap is in: a failed rebuild leaves the
         // integrator exactly as it was, counters included.
-        self.force_state(next)?;
+        self.force_state(next);
         self.stats.updates_processed += 1;
         self.stats.delta_tuples += update.len();
         Ok(())
-    }
-
-    /// Tuples held by the inverse mirrors (0 when caching is off) — the
-    /// storage price of `cache_inverses`.
-    pub fn mirror_storage(&self) -> usize {
-        self.mirrors.as_ref().map_or(0, DbState::total_tuples)
-    }
-
-    /// The cached inverse mirrors, when inverse caching is on. The
-    /// maintenance planner measures distinct counts on them (and only
-    /// on cache-miss re-plans, so the amortized cost stays O(plan)).
-    pub(crate) fn mirrors_state(&self) -> Option<&DbState> {
-        self.mirrors.as_ref()
     }
 
     /// Answers a source query at the warehouse (query independence).
@@ -524,55 +413,6 @@ mod tests {
             .apply_update(&Update::inserting("Ghost", rel! { ["x"] => (1,) }))
             .unwrap_err();
         assert!(matches!(err, WarehouseError::UpdateOutsideSources(_)));
-    }
-
-    #[test]
-    fn mirrored_integrator_matches_plain_and_pays_storage() {
-        let spec = fig1_spec();
-        let catalog = spec.catalog().clone();
-        let aug = spec.augment().unwrap();
-        let site0 = SourceSite::new(catalog.clone(), fig1_state()).unwrap();
-        let mut plain = Integrator::initial_load(aug.clone(), &site0).unwrap();
-        let mut mirrored = Integrator::initial_load_with(
-            aug,
-            &site0,
-            IntegratorConfig { cache_inverses: true },
-        )
-        .unwrap();
-        assert_eq!(plain.mirror_storage(), 0);
-        assert_eq!(mirrored.mirror_storage(), 6); // full source copy
-
-        let mut site = SourceSite::new(catalog, fig1_state()).unwrap();
-        site.reset_stats();
-        let cfg = gen::StateGenConfig::new(10, 5);
-        for seed in 0..8u64 {
-            let target = gen::random_state(site.catalog(), &cfg, 4000 + seed);
-            let mut u = Update::new();
-            for (name, t) in target.iter() {
-                let cur = site.oracle_state().relation(name).unwrap();
-                u = u.with(
-                    name.as_str(),
-                    dwc_relalg::Delta::new(
-                        t.difference(cur).unwrap(),
-                        cur.difference(t).unwrap(),
-                    )
-                    .unwrap(),
-                );
-            }
-            let report = site.apply_update(&u).unwrap();
-            plain.on_report(&report).unwrap();
-            mirrored.on_report(&report).unwrap();
-            assert_eq!(plain.state(), mirrored.state(), "strategies diverged at {seed}");
-            // mirrors track the true sources exactly
-            assert_eq!(
-                mirrored.mirror_storage(),
-                site.oracle_state().total_tuples()
-            );
-        }
-        // both stayed source-free
-        assert_eq!(site.stats().queries, 0);
-        let expected = plain.warehouse().materialize(site.oracle_state()).unwrap();
-        assert_eq!(plain.state(), &expected);
     }
 
     #[test]

@@ -19,9 +19,6 @@
 //!   inverse expressions,
 //! * [`maintain`] — applying translated updates and the correctness
 //!   criterion `w' = W(u(d))` (Theorem 4.1, Figure 3),
-//! * [`planner`] — the adaptive maintenance policy: per-report strategy
-//!   choice via the static cost planner of `dwc-analyze` (Theorem 4.1
-//!   makes every strategy converge, so the choice is purely cost),
 //! * [`integrator`] — the decoupled-source architecture of Figure 1:
 //!   sources report deltas, the integrator maintains the warehouse; all
 //!   source accesses are accounted, making "independence" measurable,
@@ -84,7 +81,6 @@ pub mod independence;
 pub mod ingest;
 pub mod integrator;
 pub mod maintain;
-pub mod planner;
 pub mod rewrite;
 pub mod server;
 pub mod spec;
@@ -102,9 +98,8 @@ pub use server::{
     Ack, AckOutcome, BatchPolicy, QueryClient, ServerCore, ServerError, ServerStats,
     SessionGrant, SessionId,
 };
-pub use planner::{AdaptivePolicy, PolicyMode, PolicyStats};
 pub use spec::{AugmentedWarehouse, WarehouseSpec};
 pub use storage::{
-    DurabilityConfig, DurableWarehouse, ErrorClass, FsMedium, MediumError, Recovery,
+    AdaptivePolicy, DurabilityConfig, DurableWarehouse, ErrorClass, FsMedium, MediumError, Recovery,
     RecoveryReport, StorageError, StorageMedium, StorageStats,
 };

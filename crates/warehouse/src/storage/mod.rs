@@ -48,7 +48,7 @@ use crate::ingest::{
 use crate::integrator::{Integrator, IntegratorConfig};
 use crate::spec::AugmentedWarehouse;
 use crate::channel::{Envelope, SourceId};
-use snapshot::{ManifestDoc, ManifestEntry, WarehouseImage, MANIFEST};
+use snapshot::{ManifestEntry, WarehouseImage, MANIFEST};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -514,13 +514,22 @@ pub struct RecoveryReport {
     /// Whether the `W(W⁻¹(w)) = w` cross-check ran (per
     /// [`DurabilityConfig::verify_on_open`]).
     pub consistency_checked: bool,
-    /// Whether the manifest carried a persisted maintenance-policy mode
-    /// that was re-armed on the recovered ingestor. `false` only for
-    /// version-1 manifests written before the mode was durable.
-    pub policy_restored: bool,
     /// Maintenance passes the replay ran: one per group of consecutive
     /// offers with a non-empty net delta, not one per record.
     pub replay_passes: u64,
+}
+
+/// The argument of [`DurableWarehouse::set_maintenance_policy`]. It
+/// carries nothing: every report takes the one maintenance route. Kept
+/// so callers that still arm a policy compile; ROADMAP 8e removes it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AdaptivePolicy;
+
+impl AdaptivePolicy {
+    /// The policy `dwc serve` used to arm; installs nothing.
+    pub fn adaptive() -> AdaptivePolicy {
+        AdaptivePolicy
+    }
 }
 
 /// An [`IngestingIntegrator`] whose every applied envelope is
@@ -800,38 +809,12 @@ impl<M: StorageMedium> DurableWarehouse<M> {
         &self.ingest
     }
 
-    /// Installs a maintenance policy on the ingestor (see
-    /// [`crate::planner`]) and immediately persists the configured
-    /// *mode* into the manifest, so recovery re-arms the same mode.
-    /// The decision cache stays runtime-only — Theorem 4.1 makes replay
-    /// strategy-independent — but losing the mode across a crash
-    /// silently disabled adaptive maintenance, so the mode is durable.
-    pub fn set_maintenance_policy(
-        &mut self,
-        policy: crate::planner::AdaptivePolicy,
-    ) -> Result<(), StorageError> {
-        self.ensure_live()?;
-        self.ingest.set_policy(policy);
-        let doc = self.manifest_doc(self.entries.clone());
-        match snapshot::write_manifest(&self.medium, &doc) {
-            Ok(()) => Ok(()),
-            Err(e) => Err(self.note_failure(e)),
-        }
-    }
-
-    /// The manifest document committing `entries` under the currently
-    /// configured maintenance-policy mode.
-    fn manifest_doc(&self, entries: Vec<ManifestEntry>) -> ManifestDoc {
-        ManifestDoc {
-            entries,
-            policy: Some(crate::planner::mode_to_byte(self.ingest.policy().mode())),
-        }
-    }
-
-    /// Mutable access to the ingestor's maintenance policy — for
-    /// draining planner diagnostics.
-    pub fn policy_mut(&mut self) -> &mut crate::planner::AdaptivePolicy {
-        self.ingest.policy_mut()
+    /// Does nothing and returns `Ok(())`: every report takes the one
+    /// maintenance route, so there is no policy to install or persist.
+    /// Kept so callers that still arm a policy compile; ROADMAP 8e
+    /// removes it.
+    pub fn set_maintenance_policy(&mut self, _policy: AdaptivePolicy) -> Result<(), StorageError> {
+        Ok(())
     }
 
     /// The storage counters.
@@ -943,7 +926,6 @@ impl<M: StorageMedium> DurableWarehouse<M> {
         let integ = ingest.integrator();
         WarehouseImage {
             warehouse: integ.state().clone(),
-            cache_inverses: integ.config().cache_inverses,
             integrator_stats: integ.stats(),
             ingest_config: ingest.config(),
             ingest_stats: ingest.stats(),
@@ -1009,7 +991,7 @@ impl<M: StorageMedium> DurableWarehouse<M> {
         } else {
             Vec::new()
         };
-        snapshot::write_manifest(&self.medium, &self.manifest_doc(entries.clone()))?;
+        snapshot::write_manifest(&self.medium, &entries)?;
         // The manifest rename is the commit point: only now is it safe
         // to drop the pruned generations' files. Removal is best-effort
         // (a leftover file is garbage, not corruption).
@@ -1050,7 +1032,7 @@ impl Recovery {
         aug: AugmentedWarehouse,
         config: DurabilityConfig,
     ) -> Result<(DurableWarehouse<M>, RecoveryReport), StorageError> {
-        let ManifestDoc { entries, policy } = snapshot::read_manifest(&medium)?;
+        let entries = snapshot::read_manifest(&medium)?;
         // Newest intact snapshot wins; corrupt/unreadable ones fall
         // back a generation.
         let mut skipped = 0usize;
@@ -1127,16 +1109,9 @@ impl Recovery {
             }
         }
         ingest.offer_batch(&run);
-        let replay_passes = ingest.policy().stats().passes;
+        let replay_passes = ingest.stats().passes as u64;
         if config.verify_on_open {
             Recovery::cross_check(&ingest)?;
-        }
-        // Re-arm the persisted maintenance-policy mode *after* replay:
-        // replay runs with the policy off (Theorem 4.1 makes the final
-        // state strategy-independent), and the fresh policy starts with
-        // an empty decision cache exactly as a process restart would.
-        if let Some(byte) = policy {
-            ingest.set_policy(crate::planner::policy_from_byte(byte));
         }
         let mut dw = DurableWarehouse {
             medium,
@@ -1161,7 +1136,6 @@ impl Recovery {
             records_replayed: replayed,
             torn_tails,
             consistency_checked: config.verify_on_open,
-            policy_restored: policy.is_some(),
             replay_passes,
         };
         Ok((dw, report))
@@ -1172,11 +1146,7 @@ impl Recovery {
         aug: AugmentedWarehouse,
         image: WarehouseImage,
     ) -> Result<IngestingIntegrator, StorageError> {
-        let mut integ = Integrator::from_state(
-            aug,
-            image.warehouse,
-            IntegratorConfig { cache_inverses: image.cache_inverses },
-        )?;
+        let mut integ = Integrator::from_state(aug, image.warehouse, IntegratorConfig)?;
         integ.restore_stats(image.integrator_stats);
         let cursors: BTreeMap<SourceId, crate::ingest::Cursor> = image
             .cursors
@@ -1245,7 +1215,7 @@ impl Recovery {
 mod tests {
     use super::*;
     use crate::channel::SequencedSource;
-    use crate::ingest::IngestConfig;
+    use crate::ingest::{IngestConfig, IngestStats};
     use crate::integrator::SourceSite;
     use crate::testutil::{fig1_spec, fig1_state, DiskMedium};
     use dwc_relalg::{rel, Update};
@@ -1277,15 +1247,19 @@ mod tests {
         for batch in envs.chunks(7) {
             dw.offer_batch(batch).unwrap();
         }
-        let live = dw.ingestor().policy().stats();
-        assert_eq!((live.passes, live.fallbacks), (k.div_ceil(7) as u64, 0));
+        let live = dw.ingestor().stats();
+        assert_eq!((live.passes, live.fallbacks), (k.div_ceil(7), 0));
 
         let files = DiskMedium(SimDisk::from_files(dw.medium.0.survivors()));
         let (rec, report) = Recovery::open(files, aug, DurabilityConfig::default()).unwrap();
         assert_eq!(report.records_replayed, k);
         assert_eq!(report.replay_passes, 3); // ⌈k/REPLAY_GROUP⌉
         assert_eq!(rec.state(), dw.state());
-        assert_eq!(rec.ingestor().stats(), dw.ingestor().stats());
+        // Pass counts are runtime counters of how the stream was sliced;
+        // the sequencing counters match exactly.
+        let slicing_free =
+            |s: IngestStats| IngestStats { passes: 0, fallbacks: 0, ..s };
+        assert_eq!(slicing_free(rec.ingestor().stats()), slicing_free(dw.ingestor().stats()));
         let (a, b) = (rec.ingestor().integrator_stats(), dw.ingestor().integrator_stats());
         assert_eq!(
             (a.updates_processed, a.delta_tuples),

@@ -38,10 +38,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DWCSNAP1";
 pub const SNAP_VERSION: u8 = 1;
 /// Magic bytes opening the manifest.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"DWCMAN1\n";
-/// Manifest format version. Version 2 adds the persisted maintenance
-/// policy byte and a shard-section flag, always written as 0 (a 1 marks
-/// a sharded layout, which this build refuses with `DWC-S304`); version
-/// 1 manifests (entries only) are still read.
+/// Manifest format version. Version 2 adds a maintenance-policy flag
+/// (0, or 1 followed by the policy byte older builds recorded; written
+/// as 0, read and ignored) and a shard-section flag, always written as
+/// 0 (a 1 marks a sharded layout, which this build refuses with
+/// `DWC-S304`); version 1 manifests (entries only) are still read.
 pub const MANIFEST_VERSION: u8 = 2;
 /// The manifest's file name — the single commit point of the store.
 pub const MANIFEST: &str = "MANIFEST";
@@ -52,8 +53,6 @@ pub const MANIFEST: &str = "MANIFEST";
 pub(crate) struct WarehouseImage {
     /// Materialized views and complements.
     pub warehouse: DbState,
-    /// Whether the integrator kept inverse mirrors (rebuilt on restore).
-    pub cache_inverses: bool,
     /// Integrator counters at snapshot time.
     pub integrator_stats: IntegratorStats,
     /// Ingestion tuning.
@@ -139,26 +138,6 @@ pub(crate) fn read_snapshot<M: StorageMedium>(
     Ok(image)
 }
 
-/// Everything the manifest commits in one rename: the generation
-/// lineage and the persisted maintenance-policy byte.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct ManifestDoc {
-    /// Committed generations, oldest first.
-    pub entries: Vec<ManifestEntry>,
-    /// The maintenance policy byte (see `crate::planner`), if one was
-    /// ever configured. `None` on version-1 manifests.
-    pub policy: Option<u8>,
-}
-
-impl ManifestDoc {
-    /// A manifest over `entries` with no policy recorded (the pre-v2
-    /// shape; production writers always record a policy).
-    #[cfg(test)]
-    pub fn plain(entries: Vec<ManifestEntry>) -> ManifestDoc {
-        ManifestDoc { entries, policy: None }
-    }
-}
-
 fn put_entries(w: &mut ByteWriter, entries: &[ManifestEntry]) {
     w.put_u32(entries.len() as u32);
     for e in entries {
@@ -188,25 +167,20 @@ fn take_entries(r: &mut ByteReader<'_>) -> Result<Vec<ManifestEntry>, RelalgErro
     Ok(entries)
 }
 
-/// Atomically commits the manifest document — the single commit point
-/// of the store.
+/// Atomically commits the manifest over `entries` (committed
+/// generations, oldest first) — the single commit point of the store.
 pub(crate) fn write_manifest<M: StorageMedium>(
     medium: &M,
-    doc: &ManifestDoc,
+    entries: &[ManifestEntry],
 ) -> Result<(), StorageError> {
     let tmp = "MANIFEST.tmp";
     let mut w = ByteWriter::new();
     w.put_bytes(&MANIFEST_MAGIC);
     w.put_u8(MANIFEST_VERSION);
-    put_entries(&mut w, &doc.entries);
-    match doc.policy {
-        Some(byte) => {
-            w.put_u8(1);
-            w.put_u8(byte);
-        }
-        None => w.put_u8(0),
-    }
-    // The shard-section flag of the v2 format: never set.
+    put_entries(&mut w, entries);
+    // The policy flag and the shard-section flag of the v2 format:
+    // neither is ever set.
+    w.put_u8(0);
     w.put_u8(0);
     medium.write_all(tmp, &w.finish_crc())?;
     medium.sync(tmp)?;
@@ -217,13 +191,14 @@ pub(crate) fn write_manifest<M: StorageMedium>(
 /// Reads the manifest. Missing is [`StorageError::ManifestMissing`]
 /// (the directory was never committed); any validation failure —
 /// including a torn tail, since the whole file is CRC-bound — is
-/// [`StorageError::ManifestCorrupt`]. Version-1 manifests read as a
-/// document with no policy. A set shard-section flag is
+/// [`StorageError::ManifestCorrupt`]. Version-1 manifests carry entries
+/// only; a version-2 policy byte is validated and ignored. A set
+/// shard-section flag is
 /// [`StorageError::ShardedLayoutRemoved`]: the reader stops there,
 /// before decoding the section.
 pub(crate) fn read_manifest<M: StorageMedium>(
     medium: &M,
-) -> Result<ManifestDoc, StorageError> {
+) -> Result<Vec<ManifestEntry>, StorageError> {
     if !medium.exists(MANIFEST) {
         return Err(StorageError::ManifestMissing);
     }
@@ -232,7 +207,7 @@ pub(crate) fn read_manifest<M: StorageMedium>(
         |detail: String| StorageError::ManifestCorrupt { detail };
     let body = check_crc(&data).map_err(|e| corrupt(e.to_string()))?;
     let mut r = ByteReader::new(body);
-    let doc = (|| -> Result<Option<ManifestDoc>, RelalgError> {
+    let entries = (|| -> Result<Option<Vec<ManifestEntry>>, RelalgError> {
         if r.take_bytes(8)? != MANIFEST_MAGIC {
             return Err(r.corrupt("bad manifest magic"));
         }
@@ -243,26 +218,25 @@ pub(crate) fn read_manifest<M: StorageMedium>(
         let entries = take_entries(&mut r)?;
         if version == 1 {
             r.expect_end()?;
-            return Ok(Some(ManifestDoc {
-                entries,
-                policy: None,
-            }));
+            return Ok(Some(entries));
         }
-        let policy = match r.take_u8()? {
-            0 => None,
-            1 => Some(r.take_u8()?),
+        match r.take_u8()? {
+            0 => {}
+            1 => {
+                r.take_u8()?;
+            }
             flag => return Err(r.corrupt(format!("bad policy flag {flag}"))),
-        };
+        }
         match r.take_u8()? {
             0 => {}
             1 => return Ok(None),
             flag => return Err(r.corrupt(format!("bad shard flag {flag}"))),
         }
         r.expect_end()?;
-        Ok(Some(ManifestDoc { entries, policy }))
+        Ok(Some(entries))
     })()
     .map_err(|e| corrupt(e.to_string()))?;
-    doc.ok_or(StorageError::ShardedLayoutRemoved)
+    entries.ok_or(StorageError::ShardedLayoutRemoved)
 }
 
 fn put_stats(w: &mut ByteWriter, image: &WarehouseImage) {
@@ -300,6 +274,8 @@ fn take_stats(
         gaps_detected: r.take_u64()? as usize,
         recoveries: r.take_u64()? as usize,
         invariant_failures: r.take_u64()? as usize,
+        // Pass counts are runtime counters and are not persisted.
+        ..IngestStats::default()
     };
     Ok((integrator, ingest))
 }
@@ -314,8 +290,9 @@ fn put_image(w: &mut ByteWriter, image: &WarehouseImage) {
         w.put_u32(blob.len() as u32);
         w.put_bytes(&blob);
     }
-    // Tuning.
-    w.put_u8(u8::from(image.cache_inverses));
+    // Tuning. The first byte is the inverse-mirror flag of the format;
+    // this build keeps no mirrors, so it writes 0 and ignores it on read.
+    w.put_u8(0);
     w.put_u64(image.ingest_config.reorder_window as u64);
     w.put_u8(u8::from(image.ingest_config.verify_invariants));
     // Counters.
@@ -363,7 +340,7 @@ fn take_image(r: &mut ByteReader<'_>) -> Result<WarehouseImage, RelalgError> {
         let rel = decode_relation(r.take_bytes(len)?)?;
         warehouse.insert_relation(name.as_str(), rel);
     }
-    let cache_inverses = r.take_u8()? != 0;
+    r.take_u8()?;
     let ingest_config = IngestConfig {
         reorder_window: r.take_u64()? as usize,
         verify_invariants: r.take_u8()? != 0,
@@ -404,7 +381,6 @@ fn take_image(r: &mut ByteReader<'_>) -> Result<WarehouseImage, RelalgError> {
     }
     Ok(WarehouseImage {
         warehouse,
-        cache_inverses,
         integrator_stats,
         ingest_config,
         ingest_stats,
@@ -439,7 +415,6 @@ mod tests {
         };
         WarehouseImage {
             warehouse,
-            cache_inverses: true,
             integrator_stats: IntegratorStats {
                 updates_processed: 12,
                 delta_tuples: 40,
@@ -456,6 +431,7 @@ mod tests {
                 gaps_detected: 1,
                 recoveries: 1,
                 invariant_failures: 0,
+                ..IngestStats::default()
             },
             cursors,
             quarantine: vec![(env.clone(), "ghost relation".to_owned())],
@@ -517,10 +493,9 @@ mod tests {
                 wal: super::super::wal::segment_name(2),
             },
         ];
-        let doc = ManifestDoc::plain(entries);
-        write_manifest(&m, &doc).unwrap();
+        write_manifest(&m, &entries).unwrap();
         assert!(!m.exists("MANIFEST.tmp"));
-        assert_eq!(read_manifest(&m).unwrap(), doc);
+        assert_eq!(read_manifest(&m).unwrap(), entries);
 
         let good = m.read(MANIFEST).unwrap();
         for i in 0..good.len() {
@@ -571,7 +546,7 @@ mod tests {
     #[test]
     fn version_1_manifest_still_reads() {
         // Hand-encode a version-1 manifest (entries only, no policy or
-        // shard section) and confirm the reader maps it to a plain doc.
+        // shard section) and confirm the reader returns its entries.
         let m = DiskMedium::default();
         let entries = vec![ManifestEntry {
             generation: 7,
@@ -586,7 +561,7 @@ mod tests {
         w.put_str(&entries[0].snapshot);
         w.put_str(&entries[0].wal);
         m.write_all(MANIFEST, &w.finish_crc()).unwrap();
-        assert_eq!(read_manifest(&m).unwrap(), ManifestDoc::plain(entries));
+        assert_eq!(read_manifest(&m).unwrap(), entries);
     }
 
     #[test]
@@ -597,7 +572,7 @@ mod tests {
             snapshot: snapshot_name(g),
             wal: super::super::wal::segment_name(g),
         };
-        write_manifest(&m, &ManifestDoc::plain(vec![e(2), e(2)])).unwrap();
+        write_manifest(&m, &[e(2), e(2)]).unwrap();
         assert_eq!(read_manifest(&m).unwrap_err().code(), "DWC-S302");
     }
 }

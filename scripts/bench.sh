@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # In-process bench sweep, fully offline.
 #
-# Runs the evaluator, complement, maintenance, star-schema and adaptive
-# bench targets once each, collecting every JSON line into
+# Runs the evaluator, complement, maintenance and star-schema bench
+# targets once each, collecting every JSON line into
 # BENCH_eval.json. Each line carries `nproc` and `commit` (stamped by
 # the bench targets via `dwc_bench::stamped`), so a committed row says
 # which host and tree produced it:
@@ -74,11 +74,8 @@ sibling() {
   echo "$out"
 }
 
-# The adaptive strategy comparison (fixed pins vs the planner, plus the
-# clone baseline and the O(plan) planner-choose rows) lands in the main
-# file next to the raw maintenance group it compares against.
 : > "$OUT"
-for bench in eval complement maintenance star adaptive; do
+for bench in eval complement maintenance star; do
   echo "=== $bench ==="
   run_bench "$bench" | tee -a "$OUT"
 done

@@ -36,7 +36,8 @@ certified spec under a what-if workload (every source at 1000 rows, a
 single-tuple delta per source in turn, mirrors cached, source
 reachable) and prints the chosen strategy per delta — a table by
 default, DWC-P001/P101 JSON lines with --json. Purely static: no
-relation is evaluated.
+relation is evaluated, and `dwc serve` does not consult it (every
+report is maintained incrementally).
 
 --self-check lints the workspace's own sources instead: no panicking
 calls in library code, no stray thread spawns, forbid(unsafe_code) in
@@ -405,8 +406,8 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
 /// spec under a uniform what-if workload — every source at 1000 rows, a
 /// single-tuple delta per source in turn, mirrors cached, source
 /// reachable. Purely static (cost-model arithmetic over the certified
-/// plans); the actual ingest-time decision is made per report by the
-/// warehouse's adaptive policy against live statistics.
+/// plans), and a what-if only: the server makes no run-time choice, it
+/// maintains every report by restricted incremental evaluation.
 fn cost_analysis(aug: &dwcomplements::warehouse::AugmentedWarehouse, subject: &str, json: bool) {
     const WHATIF_ROWS: f64 = 1000.0;
     let consts = CostConstants::calibrated();

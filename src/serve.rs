@@ -94,7 +94,7 @@ use crate::warehouse::server::{
     Ack, BatchPolicy, EngineStep, Health, QueryClient, ServerCore, SessionGrant, SessionId,
 };
 use crate::warehouse::{
-    AdaptivePolicy, DurabilityConfig, DurableWarehouse, Envelope, FsMedium, IngestConfig,
+    DurabilityConfig, DurableWarehouse, Envelope, FsMedium, IngestConfig,
     IngestingIntegrator, Recovery, SourceId, StorageError, WarehouseSpec,
 };
 use std::collections::{BTreeMap, HashMap};
@@ -141,7 +141,7 @@ pub fn open_or_create(
     spec: WarehouseSpec,
     dir: &str,
     config: DurabilityConfig,
-) -> Result<(DurableWarehouse<FsMedium>, bool), String> {
+) -> Result<DurableWarehouse<FsMedium>, String> {
     let aug = spec.clone().augment().map_err(|e| e.to_string())?;
     let medium = FsMedium::new(dir).map_err(|e| e.to_string())?;
     match Recovery::open(medium, aug.clone(), config) {
@@ -156,22 +156,20 @@ pub fn open_or_create(
                     cursor.source, cursor.epoch, cursor.next_seq
                 );
             }
-            // A v2 manifest re-arms the configured policy mode itself;
-            // only legacy (pre-policy-byte) stores still need arming.
-            Ok((dw, !report.policy_restored))
+            Ok(dw)
         }
         Err(StorageError::ManifestMissing) => {
             let empty = aug
                 .materialize(&DbState::empty_for(aug.catalog()))
                 .map_err(|e| e.to_string())?;
-            let integ = Integrator::from_state(aug, empty, IntegratorConfig::default())
+            let integ = Integrator::from_state(aug, empty, IntegratorConfig)
                 .map_err(|e| e.to_string())?;
             let ingest =
                 IngestingIntegrator::new(integ, IngestConfig::default()).map_err(|e| e.to_string())?;
             let medium = FsMedium::new(dir).map_err(|e| e.to_string())?;
             let dw = DurableWarehouse::create(medium, ingest, config).map_err(|e| e.to_string())?;
             eprintln!("created fresh warehouse in {dir}");
-            Ok((dw, true))
+            Ok(dw)
         }
         Err(e) => Err(e.to_string()),
     }
@@ -484,15 +482,7 @@ pub fn open_core(
         ..DurabilityConfig::default()
     };
     let policy = BatchPolicy::with_max_batch(options.max_batch);
-    // A fresh store (and a legacy store predating the persisted policy
-    // byte) defaults to adaptive maintenance; a recovered v2 store
-    // keeps whatever mode its manifest carries.
-    let (mut warehouse, arm_policy) = open_or_create(spec, dir, config)?;
-    if arm_policy {
-        warehouse
-            .set_maintenance_policy(AdaptivePolicy::adaptive())
-            .map_err(|e| e.to_string())?;
-    }
+    let warehouse = open_or_create(spec, dir, config)?;
     let mut core = ServerCore::new(warehouse, policy);
     if options.idle_timeout_micros > 0 {
         core.set_idle_timeout(Some(options.idle_timeout_micros));
@@ -686,13 +676,16 @@ impl Engine<'_> {
             Health::Degraded { attempts, .. } => format!("degraded(attempts={attempts})"),
             Health::ReadOnly { .. } => "read-only".to_owned(),
         };
-        let p = core.warehouse().ingestor().policy().stats();
+        let ingestor = core.warehouse().ingestor();
+        let ingest = ingestor.stats();
         let m = self.memo.stats();
+        // `mispredict:0` stays until the load generator stops parsing it
+        // (ROADMAP 8e): there is no planner left to mispredict.
         format!(
             "stats epoch={} delivered={} batches={} acks={} wal_syncs={} \
              group_commits={} generation={} health={} parked={} \
-             planner=plans:{},incr:{},mirr:{},recon:{},mispredict:{},passes:{},\
-             fallbacks:{} answers=hits:{},misses:{},bytes:{},over:{}",
+             planner=plans:{},mispredict:0,passes:{},fallbacks:{} \
+             answers=hits:{},misses:{},bytes:{},over:{}",
             core.commit_epoch(),
             s.delivered,
             s.batches_committed,
@@ -702,13 +695,9 @@ impl Engine<'_> {
             core.warehouse().generation(),
             health,
             core.parked_len(),
-            p.plans,
-            p.chosen_incremental,
-            p.chosen_mirrored,
-            p.chosen_reconstruction,
-            p.mispredictions,
-            p.passes,
-            p.fallbacks,
+            ingestor.integrator_stats().plans_compiled,
+            ingest.passes,
+            ingest.fallbacks,
             m.hits,
             m.misses,
             m.bytes,

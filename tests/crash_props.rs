@@ -10,9 +10,10 @@
 //! no manifest yet). Seeded bit flips and torn tails on the committed
 //! files must each yield their documented `DWC-SNNN` code — never a
 //! panic, never silent divergence. An unreadable newest snapshot falls
-//! back a generation like a corrupt one, the maintenance-policy mode
-//! survives a reopen, and a sharded layout left by an older build fails
-//! closed without a byte of the directory changing.
+//! back a generation like a corrupt one, stores an older build wrote
+//! (a manifest policy byte, a snapshot mirror flag) still open to the
+//! same state, and a sharded layout left by an older build fails closed
+//! without a byte of the directory changing.
 //!
 //! The process model is [`dwc_testkit::SimDisk`] under a
 //! [`MediumPlan`] that crashes: counted operations, seeded torn writes
@@ -29,11 +30,10 @@ use dwcomplements::relalg::{io, Delta, Update};
 use dwcomplements::warehouse::channel::{Envelope, SequencedSource, SourceId};
 use dwcomplements::warehouse::ingest::{IngestConfig, IngestingIntegrator};
 use dwcomplements::warehouse::integrator::{Integrator, SourceSite};
-use dwcomplements::warehouse::planner::MaintenanceStrategy;
 use dwcomplements::warehouse::storage::snapshot::snapshot_name;
 use dwcomplements::warehouse::storage::wal::segment_name;
 use dwcomplements::warehouse::{
-    AdaptivePolicy, AugmentedWarehouse, DurabilityConfig, DurableWarehouse, PolicyMode, Recovery,
+    AugmentedWarehouse, DurabilityConfig, DurableWarehouse, Recovery,
     StorageError, WarehouseSpec,
 };
 
@@ -525,26 +525,58 @@ fn unreadable_newest_snapshot_falls_back_a_generation() {
     assert_eq!(fingerprint(rec.ingestor()), oracle);
 }
 
-/// The configured maintenance-policy mode survives a reopen: the
-/// manifest carries the policy byte and recovery re-arms it.
+/// Stores an older build wrote still open, to the never-crashed state:
+/// a manifest recording any policy byte that build could write (0–5:
+/// off, adaptive and the four pinned strategies) or an unknown one (9),
+/// and snapshots whose inverse-mirror flag is set. This build records
+/// neither and ignores both on read.
 #[test]
-fn policy_mode_survives_reopen() {
+fn stores_written_by_older_builds_open_to_the_oracle() {
     let sc = build_scenario();
-    let fs = SimDisk::default();
-    let mut dw = DurableWarehouse::create(DiskMedium(fs.clone()), fresh_ingest(&sc.init), config())
-        .expect("create");
-    let fixed = PolicyMode::Fixed(MaintenanceStrategy::Incremental);
-    dw.set_maintenance_policy(AdaptivePolicy::fixed(MaintenanceStrategy::Incremental))
-        .expect("policy commits");
-    drop(dw);
-    let (rec, report) = Recovery::open(
-        DiskMedium(SimDisk::from_files(fs.survivors())),
-        fresh_aug(),
-        config(),
-    )
-    .expect("reopen");
-    assert!(report.policy_restored);
-    assert_eq!(rec.ingestor().policy().mode(), fixed);
+    let (fs, clean) = run_on(MediumPlan::clean(), &sc);
+    let oracle = clean.expect("never-crashed run");
+    let files = fs.survivors();
+    let reopen = |files| {
+        let (rec, _) = Recovery::open(DiskMedium(SimDisk::from_files(files)), fresh_aug(), config())
+            .expect("a store an older build wrote opens");
+        fingerprint(rec.ingestor())
+    };
+    let reseal = |data: &mut Vec<u8>| {
+        let body = data.len() - 4;
+        let crc = io::crc32(&data[..body]);
+        data[body..].copy_from_slice(&crc.to_le_bytes());
+    };
+
+    for byte in [0u8, 1, 2, 3, 4, 5, 9] {
+        let mut old = files.clone();
+        let manifest = old.get_mut(MANIFEST).expect("committed manifest");
+        let body = manifest.len() - 4;
+        assert_eq!(manifest[body - 2..body], [0, 0], "no policy and no shard section recorded");
+        manifest.splice(body - 2..body - 1, [1, byte]);
+        reseal(manifest);
+        assert_eq!(reopen(old), oracle, "policy byte {byte}");
+    }
+
+    let mut old = files.clone();
+    let mut flagged = 0;
+    for (_, data) in old.iter_mut().filter(|(name, _)| name.ends_with(".dwcs")) {
+        // Header (magic, version, id), then the relations; the mirror
+        // flag is the first byte after them.
+        let mut r = io::ByteReader::new(&data[..data.len() - 4]);
+        r.take_bytes(8 + 1 + 8).expect("snapshot header");
+        for _ in 0..r.take_u32().expect("relation count") {
+            r.take_str().expect("relation name");
+            let len = r.take_u32().expect("relation length") as usize;
+            r.take_bytes(len).expect("relation bytes");
+        }
+        let at = r.pos();
+        assert_eq!(data[at], 0, "this build writes the mirror flag as 0");
+        data[at] = 1;
+        reseal(data);
+        flagged += 1;
+    }
+    assert!(flagged >= 2, "the scenario commits several generations");
+    assert_eq!(reopen(old), oracle, "mirror flag set");
 }
 
 /// A directory an older build wrote in the key-range sharded layout —

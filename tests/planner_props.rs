@@ -1,36 +1,25 @@
-//! Maintenance-planner differential suite.
+//! One-route ingest differential.
 //!
-//! Theorem 4.1 is the planner's license to choose: every maintenance
-//! strategy must land on the bit-identical warehouse state, so the
-//! adaptive policy may pick whichever the cost model predicts cheapest
-//! without affecting correctness. These properties pin both halves:
-//!
-//! * **Convergence** — over seeded random warehouses and update
-//!   streams, every chooser-selectable strategy (each fixed pin and the
-//!   adaptive policy itself) reaches exactly the state the Theorem 4.1
-//!   oracle `W(u(d))` prescribes;
-//! * **Misprediction** — a clerk skew the square-root selectivity
-//!   heuristic cannot see makes actual touched rows blow through the
-//!   pinned `16 + 4×predicted` envelope, and the policy must say so:
-//!   `DWC-P201` fires, the decision cache flushes, and the state is
-//!   still correct;
-//! * **Accounting** — decisions are cached per size class (plans ≪
-//!   reports) and the drained diagnostics carry machine-readable
-//!   payloads.
+//! Theorem 4.1 sends every maintenance strategy to the same state, so
+//! the server makes no run-time choice: every report takes the
+//! restricted incremental pass, which falls back to whole evaluation
+//! step by step. This suite pins that the one route converges, however
+//! a stream is sliced: over seeded random warehouses and update streams
+//! on two specs, `offer_batch` one report per slice and the whole stream
+//! as one slice both reach exactly the state the Theorem 4.1 oracle
+//! `W(u(d))` prescribes, every report applies, and the slice counters
+//! say how many passes ran with no fallback.
 //!
 //! Seed-deterministic on the dwc-testkit runner; verify.sh step 12
 //! replays a pinned seed offline.
 
 use dwc_testkit::prop::Runner;
 use dwc_testkit::{tk_ensure, tk_ensure_eq};
-use dwcomplements::analyze::Code;
 use dwcomplements::relalg::gen::{self, StateGenConfig};
-use dwcomplements::relalg::{Catalog, DbState, Delta, Relation, Update, Value};
+use dwcomplements::relalg::{Catalog, DbState, Delta, Update};
 use dwcomplements::warehouse::integrator::{Integrator, IntegratorConfig};
-use dwcomplements::warehouse::planner::MaintenanceStrategy;
 use dwcomplements::warehouse::{
-    AdaptivePolicy, Envelope, IngestConfig, IngestOutcome, IngestingIntegrator, SourceId,
-    WarehouseSpec,
+    Envelope, IngestConfig, IngestOutcome, IngestingIntegrator, SourceId, WarehouseSpec,
 };
 
 /// The specs the differential runs over: the paper's Figure 1 join
@@ -80,28 +69,17 @@ fn random_stream(
     (reports, cur)
 }
 
-fn ingestor_with(
-    aug: &dwcomplements::warehouse::AugmentedWarehouse,
-    state: &DbState,
-    policy: AdaptivePolicy,
-) -> IngestingIntegrator {
-    let integ = Integrator::from_state(
-        aug.clone(),
-        state.clone(),
-        IntegratorConfig { cache_inverses: true },
-    )
-    .expect("state matches spec");
-    let mut ingest = IngestingIntegrator::new(integ, IngestConfig::default())
-        .expect("spec passes the accept gate");
-    ingest.set_policy(policy);
-    ingest
+fn ingestor(aug: &dwcomplements::warehouse::AugmentedWarehouse, state: &DbState) -> IngestingIntegrator {
+    let integ = Integrator::from_state(aug.clone(), state.clone(), IntegratorConfig)
+        .expect("state matches spec");
+    IngestingIntegrator::new(integ, IngestConfig::default()).expect("spec passes the accept gate")
 }
 
-/// Every chooser-selectable strategy — each fixed pin, the adaptive
-/// policy, and the policy-off baseline — converges bit-identically to
-/// the Theorem 4.1 oracle `W(u(d))` over random update streams.
+/// The one maintenance route converges bit-identically to the Theorem
+/// 4.1 oracle `W(u(d))` over random update streams, offered one report
+/// per slice and as one slice of the whole stream.
 #[test]
-fn every_strategy_converges_to_the_oracle() {
+fn one_route_converges_to_the_oracle_at_every_slicing() {
     Runner::new("planner_strategies_converge").cases(16).run(
         |rng| rng.next_u64(),
         |&seed| {
@@ -114,167 +92,40 @@ fn every_strategy_converges_to_the_oracle() {
                 let state0 = aug.materialize(&db0).expect("materializes");
                 let (reports, final_db) = random_stream(&catalog, &db0, seed, 5);
                 let oracle = aug.materialize(&final_db).expect("oracle materializes");
+                let envelopes: Vec<Envelope> = reports
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, report)| Envelope {
+                        source: SourceId::new("diff"),
+                        epoch: 0,
+                        seq: seq as u64,
+                        report: report.clone(),
+                    })
+                    .collect();
+                let non_empty = reports.iter().filter(|r| !r.is_empty()).count();
 
-                let mut policies: Vec<(String, AdaptivePolicy)> = vec![
-                    ("off".into(), AdaptivePolicy::off()),
-                    ("adaptive".into(), AdaptivePolicy::adaptive()),
-                ];
-                for s in MaintenanceStrategy::ALL {
-                    policies.push((format!("fixed {s}"), AdaptivePolicy::fixed(s)));
-                }
-                for (label, policy) in policies {
-                    let mut ingest = ingestor_with(&aug, &state0, policy);
-                    for (seq, report) in reports.iter().enumerate() {
-                        let outcome = ingest.offer(&Envelope {
-                            source: SourceId::new("diff"),
-                            epoch: 0,
-                            seq: seq as u64,
-                            report: report.clone(),
-                        });
-                        tk_ensure!(
-                            matches!(outcome, IngestOutcome::Applied(_)),
-                            "policy {label}: report {seq} not applied: {outcome:?}"
-                        );
+                for len in [1, envelopes.len()] {
+                    let mut ingest = ingestor(&aug, &state0);
+                    for slice in envelopes.chunks(len) {
+                        for (i, outcome) in ingest.offer_batch(slice).into_iter().enumerate() {
+                            tk_ensure!(
+                                outcome == IngestOutcome::Applied(1),
+                                "slices of {len}: report {} not applied: {outcome:?}",
+                                slice[i].seq
+                            );
+                        }
                     }
                     tk_ensure_eq!(ingest.state(), &oracle);
+                    let stats = ingest.stats();
+                    tk_ensure_eq!(stats.fallbacks, 0);
+                    if len == 1 {
+                        tk_ensure_eq!(stats.passes, non_empty);
+                    } else {
+                        tk_ensure!(stats.passes <= 1, "one slice ran {} passes", stats.passes);
+                    }
                 }
             }
             Ok(())
         },
     );
-}
-
-/// A skewed state the square-root selectivity heuristic cannot see: one
-/// hot clerk owns almost every sale but is missing from `Emp`. The
-/// planner prices the `Emp` insertion as a routine single-tuple delta;
-/// actually it joins against the hot clerk's ~1900 sales. `DWC-P201`
-/// must fire, the decision cache must flush — and the state must still
-/// be exactly right (mispredictions cost money, never correctness).
-#[test]
-fn skewed_delta_trips_the_misprediction_envelope() {
-    let mut catalog = Catalog::new();
-    catalog.add_schema("Sale", &["item", "clerk"]).expect("Sale");
-    catalog
-        .add_schema_with_key("Emp", &["clerk", "age"], &["clerk"])
-        .expect("Emp");
-    let aug = WarehouseSpec::parse(catalog.clone(), &[("Sold", "Sale join Emp")])
-        .expect("spec parses")
-        .augment()
-        .expect("spec augments");
-
-    // 1900 sales by the hot clerk (absent from Emp) + 100 spread over
-    // 100 registered clerks.
-    let mut sale_rows: Vec<Vec<Value>> = (0..1900)
-        .map(|i| vec![Value::str(&format!("hot{i}")), Value::str("Hot")])
-        .collect();
-    let mut emp_rows: Vec<Vec<Value>> = Vec::new();
-    for c in 0..100 {
-        sale_rows.push(vec![Value::str(&format!("cold{c}")), Value::str(&format!("clerk{c}"))]);
-        emp_rows.push(vec![Value::str(&format!("clerk{c}")), Value::from(20 + (c % 40) as i64)]);
-    }
-    let mut db = DbState::new();
-    db.insert_relation(
-        "Sale",
-        Relation::from_rows(&["item", "clerk"], sale_rows).expect("rows well-formed"),
-    );
-    db.insert_relation(
-        "Emp",
-        Relation::from_rows(&["clerk", "age"], emp_rows).expect("rows well-formed"),
-    );
-    let state0 = aug.materialize(&db).expect("materializes");
-    let mut ingest = ingestor_with(&aug, &state0, AdaptivePolicy::adaptive());
-
-    // The skew-triggering report: registering the hot clerk.
-    let report = Update::inserting(
-        "Emp",
-        Relation::from_rows(&["clerk", "age"], vec![vec![Value::str("Hot"), Value::from(33i64)]])
-            .expect("row well-formed"),
-    );
-    let outcome = ingest.offer(&Envelope {
-        source: SourceId::new("hr"),
-        epoch: 0,
-        seq: 0,
-        report: report.clone(),
-    });
-    assert!(matches!(outcome, IngestOutcome::Applied(1)), "{outcome:?}");
-
-    let stats = ingest.policy().stats();
-    assert_eq!(stats.decisions, 1);
-    assert_eq!(stats.mispredictions, 1, "skew must trip the envelope");
-    let log = ingest.policy_mut().take_diagnostics();
-    assert!(log.has_code(Code::P201Misprediction), "{log}");
-    assert!(log.has_code(Code::P101StrategyChosen), "{log}");
-    let json = log.to_json_lines();
-    assert!(json.contains(r#""code":"DWC-P201""#), "{json}");
-    assert!(json.contains(r#""data":{"#), "{json}");
-
-    // Misprediction is a cost event, not a correctness event.
-    let final_db = report.apply(&db).expect("applies");
-    let oracle = aug.materialize(&final_db).expect("oracle");
-    assert_eq!(ingest.state(), &oracle);
-}
-
-/// Steady streams re-plan only on size-class crossings, and the drained
-/// log carries the machine-readable P101 payload.
-#[test]
-fn decisions_are_cached_per_size_class() {
-    let mut catalog = Catalog::new();
-    catalog.add_schema("Sale", &["item", "clerk"]).expect("Sale");
-    catalog
-        .add_schema_with_key("Emp", &["clerk", "age"], &["clerk"])
-        .expect("Emp");
-    let aug = WarehouseSpec::parse(catalog.clone(), &[("Sold", "Sale join Emp")])
-        .expect("spec parses")
-        .augment()
-        .expect("spec augments");
-    let clerks = ["John", "Paula"];
-    let rows: Vec<Vec<Value>> = (0..600)
-        .map(|i| vec![Value::str(&format!("sku{i}")), Value::str(clerks[i % 2])])
-        .collect();
-    let mut db = DbState::new();
-    db.insert_relation(
-        "Sale",
-        Relation::from_rows(&["item", "clerk"], rows).expect("rows"),
-    );
-    db.insert_relation(
-        "Emp",
-        Relation::from_rows(
-            &["clerk", "age"],
-            vec![
-                vec![Value::str("John"), Value::from(25i64)],
-                vec![Value::str("Paula"), Value::from(32i64)],
-            ],
-        )
-        .expect("rows"),
-    );
-    let state0 = aug.materialize(&db).expect("materializes");
-    let mut ingest = ingestor_with(&aug, &state0, AdaptivePolicy::adaptive());
-
-    for seq in 0..40u64 {
-        let report = Update::inserting(
-            "Sale",
-            Relation::from_rows(
-                &["item", "clerk"],
-                vec![vec![Value::str(&format!("new{seq}")), Value::str("John")]],
-            )
-            .expect("row"),
-        );
-        let outcome = ingest.offer(&Envelope {
-            source: SourceId::new("pos"),
-            epoch: 0,
-            seq,
-            report,
-        });
-        assert!(matches!(outcome, IngestOutcome::Applied(1)), "{outcome:?}");
-    }
-    let stats = ingest.policy().stats();
-    assert_eq!(stats.decisions, 40);
-    assert!(
-        stats.plans <= 3,
-        "steady single-tuple stream must hit the decision cache: {stats:?}"
-    );
-    assert_eq!(stats.mispredictions, 0);
-    let json = ingest.policy_mut().take_diagnostics().to_json_lines();
-    assert!(json.contains(r#""code":"DWC-P101""#), "{json}");
-    assert!(json.contains(r#""data":{"chosen":"#), "{json}");
 }

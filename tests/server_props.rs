@@ -323,8 +323,8 @@ fn run_server(
     let counted = core.warehouse().ingestor().integrator_stats();
     tk_ensure_eq!(counted.updates_processed, reported);
     tk_ensure_eq!(counted.delta_tuples, reported_tuples);
-    let passes = core.warehouse().ingestor().policy().stats();
-    tk_ensure!(passes.passes <= stats.batches_committed, "more passes than batches");
+    let passes = core.warehouse().ingestor().stats();
+    tk_ensure!(passes.passes as u64 <= stats.batches_committed, "more passes than batches");
     tk_ensure_eq!(passes.fallbacks, 0);
 
     let fp = fingerprint(core.warehouse().ingestor());
@@ -620,9 +620,9 @@ fn max_wait_deadline_is_oldest_based_and_releases_on_tick() {
 /// An envelope whose own report applied is acked `applied`, even when a
 /// parked successor it drained then fails: the successor is quarantined
 /// under its own sequence number, and the source is not told to
-/// retransmit a report that is durable. (Paranoid mode applies through
-/// `Update::apply`, which reports the header mismatch `Update::with`
-/// recorded on the successor — the one defect validation lets through.)
+/// retransmit a report that is durable. (The successor is well-formed:
+/// it inserts into `T`, whose stored complement `C_T` was tampered to a
+/// wrong header, while an `R` report's pass never reads `C_T`.)
 #[test]
 fn applied_envelope_acks_applied_when_a_parked_successor_fails() {
     let init: ChainRows = (vec![vec![1, 10]], vec![vec![10, 100]], vec![]);
@@ -633,13 +633,13 @@ fn applied_envelope_acks_applied_when_a_parked_successor_fails() {
         &[(vec![vec![2, 20]], vec![]), (vec![vec![3, 30]], vec![])],
     );
     let mut successor = envs[1].clone();
-    successor.report = successor
-        .report
-        .with("R", Delta::insert_only(relation_from(&["other"], &[vec![1]])));
+    successor.report = Update::inserting("T", relation_from(&["c"], &[vec![300]]));
 
-    let site = SourceSite::new(chain_catalog(), chain_state(&init)).expect("site");
-    let integ = Integrator::initial_load(fresh_aug(), &site).expect("initial load");
-    let ingest = IngestingIntegrator::new(integ, IngestConfig::paranoid()).expect("ingestor");
+    let mut ingest = fresh_ingest(&init);
+    let mut tampered = ingest.state().clone();
+    assert!(tampered.relation("C_T".into()).is_ok(), "T is stored as its complement");
+    tampered.insert_relation("C_T", relation_from(&["zzz"], &[]));
+    ingest.integrator_mut().force_state(tampered);
     let fs = SimDisk::default();
     let dw = DurableWarehouse::create(DiskMedium(fs), ingest, server_config()).expect("create");
     let mut core = ServerCore::new(dw, BatchPolicy { max_batch: 1, max_wait_micros: 200 });

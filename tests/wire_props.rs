@@ -21,6 +21,8 @@
 //!   the fresh reply of the epoch in its header, never older than what
 //!   was acked before the query was sent, and no connection ever sees
 //!   its epoch go backwards.
+//! * The `stats` contract: the reply carries every key the wire-to-ack
+//!   load generator parses from it, split the way it splits.
 
 use dwc_testkit::rng::SplitMix64;
 use dwc_testkit::sched::sched_seeds;
@@ -162,7 +164,7 @@ fn client_over_customers(rows: usize) -> QueryClient {
     let mut base = DbState::empty_for(aug.catalog());
     base.insert_relation("Customer", customers(rows));
     let state = aug.materialize(&base).expect("W(base)");
-    let integ = Integrator::from_state(aug, state, IntegratorConfig::default()).expect("integrator");
+    let integ = Integrator::from_state(aug, state, IntegratorConfig).expect("integrator");
     let ingest = IngestingIntegrator::new(integ, IngestConfig::default()).expect("ingestor");
     let dir = format!("{}/wire_props-customers", env!("CARGO_TARGET_TMPDIR"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -649,4 +651,39 @@ fn memo_schedule(seed: u64, oracle: &AugmentedWarehouse) {
         client.send("quit");
         assert_eq!(client.read(), None);
     }
+}
+
+/// The keys `benchmark/src/trace.rs::stats_metrics` reads from the
+/// `stats` reply on every run, splitting it on spaces and commas and
+/// stripping each key as a prefix. A reply missing one fails that run.
+const LOAD_GENERATOR_KEYS: [&str; 5] =
+    ["acks=", "batches=", "wal_syncs=", "planner=plans:", "mispredict:"];
+
+#[test]
+fn the_stats_reply_carries_every_key_the_load_generator_parses() {
+    let _one_at_a_time = exclusive();
+    let mut client = Client::connect();
+    let grant = client.call("hello stats-probe");
+    let fields: Vec<&str> = grant.split(' ').collect();
+    let ["session", _, epoch, seq] = fields[..] else {
+        panic!("not a grant: `{grant}`");
+    };
+    let report = format!(
+        "report {epoch} {seq} insert Customer (custkey=900001, cname='probe', cnation='FRANCE')"
+    );
+    assert_eq!(client.call(&report), format!("ack {epoch} {seq} applied 1"));
+    let stats = client.call("stats");
+    let field = |key: &str| -> f64 {
+        stats
+            .split([' ', ','])
+            .find_map(|kv| kv.strip_prefix(key))
+            .and_then(|v| v.parse::<f64>().ok())
+            .unwrap_or_else(|| panic!("`stats` reply has no `{key}`: {stats}"))
+    };
+    let [acks, batches, wal_syncs, plans, mispredict] = LOAD_GENERATOR_KEYS.map(field);
+    assert!(acks >= 1.0 && batches >= 1.0 && wal_syncs >= 1.0, "{stats}");
+    assert!(plans >= 1.0, "a report was maintained, so a plan was compiled: {stats}");
+    assert_eq!(mispredict, 0.0, "there is no planner left to mispredict: {stats}");
+    client.send("quit");
+    assert_eq!(client.read(), None);
 }
