@@ -16,7 +16,7 @@
 use dwc_relalg::{Catalog, DbState, Relation, Tuple, Update, Value};
 use dwc_bench::DiskMedium;
 use dwc_testkit::sched::VirtualClock;
-use dwc_testkit::{Bench, MediumPlan, SimDisk};
+use dwc_testkit::{MediumPlan, SimDisk};
 use dwc_warehouse::channel::{Envelope, SequencedSource, SourceId};
 use dwc_warehouse::ingest::{IngestConfig, IngestingIntegrator};
 use dwc_warehouse::integrator::{Integrator, SourceSite};
@@ -149,6 +149,7 @@ fn run_once(plan: MediumPlan, max_batch: usize) -> (usize, u64, u64) {
 }
 
 fn main() {
+    let (nproc, commit) = dwc_bench::host_stamp();
     // --- wall clock at increasing transient-error rates ---
     for &permille in &[0u16, 50, 200] {
         let plan = MediumPlan {
@@ -161,7 +162,7 @@ fn main() {
         let (acks, injected, _) = run_once(plan.clone(), 16);
         assert_eq!(acks, ENVELOPES, "degraded mode must not lose envelopes");
 
-        let group = Bench::new("faults")
+        let group = dwc_bench::stamped("faults")
             .field_num("error_permille", u64::from(permille))
             .field_num("envelopes_per_iter", ENVELOPES as u64)
             .field_num("injected_per_run", injected);
@@ -171,11 +172,11 @@ fn main() {
         let acks_per_sec =
             (ENVELOPES as u128 * 1_000_000_000 / u128::from(stats.median_ns.max(1))) as u64;
         println!(
-            "{{\"group\":\"faults\",\"bench\":\"acks-per-sec/transient-{permille}permille\",\"acks_per_sec\":{acks_per_sec},\"error_permille\":{permille},\"injected_per_run\":{injected}}}"
+            "{{\"group\":\"faults\",\"bench\":\"acks-per-sec/transient-{permille}permille\",\"acks_per_sec\":{acks_per_sec},\"error_permille\":{permille},\"injected_per_run\":{injected},\"nproc\":{nproc},\"commit\":\"{commit}\"}}"
         );
         // The completeness claim: every envelope acked despite faults.
         println!(
-            "{{\"group\":\"faults\",\"bench\":\"claim/complete-at-{permille}permille\",\"acked_x100\":{},\"threshold_x100\":100}}",
+            "{{\"group\":\"faults\",\"bench\":\"claim/complete-at-{permille}permille\",\"acked_x100\":{},\"threshold_x100\":100,\"nproc\":{nproc},\"commit\":\"{commit}\"}}",
             acks * 100 / ENVELOPES
         );
     }
@@ -203,11 +204,11 @@ fn main() {
         let modeled_rate = ENVELOPES as u64 * 1_000_000 / serve_micros;
         modeled.insert(max_batch, modeled_rate);
         println!(
-            "{{\"group\":\"faults\",\"bench\":\"fsync-stall/batch{max_batch}\",\"stall_micros\":{STALL_MICROS},\"commits\":{commits},\"modeled_commit_latency_micros\":{latency_per_commit},\"modeled_acks_per_sec\":{modeled_rate},\"max_batch\":{max_batch}}}"
+            "{{\"group\":\"faults\",\"bench\":\"fsync-stall/batch{max_batch}\",\"stall_micros\":{STALL_MICROS},\"commits\":{commits},\"modeled_commit_latency_micros\":{latency_per_commit},\"modeled_acks_per_sec\":{modeled_rate},\"max_batch\":{max_batch},\"nproc\":{nproc},\"commit\":\"{commit}\"}}"
         );
     }
     let amortized_x100 = modeled[&16] * 100 / modeled[&1].max(1);
     println!(
-        "{{\"group\":\"faults\",\"bench\":\"claim/batch16-amortizes-stalls\",\"modeled_speedup_x100\":{amortized_x100},\"threshold_x100\":500}}"
+        "{{\"group\":\"faults\",\"bench\":\"claim/batch16-amortizes-stalls\",\"modeled_speedup_x100\":{amortized_x100},\"threshold_x100\":500,\"nproc\":{nproc},\"commit\":\"{commit}\"}}"
     );
 }

@@ -17,7 +17,7 @@
 
 use crate::error::Result;
 use crate::psj::NamedView;
-use dwc_relalg::eval::{eval_cached, EvalCache};
+use dwc_relalg::eval::eval_all;
 use dwc_relalg::expr::HeaderResolver;
 use dwc_relalg::{AttrSet, Catalog, DbState, RaExpr, RelName};
 use std::collections::BTreeMap;
@@ -87,24 +87,9 @@ impl Complement {
 
     /// Materializes the complement views against a base state: one
     /// expression over `db` per `C_i` (Proposition 2.2: one difference
-    /// per base relation).
+    /// per base relation), all in one pass.
     pub fn materialize(&self, db: &DbState) -> Result<DbState> {
-        self.materialize_cached(db, &EvalCache::new())
-    }
-
-    /// [`Complement::materialize`] sharing an evaluation cache: the `C_i`
-    /// definitions embed the view expressions (Equations (1)/(3) subtract
-    /// projections of the views), so a cache primed with the views — or
-    /// shared between the `C_i` themselves — evaluates each repeated
-    /// subtree once.
-    pub fn materialize_cached(&self, db: &DbState, cache: &EvalCache) -> Result<DbState> {
-        let mut out = DbState::new();
-        for e in &self.entries {
-            let rel = eval_cached(&e.definition, db, cache)
-                .map_err(crate::error::CoreError::from)?;
-            out.insert_shared(e.name, rel);
-        }
-        Ok(out)
+        Ok(eval_all(self.entries.iter().map(|e| (e.name, &e.definition)), db)?)
     }
 
     /// Total number of tuples the complement stores on `db` — the
@@ -113,29 +98,14 @@ impl Complement {
         Ok(self.materialize(db)?.total_tuples())
     }
 
-    /// Materializes the full warehouse state `W(d) = (V(d), C(d))`.
+    /// Materializes the full warehouse state `W(d) = (V(d), C(d))` in
+    /// one pass: the complement definitions embed the view expressions
+    /// (Equations (1)/(3) subtract projections of the views), so each
+    /// shared subtree evaluates once.
     pub fn warehouse_state(&self, views: &[NamedView], db: &DbState) -> Result<DbState> {
-        self.warehouse_state_cached(views, db, &EvalCache::new())
-    }
-
-    /// [`Complement::warehouse_state`] sharing an evaluation cache. The
-    /// views evaluate first so the complement definitions — which embed
-    /// the view expressions — find those subtrees already cached.
-    pub fn warehouse_state_cached(
-        &self,
-        views: &[NamedView],
-        db: &DbState,
-        cache: &EvalCache,
-    ) -> Result<DbState> {
-        let evaluated = views
-            .iter()
-            .map(|v| eval_cached(&v.to_expr(), db, cache).map_err(crate::error::CoreError::from))
-            .collect::<Result<Vec<_>>>()?;
-        let mut w = self.materialize_cached(db, cache)?;
-        for (v, rel) in views.iter().zip(evaluated) {
-            w.insert_shared(v.name(), rel);
-        }
-        Ok(w)
+        let views = views.iter().map(|v| (v.name(), v.to_expr()));
+        let entries = self.entries.iter().map(|e| (e.name, e.definition.clone()));
+        Ok(eval_all(views.chain(entries), db)?)
     }
 
     /// Verifies the complement property (Definition 2.2) on one state:

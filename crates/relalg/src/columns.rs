@@ -40,7 +40,7 @@
 //! store ([`splice`]) whose cache holds every old index patched to the
 //! new row ids — so a stale index is unreachable, and probes into a
 //! relation maintained one report at a time never rebuild an index.
-//! Sharing the `Arc` — epoch snapshot readers, the eval cache, the
+//! Sharing the `Arc` — epoch snapshot readers, a pass memo, the
 //! database map — shares the warm index.
 
 use crate::value::Value;

@@ -1,329 +1,213 @@
-//! Expression evaluation.
+//! Expression evaluation: one evaluator for queries, materialization,
+//! reconstruction and maintenance.
 //!
-//! A straightforward but non-naive evaluator: joins are hash joins keyed
-//! on the common attributes (building on the smaller input, probing with
-//! a reused borrowed-value scratch key), selections compile their
-//! predicate once, projections precompute positional mappings. Set
-//! semantics fall out of [`Relation`]'s ordered-set storage.
+//! Every evaluation compiles its expressions with a [`PassCompiler`] into
+//! hash-consed [`PassExpr`] trees and runs them through a [`Pass`].
+//! Compilation type-checks each node against its operands' headers (the
+//! checks of [`RaExpr::attrs`]), compiles every σ's predicate once into
+//! its node, and decides per node whether it is *delta-sized*. Equal
+//! subtrees of every expression one compiler compiles are one node.
 //!
-//! ## One thread
+//! A pass evaluates a node *whole* (its exact value) or *restricted* to a
+//! set of keys. Operators are non-naive: joins probe the larger side's
+//! cached key index with the smaller side's codes, projections
+//! precompute positional mappings, and set semantics fall out of
+//! [`Relation`]'s ordered-set storage. A join, difference or
+//! intersection with a delta-sized operand evaluates that operand first,
+//! stops if it is empty, and evaluates the other operand only restricted
+//! to the keys it produced — pushed through σ/π/ρ/∪/∖/∩/⋈ and through
+//! named expansions (the warehouse's inverse expressions) down to
+//! key-index probes of stored relations. A compiler that marks no leaf
+//! delta-sized — [`eval`], [`eval_all`] — yields plain memoized whole
+//! evaluation; maintenance marks the reported `@ins`/`@del` deltas.
 //!
-//! Evaluation runs on the calling thread, children left to right, so
-//! the leftmost error is the one reported. The memo cache
-//! ([`EvalCache`]) is keyed by `Arc<RaExpr>` plus a structural hash.
-//! [`eval_cached`] hashes the whole tree once, bottom-up (each node's
-//! hash is folded from its children's), so a lookup or an insert never
-//! re-hashes a subtree; a hit on a different allocation of an equal
-//! expression still compares the two trees. (DESIGN.md, "Evaluation is
-//! serial, and why", has the measurements that retired the fork–join
-//! layer.)
+//! The memo lives as long as its [`Pass`]. It keeps the whole result of
+//! every node the pass may meet more than once — a shared node, or a
+//! delta-sized one, which restrictions evaluate whole — keyed by the
+//! node, which the memo holds so that no other node can take its
+//! address. A pass is only valid for the environment it
+//! borrows plus what it [binds](Pass::bind) while it runs; [`eval`]
+//! and [`eval_all`] make one per call.
 //!
-//! ## Maintenance passes
-//!
-//! [`PassCompiler`] compiles a maintenance plan's expressions once into
-//! hash-consed [`PassExpr`] trees that know, per node, their header and
-//! whether they are *delta-sized* (built from the reported `@ins`/`@del`
-//! relations). A [`Pass`] evaluates them so that the work is
-//! proportional to the delta: a join, difference or intersection with a
-//! delta-sized operand evaluates that operand first and evaluates the
-//! other one only *restricted* to the keys it produced — the restriction
-//! is pushed through σ/π/ρ/∪/∖/∩/⋈ and through named expansions (the
-//! warehouse's inverse expressions) down to key-index probes of stored
-//! relations. Everything else is evaluated whole, exactly as
-//! [`eval_cached`] would.
+//! Evaluation runs on the calling thread, children left to right, and
+//! every type error surfaces at compile time, so the leftmost error is
+//! the one reported whatever a short-circuit skips. (DESIGN.md,
+//! "Evaluation is serial, and why", has the measurements that retired
+//! the fork–join layer.)
 
 use crate::attrs::AttrSet;
 use crate::columns::{self, Code, Columns, KeyIndex};
 use crate::database::DbState;
 use crate::error::{RelalgError, Result};
 use crate::expr::{rename_header, HeaderResolver, RaExpr};
-use crate::predicate::Predicate;
+use crate::predicate::CompiledPred;
 use crate::relation::Relation;
 use crate::symbol::{Attr, RelName};
 use crate::tuple::ColSource;
-use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// A node's structural hash, from its variant, its own fields and its
-/// children's hashes. SipHash with fixed keys
-/// ([`DefaultHasher::new`]), so equal expressions hash equally in every
-/// process, independent of any `RandomState`.
-fn node_hash(e: &RaExpr, children: &[u64]) -> u64 {
-    let mut h = DefaultHasher::new();
-    std::mem::discriminant(e).hash(&mut h);
-    match e {
-        RaExpr::Base(name) => name.hash(&mut h),
-        RaExpr::Empty(attrs) | RaExpr::Project(_, attrs) => attrs.hash(&mut h),
-        RaExpr::Select(_, pred) => pred.hash(&mut h),
-        RaExpr::Rename(_, pairs) => pairs.hash(&mut h),
-        RaExpr::Join(..) | RaExpr::Union(..) | RaExpr::Diff(..) | RaExpr::Intersect(..) => {}
-    }
-    for &c in children {
-        h.write_u64(c);
-    }
-    h.finish()
-}
-
-/// The children of a node, left to right.
-fn children(e: &RaExpr) -> [Option<&Arc<RaExpr>>; 2] {
-    match e {
-        RaExpr::Base(_) | RaExpr::Empty(_) => [None, None],
-        RaExpr::Select(i, _) | RaExpr::Project(i, _) | RaExpr::Rename(i, _) => [Some(i), None],
-        RaExpr::Join(l, r) | RaExpr::Union(l, r) | RaExpr::Diff(l, r) | RaExpr::Intersect(l, r) => {
-            [Some(l), Some(r)]
-        }
-    }
-}
-
-/// Appends the structural hash and subtree size of every node of `e` in
-/// pre-order, computing each hash from its children's: one walk, each
-/// node hashed once. Returns the hash of `e`.
-fn hash_tree(e: &RaExpr, out: &mut Vec<(u64, usize)>) -> u64 {
-    let slot = out.len();
-    out.push((0, 0));
-    let mut kids = [0u64; 2];
-    let mut n = 0;
-    for child in children(e).into_iter().flatten() {
-        kids[n] = hash_tree(child, out);
-        n += 1;
-    }
-    let hash = node_hash(e, &kids[..n]);
-    out[slot] = (hash, out.len() - slot);
-    hash
-}
-
-/// A memo-cache key: a shared expression handle plus its structural
-/// hash. Hashing writes the stored hash (no tree walk), and equality
-/// fast-paths on pointer identity — substitution shares untouched
-/// subtrees, so repeated subexpressions usually *are* the same
-/// allocation.
-struct CacheKey {
-    hash: u64,
-    expr: Arc<RaExpr>,
-}
-
-impl Hash for CacheKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-impl PartialEq for CacheKey {
-    fn eq(&self, other: &CacheKey) -> bool {
-        self.hash == other.hash
-            && (Arc::ptr_eq(&self.expr, &other.expr) || self.expr == other.expr)
-    }
-}
-
-impl Eq for CacheKey {}
-
-/// A memoization cache for [`eval_cached`]. Entries are keyed by shared
-/// expression handles with their structural hashes, so a hit or an
-/// insert never clones an expression tree.
-///
-/// The cache is only valid for the database state it was filled against;
-/// callers create one per evaluation batch, on one thread (the `RefCell`
-/// makes the type `!Sync`).
-#[derive(Default)]
-pub struct EvalCache {
-    map: RefCell<HashMap<CacheKey, Arc<Relation>>>,
-}
-
-impl EvalCache {
-    /// An empty cache.
-    pub fn new() -> EvalCache {
-        EvalCache::default()
-    }
-
-    fn get(&self, hash: u64, expr: &Arc<RaExpr>) -> Option<Arc<Relation>> {
-        let key = CacheKey { hash, expr: Arc::clone(expr) };
-        self.map.borrow().get(&key).cloned()
-    }
-
-    fn insert(&self, hash: u64, expr: &Arc<RaExpr>, rel: Arc<Relation>) {
-        let key = CacheKey { hash, expr: Arc::clone(expr) };
-        self.map.borrow_mut().insert(key, rel);
-    }
-
-    /// Number of memoized subexpressions.
-    pub fn len(&self) -> usize {
-        self.map.borrow().len()
-    }
-
-    /// True iff nothing has been memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether a structurally equal expression has been memoized (test
-    /// and diagnostics helper).
-    pub fn contains(&self, expr: &RaExpr) -> bool {
-        let hash = hash_tree(expr, &mut Vec::new());
-        self.map.borrow().keys().any(|k| k.hash == hash && *k.expr == *expr)
-    }
-}
 
 /// Evaluates `expr` against `db`, producing a fresh relation.
 pub fn eval(expr: &RaExpr, db: &DbState) -> Result<Relation> {
-    let arc = eval_arc(expr, db)?;
-    Ok(Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()))
+    let compiled = PassCompiler::new(db, &no_leaf).compile(expr)?;
+    let mut pass = Pass::new(db, true);
+    let rel = pass.eval(&compiled)?;
+    drop(pass);
+    Ok(Arc::unwrap_or_clone(rel))
 }
 
-/// Evaluation producing a shareable handle; base references are returned
-/// without copying their tuples.
-pub fn eval_arc(expr: &RaExpr, db: &DbState) -> Result<Arc<Relation>> {
-    // Children are Arc-shared, so this clone is a shallow spine copy.
-    eval_rec(&Arc::new(expr.clone()), db, None, 0)
-}
-
-/// Memoizing evaluation: identical subexpressions are evaluated once per
-/// cache lifetime. Reconstruction and materialization share one cache
-/// across every definition of a warehouse, whose inverse subtrees
-/// repeat; the cache must not outlive the database state it was filled
-/// against.
-pub fn eval_cached(expr: &RaExpr, db: &DbState, cache: &EvalCache) -> Result<Arc<Relation>> {
-    let mut hashes = Vec::new();
-    hash_tree(expr, &mut hashes);
-    eval_rec(&Arc::new(expr.clone()), db, Some((cache, &hashes)), 0)
-}
-
-/// The recursive core shared by [`eval_arc`] and [`eval_cached`]:
-/// consults/fills the optional cache around a left-to-right walk. With a
-/// cache, `hashes` holds [`hash_tree`]'s pre-order table and `at` is
-/// this node's slot in it.
-fn eval_rec(
-    expr: &Arc<RaExpr>,
+/// Evaluates named expressions against `db` with one compiler and one
+/// memoized pass, so a subexpression shared by several of them (or
+/// repeated within one) is evaluated once, into a state holding each
+/// result under its name. The error is that of the first expression, in
+/// order, that does not type-check.
+pub fn eval_all<N: Borrow<RelName>, E: Borrow<RaExpr>>(
+    named: impl IntoIterator<Item = (N, E)>,
     db: &DbState,
-    cache: Option<(&EvalCache, &[(u64, usize)])>,
-    at: usize,
-) -> Result<Arc<Relation>> {
-    let hash = cache.map(|(c, hashes)| (c, hashes[at].0));
-    if let Some((c, h)) = hash {
-        if let Some(hit) = c.get(h, expr) {
-            return Ok(hit);
-        }
+) -> Result<DbState> {
+    let mut compiler = PassCompiler::new(db, &no_leaf);
+    let compiled = named
+        .into_iter()
+        .map(|(name, e)| Ok((*name.borrow(), compiler.compile(e.borrow())?)))
+        .collect::<Result<Vec<_>>>()?;
+    let mut pass = Pass::new(db, true);
+    let mut out = DbState::new();
+    for (name, e) in &compiled {
+        out.insert_shared(*name, pass.eval(e)?);
     }
-    // Slots of the children: the first follows this node, the second
-    // follows the first child's subtree.
-    let left = at + 1;
-    let right = match (cache, children(expr)) {
-        (Some((_, hashes)), [Some(_), Some(_)]) => left + hashes[left].1,
-        _ => 0,
-    };
-    let result: Arc<Relation> = match expr.as_ref() {
-        RaExpr::Base(name) => db.relation_shared(*name)?,
-        RaExpr::Empty(attrs) => Arc::new(Relation::empty(attrs.clone())),
-        RaExpr::Select(input, pred) => {
-            let rel = eval_rec(input, db, cache, left)?;
-            let compiled = pred.compile(rel.attrs())?;
-            Arc::new(rel.select_compiled(&compiled))
-        }
-        RaExpr::Project(input, wanted) => {
-            Arc::new(eval_rec(input, db, cache, left)?.project(wanted)?)
-        }
-        RaExpr::Join(l, r) => {
-            let (l, r) = (eval_rec(l, db, cache, left)?, eval_rec(r, db, cache, right)?);
-            Arc::new(natural_join(&l, &r)?)
-        }
-        RaExpr::Union(l, r) => {
-            let (l, r) = (eval_rec(l, db, cache, left)?, eval_rec(r, db, cache, right)?);
-            Arc::new(l.union(&r)?)
-        }
-        RaExpr::Diff(l, r) => {
-            let (l, r) = (eval_rec(l, db, cache, left)?, eval_rec(r, db, cache, right)?);
-            Arc::new(l.difference(&r)?)
-        }
-        RaExpr::Intersect(l, r) => {
-            let (l, r) = (eval_rec(l, db, cache, left)?, eval_rec(r, db, cache, right)?);
-            Arc::new(l.intersect(&r)?)
-        }
-        RaExpr::Rename(input, pairs) => {
-            let rel = eval_rec(input, db, cache, left)?;
-            Arc::new(rename_relation(&rel, pairs)?)
-        }
-    };
-    if let Some((c, h)) = hash {
-        c.insert(h, expr, Arc::clone(&result));
-    }
-    Ok(result)
+    Ok(out)
 }
 
-/// One node of a compiled maintenance expression ([`PassExpr`]).
+/// Marks no leaf delta-sized: whole evaluation.
+fn no_leaf(_: RelName) -> bool {
+    false
+}
+
+/// The multiply-rotate hash rustc uses internally, for maps keyed by what
+/// the program makes — node addresses, interned names — and for a node's
+/// content hash. Input can make content hashes collide, which only costs
+/// consing; the consing table itself keeps the default hasher.
+#[derive(Default)]
+struct Fx(u64);
+
+impl Hasher for Fx {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves an aligned address's low bits zero, and a
+        // table picks its bucket from the low bits.
+        self.0.rotate_left(26)
+    }
+}
+
+type FxBuild = BuildHasherDefault<Fx>;
+
+/// One node of a compiled expression ([`PassExpr`]).
 #[derive(Debug)]
 struct PassNode {
-    /// Structural hash (from the children's hashes; used for
-    /// hash-consing at compile time).
-    hash: u64,
-    /// The node's output header.
-    attrs: AttrSet,
+    /// The output header of an operator that defines one; empty for σ,
+    /// ∪, ∖ and ∩, which keep their left input's ([`PassNode::attrs`]).
+    header: AttrSet,
     /// Delta-sized: built from the reported deltas, so evaluating it
     /// whole costs `O(|Δ| · fan-out)` (see [`PassCompiler`]).
     small: bool,
+    /// Reached from more than one place in what its compiler compiled;
+    /// set when consing (or an expansion) finds the node again. A hint
+    /// that publishes no other data (`Relaxed`): a stale read costs one
+    /// re-evaluation, never a wrong result.
+    shared: AtomicBool,
     op: PassOp,
 }
 
-#[derive(Debug)]
+impl PassNode {
+    /// The node's output header.
+    fn attrs(&self) -> &AttrSet {
+        match &self.op {
+            PassOp::Select(i, _)
+            | PassOp::Union(i, _)
+            | PassOp::Diff(i, _)
+            | PassOp::Intersect(i, _) => i.attrs(),
+            _ => &self.header,
+        }
+    }
+}
+
+/// A compiled subtree. Children are consed, so equal subtrees are one
+/// allocation: a `Node` compares and hashes by address.
+#[derive(Clone, Debug)]
+struct Node(Arc<PassNode>);
+
+impl Node {
+    /// Whether a pass may meet the node's whole value more than once:
+    /// it is shared, or delta-sized — the one kind of node a restriction
+    /// evaluates whole, once per restricted ancestor.
+    fn memoized(&self) -> bool {
+        self.small || self.shared.load(Ordering::Relaxed)
+    }
+
+    fn share(&self) -> Node {
+        self.shared.store(true, Ordering::Relaxed);
+        self.clone()
+    }
+}
+
+impl std::ops::Deref for Node {
+    type Target = PassNode;
+
+    fn deref(&self) -> &PassNode {
+        &self.0
+    }
+}
+
+impl PartialEq for Node {
+    fn eq(&self, other: &Node) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for Node {}
+
+impl Hash for Node {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(Arc::as_ptr(&self.0) as usize);
+    }
+}
+
+#[derive(Debug, PartialEq, Eq, Hash)]
 enum PassOp {
     Rel(RelName),
     Empty,
-    Select(Arc<PassNode>, Predicate),
-    Project(Arc<PassNode>),
-    Rename(Arc<PassNode>, Vec<(Attr, Attr)>),
-    Join(Arc<PassNode>, Arc<PassNode>),
-    Union(Arc<PassNode>, Arc<PassNode>),
-    Diff(Arc<PassNode>, Arc<PassNode>),
-    Intersect(Arc<PassNode>, Arc<PassNode>),
+    /// The predicate compiled over the input's header.
+    Select(Node, CompiledPred),
+    Project(Node),
+    Rename(Node, Vec<(Attr, Attr)>),
+    Join(Node, Node),
+    Union(Node, Node),
+    Diff(Node, Node),
+    Intersect(Node, Node),
 }
 
-impl PassOp {
-    fn kids(&self) -> [Option<&Arc<PassNode>>; 2] {
-        match self {
-            PassOp::Rel(_) | PassOp::Empty => [None, None],
-            PassOp::Select(i, _) | PassOp::Project(i) | PassOp::Rename(i, _) => [Some(i), None],
-            PassOp::Join(l, r) | PassOp::Union(l, r) | PassOp::Diff(l, r) | PassOp::Intersect(l, r) => {
-                [Some(l), Some(r)]
-            }
-        }
-    }
-
-    /// Equality for hash-consing: children are already consed, so equal
-    /// subtrees are the same allocation and compare by pointer.
-    fn same(&self, other: &PassOp) -> bool {
-        let kids_same = self
-            .kids()
-            .iter()
-            .zip(other.kids().iter())
-            .all(|(a, b)| match (a, b) {
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                (None, None) => true,
-                _ => false,
-            });
-        kids_same
-            && match (self, other) {
-                (PassOp::Rel(a), PassOp::Rel(b)) => a == b,
-                (PassOp::Empty, PassOp::Empty)
-                | (PassOp::Project(_), PassOp::Project(_))
-                | (PassOp::Join(..), PassOp::Join(..))
-                | (PassOp::Union(..), PassOp::Union(..))
-                | (PassOp::Diff(..), PassOp::Diff(..))
-                | (PassOp::Intersect(..), PassOp::Intersect(..)) => true,
-                (PassOp::Select(_, a), PassOp::Select(_, b)) => a == b,
-                (PassOp::Rename(_, a), PassOp::Rename(_, b)) => a == b,
-                _ => false,
-            }
-    }
-}
-
-/// A maintenance expression compiled by a [`PassCompiler`]: hash-consed
-/// (equal subtrees of every expression compiled by one compiler are one
-/// allocation, so a [`Pass`] evaluates each once), with headers and
-/// delta-sizedness decided per node.
+/// An expression compiled by a [`PassCompiler`]: hash-consed (equal
+/// subtrees of every expression compiled by one compiler are one
+/// allocation, so a [`Pass`] evaluates each once), type-checked, with
+/// headers and delta-sizedness decided per node.
 #[derive(Clone, Debug)]
 pub struct PassExpr {
-    root: Arc<PassNode>,
+    root: Node,
 }
 
 impl PassExpr {
@@ -337,9 +221,15 @@ impl PassExpr {
 
 /// Compiles expressions into [`PassExpr`]s. The caller names the
 /// *delta-sized* relations (the reported `@ins`/`@del` deltas and
-/// relations known to be empty) and may *expand* names into
-/// expressions (the warehouse's `R@inv ↦ W⁻¹(R)`), which a pass then
-/// evaluates — whole or restricted — in place of an environment lookup.
+/// relations known to be empty; none, for plain evaluation) and may
+/// *expand* names into expressions (the warehouse's `R@inv ↦ W⁻¹(R)`),
+/// which a pass then evaluates — whole or restricted — in place of an
+/// environment lookup.
+///
+/// Compilation is the algebra's static type check: it fails, with the
+/// leftmost offending node's error, on an unknown relation, a σ over an
+/// attribute its input lacks, a π beyond its input's header, `∪`/`∖`/`∩`
+/// over different headers, or an invalid ρ.
 ///
 /// Delta-sizedness is structural: a leaf is delta-sized iff the caller
 /// says so; σ/π/ρ inherit it; `A ∪ B` needs both operands; `A ∖ B`
@@ -349,9 +239,11 @@ impl PassExpr {
 pub struct PassCompiler<'a> {
     headers: &'a dyn HeaderResolver,
     small: &'a dyn Fn(RelName) -> bool,
-    expansions: HashMap<RelName, RaExpr>,
-    expanded: HashMap<RelName, Arc<PassNode>>,
-    consed: HashMap<u64, Vec<Arc<PassNode>>>,
+    expansions: HashMap<RelName, RaExpr, FxBuild>,
+    expanded: HashMap<RelName, Node, FxBuild>,
+    /// The first node compiled with each content hash. A different node
+    /// with the same hash is left unconsed: consing only saves work.
+    consed: HashMap<u64, Node>,
 }
 
 impl<'a> PassCompiler<'a> {
@@ -361,9 +253,9 @@ impl<'a> PassCompiler<'a> {
         PassCompiler {
             headers,
             small,
-            expansions: HashMap::new(),
-            expanded: HashMap::new(),
-            consed: HashMap::new(),
+            expansions: HashMap::default(),
+            expanded: HashMap::default(),
+            consed: HashMap::with_capacity(16),
         }
     }
 
@@ -378,15 +270,15 @@ impl<'a> PassCompiler<'a> {
         Ok(PassExpr { root: self.node(e)? })
     }
 
-    fn node(&mut self, e: &RaExpr) -> Result<Arc<PassNode>> {
+    fn node(&mut self, e: &RaExpr) -> Result<Node> {
         let (op, attrs, small) = match e {
             RaExpr::Base(name) => {
                 if let Some(n) = self.expanded.get(name) {
-                    return Ok(Arc::clone(n));
+                    return Ok(n.share());
                 }
                 if let Some(x) = self.expansions.remove(name) {
                     let n = self.node(&x)?;
-                    self.expanded.insert(*name, Arc::clone(&n));
+                    self.expanded.insert(*name, n.clone());
                     return Ok(n);
                 }
                 (PassOp::Rel(*name), self.headers.header_of(*name)?, (self.small)(*name))
@@ -394,79 +286,106 @@ impl<'a> PassCompiler<'a> {
             RaExpr::Empty(attrs) => (PassOp::Empty, attrs.clone(), true),
             RaExpr::Select(i, p) => {
                 let i = self.node(i)?;
-                let (attrs, small) = (i.attrs.clone(), i.small);
-                (PassOp::Select(i, p.clone()), attrs, small)
+                let compiled = p.compile(i.attrs())?;
+                let small = i.small;
+                (PassOp::Select(i, compiled), AttrSet::empty(), small)
             }
             RaExpr::Project(i, attrs) => {
                 let i = self.node(i)?;
+                if !attrs.is_subset(i.attrs()) {
+                    return Err(RelalgError::ProjectionNotSubset {
+                        wanted: attrs.clone(),
+                        header: i.attrs().clone(),
+                    });
+                }
                 let small = i.small;
                 (PassOp::Project(i), attrs.clone(), small)
             }
             RaExpr::Rename(i, pairs) => {
                 let i = self.node(i)?;
-                let (attrs, small) = (rename_header(&i.attrs, pairs)?, i.small);
+                let (attrs, small) = (rename_header(i.attrs(), pairs)?, i.small);
                 (PassOp::Rename(i, pairs.clone()), attrs, small)
             }
             RaExpr::Join(l, r) => {
                 let (l, r) = (self.node(l)?, self.node(r)?);
-                let keyed = !l.attrs.is_disjoint(&r.attrs);
+                let keyed = !l.attrs().is_disjoint(r.attrs());
                 let small = (l.small && r.small) || ((l.small || r.small) && keyed);
-                let attrs = l.attrs.union(&r.attrs);
+                let attrs = l.attrs().union(r.attrs());
                 (PassOp::Join(l, r), attrs, small)
             }
-            RaExpr::Union(l, r) => {
+            RaExpr::Union(l, r) | RaExpr::Diff(l, r) | RaExpr::Intersect(l, r) => {
                 let (l, r) = (self.node(l)?, self.node(r)?);
-                let (attrs, small) = (l.attrs.clone(), l.small && r.small);
-                (PassOp::Union(l, r), attrs, small)
-            }
-            RaExpr::Diff(l, r) => {
-                let (l, r) = (self.node(l)?, self.node(r)?);
-                let (attrs, small) = (l.attrs.clone(), l.small);
-                (PassOp::Diff(l, r), attrs, small)
-            }
-            RaExpr::Intersect(l, r) => {
-                let (l, r) = (self.node(l)?, self.node(r)?);
-                let (attrs, small) = (l.attrs.clone(), l.small || r.small);
-                (PassOp::Intersect(l, r), attrs, small)
+                if l.attrs() != r.attrs() {
+                    return Err(RelalgError::HeaderMismatch {
+                        left: l.attrs().clone(),
+                        right: r.attrs().clone(),
+                    });
+                }
+                let attrs = AttrSet::empty();
+                match e {
+                    RaExpr::Union(..) => {
+                        let small = l.small && r.small;
+                        (PassOp::Union(l, r), attrs, small)
+                    }
+                    RaExpr::Diff(..) => {
+                        let small = l.small;
+                        (PassOp::Diff(l, r), attrs, small)
+                    }
+                    _ => {
+                        let small = l.small || r.small;
+                        (PassOp::Intersect(l, r), attrs, small)
+                    }
+                }
             }
         };
-        let kids: Vec<u64> = op.kids().iter().flatten().map(|k| k.hash).collect();
-        let hash = node_hash(e, &kids);
-        let bucket = self.consed.entry(hash).or_default();
-        if let Some(n) = bucket.iter().find(|n| n.attrs == attrs && n.op.same(&op)) {
-            return Ok(Arc::clone(n));
+        let hash = FxBuild::default().hash_one((&attrs, &op));
+        let slot = self.consed.entry(hash);
+        if let Entry::Occupied(hit) = &slot {
+            if hit.get().header == attrs && hit.get().op == op {
+                return Ok(hit.get().share());
+            }
         }
-        let n = Arc::new(PassNode { hash, attrs, small, op });
-        bucket.push(Arc::clone(&n));
-        Ok(n)
+        let shared = AtomicBool::new(false);
+        let node = Node(Arc::new(PassNode { header: attrs, small, shared, op }));
+        if let Entry::Vacant(slot) = slot {
+            slot.insert(node.clone());
+        }
+        Ok(node)
     }
 }
 
-/// One maintenance pass: evaluates [`PassExpr`]s against an environment
-/// that grows as the pass publishes maintained relations, memoizing
-/// every whole (exact) result by node, and counting the rows it touches.
-pub struct Pass {
-    env: DbState,
-    memo: Option<HashMap<usize, Arc<Relation>>>,
+/// One evaluation pass: evaluates [`PassExpr`]s against an environment
+/// it borrows, overlaid with the relations it publishes as it goes,
+/// memoizing the whole (exact) result of every shared or delta-sized
+/// node, and counting the rows it touches.
+pub struct Pass<'e> {
+    env: &'e DbState,
+    /// What the pass published, newest last; few names, compared by id.
+    bound: Vec<(RelName, Arc<Relation>)>,
+    /// Whole results by node. A key holds its node, so no other node can
+    /// take its address while the entry lives.
+    memo: Option<HashMap<Node, Arc<Relation>, FxBuild>>,
     rows: u64,
 }
 
-impl Pass {
+impl<'e> Pass<'e> {
     /// A pass over `env`; `memoize: false` re-evaluates shared subtrees
     /// (the E14 ablation).
-    pub fn new(env: DbState, memoize: bool) -> Pass {
+    pub fn new(env: &'e DbState, memoize: bool) -> Pass<'e> {
         Pass {
             env,
-            memo: memoize.then(HashMap::new),
+            bound: Vec::new(),
+            memo: memoize.then(HashMap::default),
             rows: 0,
         }
     }
 
-    /// Makes `rel` visible to later evaluations as `name`. Results
-    /// memoized so far stay valid: they cannot have read a name that was
-    /// not yet published.
+    /// Makes `rel` visible to later evaluations as `name`, over any
+    /// relation of that name in the environment. Results memoized so far
+    /// stay valid: they cannot have read a name that was not yet
+    /// published.
     pub fn bind(&mut self, name: RelName, rel: Relation) {
-        self.env.insert_relation(name, rel);
+        self.bound.push((name, Arc::new(rel)));
     }
 
     /// Rows touched so far: every row an operator produced plus every key
@@ -485,27 +404,40 @@ impl Pass {
         self.whole(&e.root)
     }
 
+    /// The published or environment relation a leaf `n` names, which
+    /// must carry the header `n` was compiled with.
+    fn lookup(&self, n: &PassNode, name: RelName) -> Result<Arc<Relation>> {
+        let rel = match self.bound.iter().rev().find(|(bound, _)| *bound == name) {
+            Some((_, rel)) => Arc::clone(rel),
+            None => self.env.relation_shared(name)?,
+        };
+        if rel.attrs() != n.attrs() {
+            return Err(RelalgError::HeaderMismatch {
+                left: n.attrs().clone(),
+                right: rel.attrs().clone(),
+            });
+        }
+        Ok(rel)
+    }
+
     fn empty(n: &PassNode) -> Arc<Relation> {
-        Arc::new(Relation::empty(n.attrs.clone()))
+        Arc::new(Relation::empty(n.attrs().clone()))
     }
 
     /// The exact value of `n`, memoized. A join, difference or
     /// intersection with a delta-sized operand evaluates that operand
     /// first, stops if it is empty, and restricts the other operand to
     /// its keys.
-    fn whole(&mut self, n: &Arc<PassNode>) -> Result<Arc<Relation>> {
-        let key = Arc::as_ptr(n) as usize;
-        if let Some(hit) = self.memo.as_ref().and_then(|m| m.get(&key)) {
+    fn whole(&mut self, n: &Node) -> Result<Arc<Relation>> {
+        let memo = self.memo.is_some() && n.memoized();
+        if let Some(hit) = self.memo.as_ref().filter(|_| memo).and_then(|m| m.get(n)) {
             return Ok(Arc::clone(hit));
         }
         let out = match &n.op {
-            PassOp::Rel(name) => return self.env.relation_shared(*name),
+            PassOp::Rel(name) => return self.lookup(n, *name),
             PassOp::Empty => Pass::empty(n),
-            PassOp::Select(i, pred) => {
-                let rel = self.whole(i)?;
-                Arc::new(rel.select_compiled(&pred.compile(rel.attrs())?))
-            }
-            PassOp::Project(i) => Arc::new(self.whole(i)?.project(&n.attrs)?),
+            PassOp::Select(i, pred) => Arc::new(self.whole(i)?.select_compiled(pred)),
+            PassOp::Project(i) => Arc::new(self.whole(i)?.project(n.attrs())?),
             PassOp::Rename(i, pairs) => Arc::new(rename_relation(&*self.whole(i)?, pairs)?),
             PassOp::Union(l, r) => {
                 let (a, b) = (self.whole(l)?, self.whole(r)?);
@@ -536,8 +468,8 @@ impl Pass {
             }
         };
         self.rows += out.len() as u64;
-        if let Some(memo) = self.memo.as_mut() {
-            memo.insert(key, Arc::clone(&out));
+        if let Some(m) = self.memo.as_mut().filter(|_| memo) {
+            m.insert(n.clone(), Arc::clone(&out));
         }
         Ok(out)
     }
@@ -545,8 +477,8 @@ impl Pass {
     /// The operand `other` of a binary node whose operand `first`
     /// evaluated to `a`: restricted to `a`'s keys on their shared
     /// attributes when `first` is delta-sized, whole otherwise.
-    fn driven(&mut self, first: &PassNode, a: &Relation, other: &Arc<PassNode>) -> Result<Arc<Relation>> {
-        let shared = first.attrs.intersect(&other.attrs);
+    fn driven(&mut self, first: &PassNode, a: &Relation, other: &Node) -> Result<Arc<Relation>> {
+        let shared = first.attrs().intersect(other.attrs());
         if !first.small || shared.is_empty() {
             return self.whole(other);
         }
@@ -560,7 +492,7 @@ impl Pass {
     /// intersecting against rows carrying those keys can observe, and it
     /// composes through every operator; over-approximating (returning
     /// more rows, up to the whole of `n`) is always sound.
-    fn restrict(&mut self, n: &Arc<PassNode>, keys: &Relation) -> Result<Arc<Relation>> {
+    fn restrict(&mut self, n: &Node, keys: &Relation) -> Result<Arc<Relation>> {
         if n.small || keys.attrs().is_empty() {
             return self.whole(n);
         }
@@ -569,16 +501,13 @@ impl Pass {
         }
         let out = match &n.op {
             PassOp::Rel(name) => {
-                let rel = self.env.relation_shared(*name)?;
+                let rel = self.lookup(n, *name)?;
                 self.rows += keys.len() as u64;
                 semijoin(&rel, keys)?
             }
             PassOp::Empty => Pass::empty(n),
-            PassOp::Select(i, pred) => {
-                let rel = self.restrict(i, keys)?;
-                Arc::new(rel.select_compiled(&pred.compile(rel.attrs())?))
-            }
-            PassOp::Project(i) => Arc::new(self.restrict(i, keys)?.project(&n.attrs)?),
+            PassOp::Select(i, pred) => Arc::new(self.restrict(i, keys)?.select_compiled(pred)),
+            PassOp::Project(i) => Arc::new(self.restrict(i, keys)?.project(n.attrs())?),
             PassOp::Rename(i, pairs) => {
                 let back: Vec<(Attr, Attr)> = pairs
                     .iter()
@@ -607,14 +536,15 @@ impl Pass {
             PassOp::Join(l, r) => {
                 // Restrict the side the keys reach (the left when both
                 // do), then the other side to the first's join keys.
-                let (first, second) = if keys.attrs().is_disjoint(&l.attrs) { (r, l) } else { (l, r) };
-                let reach = keys.attrs().intersect(&first.attrs);
+                let (first, second) =
+                    if keys.attrs().is_disjoint(l.attrs()) { (r, l) } else { (l, r) };
+                let reach = keys.attrs().intersect(first.attrs());
                 let first_keys = if reach == *keys.attrs() { keys.clone() } else { keys.project(&reach)? };
                 let a = self.restrict(first, &first_keys)?;
                 if a.is_empty() {
                     Pass::empty(n)
                 } else {
-                    let shared = first.attrs.intersect(&second.attrs);
+                    let shared = first.attrs().intersect(second.attrs());
                     let b = if shared.is_empty() {
                         self.whole(second)?
                     } else {
@@ -674,8 +604,8 @@ fn semijoin(rel: &Arc<Relation>, keys: &Relation) -> Result<Arc<Relation>> {
 /// equal. The join probes the *larger* side's cached sorted key index
 /// ([`crate::columns::KeyIndex`]) with the smaller side's key codes — the
 /// index is built once per column store and shared through its `Arc`, so
-/// repeated joins against a stored relation (maintenance plans, the eval
-/// cache, epoch readers) skip the build entirely. Matched row pairs are
+/// repeated joins against a stored relation (maintenance passes, epoch
+/// readers) skip the build entirely. Matched row pairs are
 /// gathered column-wise and canonicalized in one batch, so the result is
 /// independent of probe order.
 pub fn natural_join(left: &Relation, right: &Relation) -> Result<Relation> {
@@ -820,12 +750,12 @@ pub fn rename_relation(rel: &Relation, pairs: &[(crate::symbol::Attr, crate::sym
     ))
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::predicate::Predicate;
     use crate::rel;
-    use crate::symbol::Attr;
 
     fn fig1_db() -> DbState {
         let mut d = DbState::new();
@@ -840,25 +770,71 @@ mod tests {
         d
     }
 
+    /// `A` is empty, so a short-circuit on it would skip the right
+    /// operand; `B` has no attribute `zz` and no `q`.
+    fn typed_db() -> DbState {
+        let mut d = DbState::new();
+        d.insert_relation("A", Relation::empty(AttrSet::from_names(&["a", "b"])));
+        d.insert_relation("B", rel! { ["a", "c"] => (1, 2) });
+        d
+    }
+
     #[test]
-    fn eval_cached_agrees_with_eval_and_hits() {
+    fn type_errors_are_not_hidden_by_an_empty_operand() {
+        let db = typed_db();
+        for (text, variant) in [
+            ("A minus pi[a](B)", "HeaderMismatch"),
+            ("A minus sigma[zz = 1](pi[a,c](B))", "UnknownAttribute"),
+            ("A join sigma[zz = 1](B)", "UnknownAttribute"),
+            ("A intersect pi[a,q](B)", "ProjectionNotSubset"),
+        ] {
+            let err = RaExpr::parse(text).unwrap().eval(&db).unwrap_err();
+            assert!(format!("{err:?}").starts_with(variant), "{text}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn one_compiler_conses_equal_subtrees_across_a_batch() {
         let db = fig1_db();
-        let cache = EvalCache::new();
-        let e = RaExpr::parse(
-            "pi[clerk]((Sale join Emp)) union pi[clerk]((Sale join Emp))",
-        )
-        .unwrap();
-        let cached = eval_cached(&e, &db, &cache).unwrap();
-        assert_eq!(*cached, e.eval(&db).unwrap());
-        // The join and its projection each appear once in the cache even
-        // though the expression contains them twice.
+        let e = RaExpr::parse("pi[clerk](Sale join Emp) union pi[clerk](Sale join Emp)").unwrap();
         let join = RaExpr::parse("Sale join Emp").unwrap();
-        assert!(cache.contains(&join));
-        let before = cache.len();
-        // Cache reuse across a second evaluation.
-        let again = eval_cached(&e, &db, &cache).unwrap();
-        assert_eq!(again, cached);
-        assert_eq!(cache.len(), before);
+        let mut compiler = PassCompiler::new(&db, &no_leaf);
+        let (a, b) = (compiler.compile(&e).unwrap(), compiler.compile(&join).unwrap());
+        let PassOp::Union(l, r) = &a.root.op else { panic!("{:?}", a.root.op) };
+        assert_eq!(l, r);
+        let PassOp::Project(j) = &l.op else { panic!("{:?}", l.op) };
+        assert_eq!(j, &b.root);
+        let (x, y) = (RelName::new("X"), RelName::new("Y"));
+        let batch = eval_all([(x, &e), (y, &join)], &db).unwrap();
+        assert_eq!(batch.relation(x).unwrap(), &rel! { ["clerk"] => ("Mary",), ("John",) });
+        assert_eq!(batch.relation(y).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn a_memo_entry_outlives_the_expression_that_filled_it() {
+        // Same shape, different constant: were the memo keyed by a bare
+        // address, the second node could reuse the first's freed one and
+        // read its stale result.
+        let db = fig1_db();
+        let mut pass = Pass::new(&db, true);
+        for clerk in ["Mary", "John", "Paula", "Mary"] {
+            let sel = RaExpr::base("Sale").select(Predicate::attr_eq("clerk", clerk));
+            let e = sel.clone().union(sel);
+            let compiled = PassCompiler::new(&db, &no_leaf).compile(&e).unwrap();
+            assert_eq!(*pass.eval(&compiled).unwrap(), eval(&e, &db).unwrap(), "{clerk}");
+        }
+    }
+
+    #[test]
+    fn a_pass_reads_its_bindings_over_the_environment() {
+        let db = fig1_db();
+        let e = RaExpr::parse("pi[clerk](Sale)").unwrap();
+        let compiled = PassCompiler::new(&db, &no_leaf).compile(&e).unwrap();
+        let mut pass = Pass::new(&db, false);
+        pass.bind(RelName::new("Sale"), rel! { ["item", "clerk"] => ("PC", "Zoe") });
+        assert_eq!(*pass.eval(&compiled).unwrap(), rel! { ["clerk"] => ("Zoe",) });
+        pass.bind(RelName::new("Sale"), rel! { ["item"] => ("PC",) });
+        assert!(matches!(pass.eval(&compiled), Err(RelalgError::HeaderMismatch { .. })));
     }
 
     #[test]

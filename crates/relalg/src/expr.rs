@@ -22,9 +22,7 @@ use std::sync::Arc;
 /// Children are [`Arc`]-shared: cloning an expression is a shallow
 /// reference-count bump, and rewrites that leave a subtree untouched
 /// ([`RaExpr::substitute`], the maintenance layer's stored-state folding)
-/// return the *same* allocation. The evaluator's memo cache exploits
-/// this: repeated subtrees produced by substitution share pointers, so
-/// cache keys are cheap and pointer equality is a valid fast path.
+/// return the *same* allocation.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum RaExpr {
     /// A reference to a named relation (base relation or stored view).

@@ -240,7 +240,7 @@ impl Predicate {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum Node {
     Const(bool),
     Cmp(Slot, CmpOp, Slot),
@@ -249,7 +249,7 @@ enum Node {
     Not(Box<Node>),
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum Slot {
     Col(usize),
     Lit(Value),
@@ -285,7 +285,8 @@ fn compile_node(p: &Predicate, header: &AttrSet) -> Result<Node> {
 }
 
 /// A predicate resolved against a fixed header; evaluation is positional.
-#[derive(Clone, Debug)]
+/// Over one header, equal compiled predicates are equal predicates.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CompiledPred {
     node: Node,
 }

@@ -16,7 +16,7 @@
 //! over, membership is a binary search, and joins probe a cached sorted
 //! key index (see [`crate::eval`]). The column store is behind an `Arc`:
 //! cloning a relation is a reference bump, and epoch snapshot readers or
-//! the eval cache holding the same store share its warm key indexes.
+//! a pass memo holding the same store share its warm key indexes.
 
 use crate::attrs::AttrSet;
 use crate::columns::{self, Code, Columns};

@@ -42,8 +42,9 @@
 use crate::delta::{self, DeltaExpr, DeltaResolver};
 use crate::error::{Result, WarehouseError};
 use crate::spec::AugmentedWarehouse;
-use dwc_relalg::eval::{eval_arc, eval_cached, EvalCache, Pass, PassCompiler, PassExpr};
-use dwc_relalg::{DbState, RaExpr, RelName, Relation, Update};
+use dwc_relalg::eval::{Pass, PassCompiler, PassExpr};
+use dwc_relalg::expr::HeaderResolver;
+use dwc_relalg::{AttrSet, DbState, RaExpr, RelName, Relation, Update};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -112,7 +113,7 @@ pub struct PlanOptions {
     /// Fold subexpressions equal to stored-relation definitions (old
     /// state and earlier steps' `@next` state) into reads.
     pub fold_stored: bool,
-    /// Share one evaluation cache across all steps of an application.
+    /// Share one pass memo across all steps of an application.
     pub memoize_eval: bool,
 }
 
@@ -189,17 +190,16 @@ impl MaintenancePlan {
             + self.inverses.iter().map(|(_, e, _, _)| e.size()).sum::<usize>()
     }
 
-    /// The old warehouse state plus the reported `@ins`/`@del` deltas.
-    fn reported_env(&self, warehouse: &DbState, update: &Update) -> Result<DbState> {
-        let mut env = warehouse.clone();
+    /// The reported `@ins`/`@del` deltas, under their names.
+    fn reported(&self, update: &Update) -> Result<Vec<(RelName, Relation)>> {
+        let mut out = Vec::with_capacity(2 * self.reported.len());
         for &(base, ins, del) in &self.reported {
             let d = update
                 .delta(base)
                 .ok_or(WarehouseError::UpdateOutsideSources(base))?;
-            env.insert_relation(ins, d.inserted().clone());
-            env.insert_relation(del, d.deleted().clone());
+            out.extend([(ins, d.inserted().clone()), (del, d.deleted().clone())]);
         }
-        Ok(env)
+        Ok(out)
     }
 
     /// Applies the plan to a warehouse state given the *reported,
@@ -230,12 +230,14 @@ impl MaintenancePlan {
         warehouse: &DbState,
         update: &Update,
     ) -> Result<(DbState, Vec<StoredDelta>, PassStats)> {
-        let env = self.reported_env(warehouse, update)?;
         // Steps run in plan order (views before the complements that read
         // their `@next` values), each publishing its new value as it
         // completes; one pass memo spans all steps, since the delta rules
         // repeat reconstruction subtrees across views.
-        let mut pass = Pass::new(env, self.memoize_eval);
+        let mut pass = Pass::new(warehouse, self.memoize_eval);
+        for (name, rel) in self.reported(update)? {
+            pass.bind(name, rel);
+        }
         let mut stats = PassStats::default();
         let mut next = warehouse.clone();
         let mut deltas = Vec::with_capacity(self.order.len());
@@ -275,7 +277,10 @@ impl MaintenancePlan {
         update: &Update,
         mirrors: &DbState,
     ) -> Result<DbState> {
-        let mut env = self.reported_env(warehouse, update)?;
+        let mut env = warehouse.clone();
+        for (name, rel) in self.reported(update)? {
+            env.insert_relation(name, rel);
+        }
         for (base, _, inv, newinv) in &self.inverses {
             let old = mirrors.relation_shared(*base)?;
             if let Some(newinv) = newinv {
@@ -286,20 +291,33 @@ impl MaintenancePlan {
             }
             env.insert_shared(*inv, old);
         }
-        let cache = self.memoize_eval.then(EvalCache::new);
+        // Each step compiles once the `@next` values it reads are bound.
+        let headers = NextHeaders(&env);
+        let mut compiler = PassCompiler::new(&headers, &|_| false);
+        let mut pass = Pass::new(&env, self.memoize_eval);
         let mut next = warehouse.clone();
         for &(name, step) in &self.order {
             let Some(i) = step else { continue };
             let d = &self.steps[i].1;
-            let (plus, minus) = match &cache {
-                Some(c) => (eval_cached(&d.plus, &env, c)?, eval_cached(&d.minus, &env, c)?),
-                None => (eval_arc(&d.plus, &env)?, eval_arc(&d.minus, &env)?),
-            };
+            let (plus, minus) = (compiler.compile(&d.plus)?, compiler.compile(&d.minus)?);
+            let (plus, minus) = (pass.eval(&plus)?, pass.eval(&minus)?);
             let (new, _, _) = warehouse.relation(name)?.apply_delta_net(&plus, &minus)?;
-            env.insert_relation(self.compiled[i].next, new.clone());
+            pass.bind(self.compiled[i].next, new.clone());
             next.insert_relation(name, new);
         }
         Ok(next)
+    }
+}
+
+/// Headers on the mirrored path: a step's `X@next` has `X`'s header.
+struct NextHeaders<'a>(&'a DbState);
+
+impl HeaderResolver for NextHeaders<'_> {
+    fn header_of(&self, name: RelName) -> dwc_relalg::Result<AttrSet> {
+        match name.as_str().strip_suffix("@next") {
+            Some(stored) => self.0.header_of(RelName::new(stored)),
+            None => self.0.header_of(name),
+        }
     }
 }
 
@@ -567,7 +585,7 @@ fn fold_arc(e: &Arc<RaExpr>, patterns: &[(RaExpr, RelName)]) -> Arc<RaExpr> {
 /// via the warehouse.
 struct ResolverBox<'a>(&'a AugmentedWarehouse);
 
-impl dwc_relalg::expr::HeaderResolver for ResolverBox<'_> {
+impl HeaderResolver for ResolverBox<'_> {
     fn header_of(&self, name: RelName) -> dwc_relalg::Result<dwc_relalg::AttrSet> {
         let s = name.as_str();
         if let Some(base) = s.strip_suffix("@inv").or_else(|| s.strip_suffix("@newinv")) {

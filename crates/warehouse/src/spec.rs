@@ -13,7 +13,7 @@ use dwc_core::constrained::ComplementOptions;
 use dwc_core::psj::definitions;
 use dwc_core::unionfact::{complement_for, UnionFactView};
 use dwc_core::{Complement, NamedView, PsjView};
-use dwc_relalg::eval::{eval_cached, EvalCache};
+use dwc_relalg::eval::eval_all;
 use dwc_relalg::expr::HeaderResolver;
 use dwc_relalg::{AttrSet, Catalog, DbState, RaExpr, RelName};
 use std::collections::BTreeMap;
@@ -97,11 +97,7 @@ impl WarehouseSpec {
             .iter()
             .map(|v| (v.name(), v.to_expr()))
             .chain(self.union_facts.iter().map(|u| (u.name(), u.to_expr())));
-        let mut w = DbState::new();
-        for (name, e) in exprs {
-            w.insert_relation(name, e.eval(db)?);
-        }
-        Ok(w)
+        Ok(eval_all(exprs, db)?)
     }
 
     /// Runs the static analyzer over this specification under the
@@ -185,19 +181,11 @@ impl AugmentedWarehouse {
     }
 
     /// Materializes the full warehouse state `W(d) = (V(d), C(d))`
-    /// (including union fact tables).
+    /// (including union fact tables) in one pass: the complement
+    /// definitions embed the view expressions, so the shared subtrees
+    /// evaluate once.
     pub fn materialize(&self, db: &DbState) -> Result<DbState> {
-        // One evaluation cache spans views, complements, and fact tables:
-        // the complement definitions embed the view expressions, so the
-        // shared subtrees evaluate once.
-        let cache = EvalCache::new();
-        let mut w = self
-            .complement
-            .warehouse_state_cached(self.views(), db, &cache)?;
-        for u in self.spec.union_facts() {
-            w.insert_shared(u.name(), eval_cached(&u.to_expr(), db, &cache)?);
-        }
-        Ok(w)
+        Ok(eval_all(self.all_definitions(), db)?)
     }
 
     /// Names of all stored relations (views, union fact tables, and
@@ -249,13 +237,10 @@ impl AugmentedWarehouse {
 
     /// Reconstructs the full database state from a warehouse state via
     /// `W⁻¹` (the paper's Step 1.2 artifact put to work): one inverse
-    /// expression per base relation.
+    /// expression per base relation, all in one pass, so the subtrees
+    /// the inverses share evaluate once.
     pub fn reconstruct_sources(&self, warehouse: &DbState) -> Result<DbState> {
-        let mut db = DbState::new();
-        for (base, inv) in self.inverse() {
-            db.insert_relation(*base, inv.eval(warehouse)?);
-        }
-        Ok(db)
+        Ok(eval_all(self.inverse(), warehouse)?)
     }
 }
 

@@ -6,7 +6,8 @@ mod common;
 use common::{chain_catalog, chain_state, gen_chain_rows, random_expr};
 use dwc_testkit::prop::Runner;
 use dwc_testkit::{tk_ensure, tk_ensure_eq};
-use dwcomplements::relalg::{RaExpr, Relation};
+use dwcomplements::relalg::eval::eval_all;
+use dwcomplements::relalg::{RaExpr, RelName, Relation};
 
 /// Printing and re-parsing is the identity on expressions.
 #[test]
@@ -41,7 +42,8 @@ fn simplifier_preserves_semantics() {
     );
 }
 
-/// The memoizing evaluator agrees with the plain one.
+/// One batch — one hash-consed compile, one memoized pass over several
+/// expressions that share subtrees — agrees with evaluating each alone.
 #[test]
 fn cached_eval_agrees() {
     Runner::new("cached_eval_agrees").cases(128).run(
@@ -50,10 +52,15 @@ fn cached_eval_agrees() {
             let catalog = chain_catalog();
             let db = chain_state(rows);
             let e = random_expr(*seed, *depth, &catalog);
-            let cache = dwcomplements::relalg::eval::EvalCache::new();
-            let cached = dwcomplements::relalg::eval::eval_cached(&e, &db, &cache)
-                .expect("evaluates");
-            tk_ensure_eq!(&*cached, &e.eval(&db).expect("evaluates"));
+            let f = random_expr(seed ^ 1, *depth, &catalog);
+            let exprs = [e.clone(), f.clone(), e.clone().join(f), e];
+            let names: Vec<RelName> =
+                (0..exprs.len()).map(|i| RelName::new(&format!("X{i}"))).collect();
+            let batch = eval_all(names.iter().zip(&exprs), &db).expect("evaluates");
+            for (name, e) in names.iter().zip(&exprs) {
+                let alone = e.eval(&db).expect("evaluates");
+                tk_ensure_eq!(batch.relation(*name).expect("bound"), &alone);
+            }
             Ok(())
         },
     );
