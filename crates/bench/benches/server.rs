@@ -19,19 +19,24 @@
 //! every iteration — the slice-size sweep of one maintenance pass per
 //! group commit. The `maintain-pass/star-b{1,64}/sf{0.05,0.5}` rows time
 //! that pass alone, in process, at two state sizes, with the rows it
-//! touched. The `query-reply/{miss,hit}/{Q1,Q8}` rows time the
+//! touched. The `ingest-step/star-b{1,64}` rows time the engine's whole
+//! in-memory step for one group commit (sequencing, the fold into one
+//! net delta, the pass), `ingest-pass/star-b{1,64}` that pass alone over
+//! the same windows, and `wal-encode/star-b64` the encoding of one
+//! commit's frames. The `query-reply/{miss,hit}/{Q1,Q8}` rows time the
 //! read side of the same server: one `query` reply evaluated, rendered
-//! and memoised, against one served from the reply memo. Those rows
-//! carry `nproc` and `commit`.
+//! and memoised, against one served from the reply memo. Every row
+//! carries `nproc` and `commit`.
 //! `scripts/bench.sh` collects every line into `BENCH_server.json`.
 
 use dwc_relalg::{Catalog, DbState, Relation, Tuple, Update, Value};
 use dwc_bench::DiskMedium;
-use dwc_testkit::{Bench, SimDisk};
+use dwc_testkit::SimDisk;
 use dwc_warehouse::channel::{Envelope, SourceId};
-use dwc_warehouse::ingest::{IngestConfig, IngestingIntegrator};
+use dwc_warehouse::ingest::{IngestConfig, IngestOutcome, IngestingIntegrator};
 use dwc_warehouse::integrator::{Integrator, SourceSite};
 use dwc_warehouse::server::{BatchPolicy, ServerCore, SessionId};
+use dwc_warehouse::storage::wal::{encode_frame, WalRecord};
 use dwc_warehouse::integrator::IntegratorConfig;
 use dwc_warehouse::{DurabilityConfig, DurableWarehouse, FsMedium, StorageMedium, WarehouseSpec};
 use dwcomplements::serve::{LineBuf, ReplyMemo};
@@ -261,13 +266,9 @@ fn maintain_pass_rows(spec: &WarehouseSpec) {
         let w = aug.materialize(&base).expect("W(base)");
         let stream = StarStream::new(&base);
         for batch in [1u64, 64] {
-            let mut net = stream.get(0).clone();
-            for i in 1..batch {
-                net = net
-                    .then_net(stream.get(i))
-                    .expect("same headers")
-                    .expect("the stream never repeats a row");
-            }
+            let net = Update::net((0..batch).map(|i| stream.get(i)))
+                .expect("same headers")
+                .expect("the stream never repeats a row");
             let plan = aug.compile_plan(&net.touched().collect()).expect("compiles");
             let (_, _, pass) = plan.apply_counted(&w, &net).expect("maintains");
             let group = dwc_bench::stamped("server")
@@ -276,6 +277,118 @@ fn maintain_pass_rows(spec: &WarehouseSpec) {
                 .field_num("rows_touched", pass.rows_touched);
             group.run(&format!("maintain-pass/star-b{batch}/{label}"), || {
                 black_box(plan.apply_counted(&w, &net).expect("maintains"))
+            });
+        }
+    }
+}
+
+/// The star stream past its prologue as sequenced envelopes of one
+/// source: the cycle repeated until its length is a multiple of
+/// `batch`, so consecutive `batch`-sized windows tile it. A full pass
+/// over the pool returns the state to where it began; the next pass
+/// re-offers it under a newer source epoch (which resets the sequence).
+fn star_pool(stream: &StarStream, batch: usize) -> Vec<Envelope> {
+    let cycle = stream.cycle.len();
+    let (mut a, mut b) = (cycle, batch);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    let source = SourceId::new("bench");
+    (0..cycle * (batch / a))
+        .map(|i| Envelope {
+            source: source.clone(),
+            epoch: 1,
+            seq: i as u64,
+            report: stream.cycle[i % cycle].clone(),
+        })
+        .collect()
+}
+
+/// `ingest-step/star-b{1,64}`, `ingest-pass/star-b{1,64}` and
+/// `wal-encode/star-b64`: the engine thread's in-memory work for one
+/// group commit, in process at scale 0.05, over the steady-state
+/// windows of the star stream.
+///
+/// * `ingest-step` is one [`IngestingIntegrator::offer_batch`] —
+///   sequencing, validation, the fold into one net delta and the one
+///   maintenance pass over it.
+/// * `ingest-pass` is that pass alone, over the same windows' net
+///   deltas against the same states, so `ingest-step / ingest-pass` is
+///   what a step costs per unit of the paper's work.
+/// * `wal-encode` is the commit's CPU before its append: the 64 frames
+///   of one batch encoded into one reused buffer.
+fn ingest_step_rows(spec: &WarehouseSpec, base: &DbState) {
+    let stream = StarStream::new(base);
+    let aug = spec.clone().augment().expect("star warehouse augments");
+    let state = aug.materialize(base).expect("W(base)");
+    for batch in [1usize, 64] {
+        let integ = Integrator::from_state(aug.clone(), state.clone(), IntegratorConfig)
+            .expect("integrator");
+        let mut ing = IngestingIntegrator::new(integ, IngestConfig::default()).expect("ingestor");
+        let source = SourceId::new("bench");
+        for (seq, report) in stream.prologue.iter().enumerate() {
+            let env = Envelope {
+                source: source.clone(),
+                epoch: 0,
+                seq: seq as u64,
+                report: report.clone(),
+            };
+            assert_eq!(ing.offer(&env), IngestOutcome::Applied(1));
+        }
+        let mut pool = star_pool(&stream, batch);
+        // One untimed pass: every window applies in one pass, no fallback.
+        // It also records each window's state and net delta for the
+        // pass-only row.
+        let mut passes = Vec::new();
+        let mut plans = BTreeMap::new();
+        for window in pool.chunks(batch) {
+            let net = Update::net(window.iter().map(|e| &e.report))
+                .expect("same headers")
+                .expect("a window never repeats a row");
+            let touched: Vec<_> = net.touched().collect();
+            if !plans.contains_key(&touched) {
+                let plan = aug.compile_plan(&touched.iter().copied().collect()).expect("compiles");
+                plans.insert(touched.clone(), plan);
+            }
+            passes.push((ing.state().clone(), net, touched));
+            let outcomes = ing.offer_batch(window);
+            assert!(outcomes.iter().all(|o| *o == IngestOutcome::Applied(1)), "{outcomes:?}");
+        }
+        assert_eq!(ing.stats().fallbacks, 0);
+        let group = dwc_bench::stamped("server")
+            .field_num("reports", batch as u64)
+            .field_num("windows", (pool.len() / batch) as u64);
+        let (mut at, mut epoch) = (0usize, 2u64);
+        group.run(&format!("ingest-step/star-b{batch}"), || {
+            let window = &mut pool[at..at + batch];
+            for e in window.iter_mut() {
+                e.epoch = epoch;
+            }
+            let outcomes = ing.offer_batch(window);
+            at += batch;
+            if at == pool.len() {
+                (at, epoch) = (0, epoch + 1);
+            }
+            outcomes
+        });
+        assert_eq!(ing.stats().fallbacks, 0);
+        let mut at = 0;
+        group.run(&format!("ingest-pass/star-b{batch}"), || {
+            let (state, net, touched) = &passes[at];
+            at = (at + 1) % passes.len();
+            plans[touched].apply_counted(state, net).expect("maintains")
+        });
+
+        if batch == 64 {
+            let records: Vec<WalRecord> =
+                pool[..batch].iter().cloned().map(WalRecord::Offered).collect();
+            let mut frames = Vec::new();
+            group.run("wal-encode/star-b64", || {
+                frames.clear();
+                for r in &records {
+                    encode_frame(&mut frames, r);
+                }
+                frames.len()
             });
         }
     }
@@ -346,7 +459,7 @@ fn main() {
             let sessions: Vec<SessionId> = (0..sources)
                 .map(|s| core.connect(SourceId::new(format!("src{s}"))).session)
                 .collect();
-            let group = Bench::new("server")
+            let group = dwc_bench::stamped("server")
                 .field_num("max_batch", max_batch as u64)
                 .field_num("sources", sources as u64)
                 .field_num("envelopes_per_iter", ENVELOPES as u64);
@@ -382,7 +495,7 @@ fn main() {
             let modeled_rate = ENVELOPES as u64 * 1_000 / cost;
             modeled.insert((sources, max_batch), modeled_rate);
             println!(
-                "{{\"group\":\"server\",\"bench\":\"fsync-accounting/batch{max_batch}-src{sources}\",\"acks\":{ENVELOPES},\"fsyncs\":{fsyncs},\"modeled_acks_per_kunit\":{modeled_rate},\"max_batch\":{max_batch},\"sources\":{sources}}}"
+                "{{\"group\":\"server\",\"bench\":\"fsync-accounting/batch{max_batch}-src{sources}\",\"acks\":{ENVELOPES},\"fsyncs\":{fsyncs},\"modeled_acks_per_kunit\":{modeled_rate},\"max_batch\":{max_batch},\"sources\":{sources},\"nproc\":{nproc},\"commit\":\"{commit}\"}}"
             );
         }
     }
@@ -395,7 +508,7 @@ fn main() {
                 measured[&(sources, batch)] * 100 / measured[&(sources, 1)].max(1);
             let modeled_x100 = modeled[&(sources, batch)] * 100 / modeled[&(sources, 1)].max(1);
             println!(
-                "{{\"group\":\"server\",\"bench\":\"claim/batch{batch}-vs-1-src{sources}\",\"measured_speedup_x100\":{measured_x100},\"modeled_speedup_x100\":{modeled_x100},\"threshold_x100\":500}}"
+                "{{\"group\":\"server\",\"bench\":\"claim/batch{batch}-vs-1-src{sources}\",\"measured_speedup_x100\":{measured_x100},\"modeled_speedup_x100\":{modeled_x100},\"threshold_x100\":500,\"nproc\":{nproc},\"commit\":\"{commit}\"}}"
             );
         }
     }
@@ -403,6 +516,7 @@ fn main() {
     let (spec, base) = star_spec_and_base();
     star_rows(&spec, &base, &mut scratch_dirs);
     maintain_pass_rows(&spec);
+    ingest_step_rows(&spec, &base);
     query_rows(&spec, &base, &mut scratch_dirs);
 
     for dir in scratch_dirs {

@@ -700,6 +700,27 @@ pub(crate) fn intersect(a: &Columns, b: &Columns) -> Columns {
     Columns::from_sorted(n, out)
 }
 
+/// `|a ∩ b|` by sorted merge, without building the intersection.
+pub(crate) fn intersection_len(a: &Columns, b: &Columns) -> usize {
+    if a.nrows == 0 || b.nrows == 0 {
+        return 0;
+    }
+    let rv = ranks();
+    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
+    while i < a.nrows && j < b.nrows {
+        match cmp_rows(a, i, b, j, &rv) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                i += 1;
+                j += 1;
+                n += 1;
+            }
+        }
+    }
+    n
+}
+
 /// `(base ∖ del) ∪ ins` in one three-way merge pass — the delta identity
 /// every maintenance path ends with. Inserts win over deletes, matching
 /// the remove-then-extend semantics of the row/set representation.

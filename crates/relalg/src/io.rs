@@ -367,6 +367,18 @@ impl ByteWriter {
         }
     }
 
+    /// Appends `rel` as a `u32` length followed by its
+    /// [`encode_relation`] blob — how the WAL and snapshots store a
+    /// relation — written in place: no blob is built on the side, and
+    /// the length is patched in once the blob is written.
+    pub fn put_relation(&mut self, rel: &Relation) {
+        let at = self.buf.len();
+        self.put_u32(0);
+        put_blob(self, rel);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
     /// Finishes the blob: appends the CRC-32 of everything written so
     /// far and returns the buffer.
     pub fn finish_crc(mut self) -> Vec<u8> {
@@ -522,19 +534,34 @@ pub fn check_crc(data: &[u8]) -> Result<&[u8]> {
 /// identical bytes.
 pub fn encode_relation(rel: &Relation) -> Vec<u8> {
     let mut w = ByteWriter::new();
+    put_blob(&mut w, rel);
+    w.into_bytes()
+}
+
+/// Appends the [`encode_relation`] blob of `rel` to `w`, checksum
+/// included. Values are written straight from the dictionary, row by
+/// row across the code columns — no tuple is materialized.
+fn put_blob(w: &mut ByteWriter, rel: &Relation) {
+    let start = w.len();
+    let arity = rel.attrs().len();
     w.put_bytes(&REL_MAGIC);
     w.put_u8(REL_VERSION);
-    w.put_u32(rel.attrs().len() as u32);
+    w.put_u32(arity as u32);
     for a in rel.attrs().iter() {
         w.put_str(a.as_str());
     }
     w.put_u64(rel.len() as u64);
-    for t in rel.iter() {
-        for v in t.values() {
-            w.put_value(v);
+    let cols = rel.columns();
+    if !cols.is_empty() {
+        let vv = crate::columns::values();
+        for i in 0..cols.len() {
+            for j in 0..arity {
+                w.put_value(vv.value(cols.col(j)[i]));
+            }
         }
     }
-    w.finish_crc()
+    let crc = crc32(&w.buf[start..]);
+    w.put_u32(crc);
 }
 
 /// Decodes an [`encode_relation`] blob. The trailing checksum is

@@ -309,6 +309,14 @@ impl Relation {
         })
     }
 
+    /// `|self ∩ other|` (same header required): the merge walk of
+    /// [`Relation::intersect`] counting matches instead of collecting
+    /// them, so a disjointness check allocates nothing.
+    pub fn intersection_len(&self, other: &Relation) -> Result<usize> {
+        self.require_same_header(other)?;
+        Ok(columns::intersection_len(&self.cols, &other.cols))
+    }
+
     /// `π_Z(self)`; `Z` must be a subset of the header. (The paper's
     /// convention that `π_Z(R) = ∅` when `Z ⊄ attr(R)` is applied one
     /// level up, in the PSJ layer, where it is a deliberate notational

@@ -21,19 +21,30 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+/// The interner proper: name → id, behind the one lock interning takes.
+fn interner() -> &'static Mutex<HashMap<&'static str, u32>> {
+    static INTERNER: OnceLock<Mutex<HashMap<&'static str, u32>>> = OnceLock::new();
+    INTERNER.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            map: HashMap::new(),
-            strings: Vec::new(),
-        })
-    })
+/// Ids of the first chunk of the resolve table: chunk `c` holds
+/// `FIRST_CHUNK << c` slots, so 27 chunks cover every `u32` id.
+const FIRST_CHUNK: u64 = 64;
+const CHUNKS: usize = 27;
+
+/// The resolve table, id → string: append-only chunks of write-once
+/// slots. A slot is filled under the interner lock *before* its id is
+/// handed out, and a filled slot never changes, so resolving reads two
+/// `OnceLock`s (two acquire loads) and takes no lock. Chunks are
+/// allocated on first use and never freed, like the strings.
+static NAMES: [OnceLock<Box<[OnceLock<&'static str>]>>; CHUNKS] =
+    [const { OnceLock::new() }; CHUNKS];
+
+/// The chunk and the slot within it that hold `id`.
+fn slot_of(id: u32) -> (usize, usize) {
+    let v = u64::from(id) + FIRST_CHUNK;
+    let chunk = (63 - v.leading_zeros() - FIRST_CHUNK.trailing_zeros()) as usize;
+    (chunk, (v - (FIRST_CHUNK << chunk)) as usize)
 }
 
 impl Symbol {
@@ -43,21 +54,27 @@ impl Symbol {
         // The interner never panics while holding the lock, but recover
         // from poisoning anyway: the table is append-only, so a poisoned
         // guard still holds a consistent map.
-        let mut i = interner().lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(&id) = i.map.get(name) {
+        let mut map = interner().lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(&id) = map.get(name) {
             return Symbol(id);
         }
-        let id = u32::try_from(i.strings.len()).expect("symbol table overflow"); // lint:allow expect -- overflowing u32 needs 4 billion distinct names
+        let id = u32::try_from(map.len()).expect("symbol table overflow"); // lint:allow expect -- overflowing u32 needs 4 billion distinct names
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        i.strings.push(leaked);
-        i.map.insert(leaked, id);
+        let (chunk, slot) = slot_of(id);
+        NAMES[chunk]
+            .get_or_init(|| (0..FIRST_CHUNK << chunk).map(|_| OnceLock::new()).collect())[slot]
+            .get_or_init(|| leaked);
+        map.insert(leaked, id);
         Symbol(id)
     }
 
-    /// Resolves the symbol back to its string.
+    /// Resolves the symbol back to its string, without a lock.
     pub fn as_str(self) -> &'static str {
-        let i = interner().lock().unwrap_or_else(|p| p.into_inner());
-        i.strings[self.0 as usize]
+        let (chunk, slot) = slot_of(self.0);
+        NAMES[chunk]
+            .get()
+            .and_then(|names| names[slot].get())
+            .expect("a symbol's slot is filled before its id exists") // lint:allow expect -- intern fills the slot before it returns the id
     }
 
     /// The raw id; only useful for dense side tables.
@@ -182,6 +199,54 @@ mod tests {
         let a = Attr::new("shared");
         let r = RelName::new("shared");
         assert_eq!(a.as_str(), r.as_str());
+    }
+
+    #[test]
+    fn slots_tile_the_id_space() {
+        assert_eq!(slot_of(0), (0, 0));
+        assert_eq!(slot_of(63), (0, 63));
+        assert_eq!(slot_of(64), (1, 0));
+        assert_eq!(slot_of(191), (1, 127));
+        assert_eq!(slot_of(192), (2, 0));
+        assert_eq!(slot_of(u32::MAX).0, CHUNKS - 1);
+    }
+
+    /// Threads intern overlapping names while resolving what they and
+    /// the others interned: every id resolves to its name, every time,
+    /// and a name gets one id whichever thread interned it first.
+    #[test]
+    fn concurrent_intern_and_resolve_are_stable() {
+        let names: Vec<String> = (0..300).map(|i| format!("concurrent-{i}")).collect();
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<(String, Symbol)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (names, start) = (&names, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut mine = Vec::new();
+                        for round in 0..3 {
+                            for (i, name) in names.iter().enumerate() {
+                                if (i + t + round) % 3 == 0 {
+                                    let sym = Symbol::intern(name);
+                                    assert_eq!(sym.as_str(), name);
+                                    mine.push((name.clone(), sym));
+                                }
+                            }
+                            for (name, sym) in &mine {
+                                assert_eq!(sym.as_str(), name);
+                            }
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (name, sym) in seen.iter().flatten() {
+            assert_eq!(Symbol::intern(name), *sym);
+            assert_eq!(sym.as_str(), name);
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! warehousing architecture of Figure 1. Applying an update yields
 //! `d' = u(d)` with `r' = (r ∖ delete) ∪ insert` per relation.
 
+use crate::columns::{Code, Columns};
 use crate::database::DbState;
 use crate::error::{RelalgError, Result};
 use crate::relation::Relation;
@@ -69,36 +70,6 @@ impl Delta {
     /// Applies the delta to an instance: `(current ∖ delete) ∪ insert`.
     pub fn apply(&self, current: &Relation) -> Result<Relation> {
         current.apply_delta(&self.insert, &self.delete)
-    }
-
-    /// The cancelling sequential composition `self ; next` of two
-    /// *sequentially normalized* deltas: `self` normalized w.r.t. some
-    /// state `s₀`, `next` w.r.t. `self(s₀)`. A tuple inserted and then
-    /// deleted (or deleted and then re-inserted) cancels to nothing:
-    ///
-    /// ```text
-    /// insert = (self.insert ∖ next.delete) ∪ (next.insert ∖ self.delete)
-    /// delete = (self.delete ∖ next.insert) ∪ (next.delete ∖ self.insert)
-    /// ```
-    ///
-    /// Returns `None` when the pair *shows* that the premise is broken —
-    /// a tuple inserted twice, or deleted twice, with nothing in
-    /// between. See [`Update::then_net`] for the lemma.
-    pub fn then_net(&self, next: &Delta) -> Result<Option<Delta>> {
-        if !self.insert.intersect(&next.insert)?.is_empty()
-            || !self.delete.intersect(&next.delete)?.is_empty()
-        {
-            return Ok(None);
-        }
-        let insert = self
-            .insert
-            .difference(&next.delete)?
-            .union(&next.insert.difference(&self.delete)?)?;
-        let delete = self
-            .delete
-            .difference(&next.insert)?
-            .union(&next.delete.difference(&self.insert)?)?;
-        Ok(Some(Delta { insert, delete }))
     }
 
     /// The *net effect* relative to `current`: deletions restricted to
@@ -167,41 +138,95 @@ impl Update {
         self
     }
 
-    /// The cancelled sequential composition `self ; next`: per relation
-    /// [`Delta::then_net`], with deltas that cancel to nothing dropped.
+    /// The net effect of `reports` applied in order: their cancelled
+    /// sequential composition, one delta per relation they leave changed.
     ///
     /// **Lemma.** Let `u₁ … u_k` each be normalized w.r.t. the state it
-    /// meets (`u₁` w.r.t. `s₀`, `u₂` w.r.t. `u₁(s₀)`, …). Then the fold
-    /// `n = u₁.then_net(u₂)….then_net(u_k)` is defined, is normalized
-    /// w.r.t. `s₀` (`delete ⊆ s₀`, `insert ∩ s₀ = ∅`,
-    /// `insert ∩ delete = ∅`), and `n(s₀) = u_k(…u₁(s₀)…)`. Per tuple
-    /// `t`, normalization makes the stream's operations on `t` alternate,
-    /// starting with an insert iff `t ∉ s₀`; the fold keeps `t` in
-    /// `insert` (resp. `delete`) exactly while that alternation stands at
-    /// an odd count from `t ∉ s₀` (resp. `t ∈ s₀`), which is both the
-    /// normal form and the net effect. This is what lets one maintenance
-    /// pass over `n` stand in for `k` passes (Theorem 4.1 holds for an
-    /// arbitrary update, so for `n` as for each `uᵢ`).
+    /// meets (`u₁` w.r.t. `s₀`, `u₂` w.r.t. `u₁(s₀)`, …). Then the net
+    /// `n` is defined, is normalized w.r.t. `s₀` (`delete ⊆ s₀`,
+    /// `insert ∩ s₀ = ∅`, `insert ∩ delete = ∅`), and
+    /// `n(s₀) = u_k(…u₁(s₀)…)`. Per tuple `t`, normalization makes the
+    /// stream's operations on `t` alternate, starting with an insert iff
+    /// `t ∉ s₀`; `n` keeps `t` in `insert` (resp. `delete`) exactly when
+    /// that alternation has odd length from `t ∉ s₀` (resp. `t ∈ s₀`),
+    /// which is both the normal form and the net effect. This is what
+    /// lets one maintenance pass over `n` stand in for `k` passes
+    /// (Theorem 4.1 holds for an arbitrary update, so for `n` as for each
+    /// `uᵢ`).
     ///
-    /// Returns `Ok(None)` when the composition can *see* the premise
-    /// fail — some tuple inserted twice or deleted twice with nothing in
-    /// between; callers then apply the updates one at a time.
-    pub fn then_net(mut self, next: &Update) -> Result<Option<Update>> {
-        self.check_valid()?;
-        next.check_valid()?;
-        for (&name, delta) in &next.deltas {
-            let composed = match self.deltas.remove(&name) {
-                None => delta.clone(),
-                Some(first) => match first.then_net(delta)? {
-                    Some(d) => d,
+    /// **One step.** The lemma makes the net a per-tuple question, so it
+    /// is answered per tuple: every relation's reported rows are gathered
+    /// with their report index and side, sorted so that each tuple's
+    /// occurrences sit together in stream order, and walked once through
+    /// the state machine below; each side of the net is then built once
+    /// from the surviving dictionary codes. No intermediate net is
+    /// materialized, so the cost is `O(m log m)` in the `m` reported
+    /// tuples, not `O(k · |n|)`. A relation only one report touches keeps
+    /// that report's delta as it is.
+    ///
+    /// The state machine is the pairwise composition `a ; b` — `insert =
+    /// (a.insert ∖ b.delete) ∪ (b.insert ∖ a.delete)`, `delete =
+    /// (a.delete ∖ b.insert) ∪ (b.delete ∖ a.insert)` — read per tuple, so
+    /// the result equals folding the reports two at a time in every case
+    /// the fold is defined, reports that are not normalized included.
+    ///
+    /// Returns `Ok(None)` when the stream *shows* that the premise fails —
+    /// some tuple inserted twice, or deleted twice, with nothing in
+    /// between — at a point before any error below; callers then apply
+    /// the reports one at a time. Returns `Err` for the first report in
+    /// stream order that carries a header mismatch recorded by
+    /// [`Update::with`] ([`Update::check_valid`]), or that reports a
+    /// relation under a header other than the one it was first reported
+    /// with.
+    pub fn net<'a>(reports: impl IntoIterator<Item = &'a Update>) -> Result<Option<Update>> {
+        // Each relation's deltas in stream order, tagged with their
+        // report's index; gathering stops at the first error, and only
+        // what precedes it can show a breach.
+        let mut touched: Vec<(RelName, Vec<(u32, &'a Delta)>)> = Vec::new();
+        let mut error = None;
+        'reports: for (k, report) in reports.into_iter().enumerate() {
+            if let Err(e) = report.check_valid() {
+                error = Some(e);
+                break;
+            }
+            for (&name, delta) in &report.deltas {
+                let at = match touched.iter().position(|(n, _)| *n == name) {
+                    Some(at) => at,
+                    None => {
+                        touched.push((name, Vec::new()));
+                        touched.len() - 1
+                    }
+                };
+                let deltas = &mut touched[at].1;
+                if let Some((_, first)) = deltas.first() {
+                    if first.insert.attrs() != delta.insert.attrs() {
+                        error = Some(RelalgError::HeaderMismatch {
+                            left: first.insert.attrs().clone(),
+                            right: delta.insert.attrs().clone(),
+                        });
+                        break 'reports;
+                    }
+                }
+                deltas.push((k as u32, delta));
+            }
+        }
+        let mut net = Update::new();
+        for (name, deltas) in touched {
+            let delta = match deltas.as_slice() {
+                [(_, only)] => (*only).clone(),
+                _ => match net_delta(&deltas) {
+                    Some(delta) => delta,
                     None => return Ok(None),
                 },
             };
-            if !composed.is_empty() {
-                self.deltas.insert(name, composed);
+            if !delta.is_empty() {
+                net.deltas.insert(name, delta);
             }
         }
-        Ok(Some(self))
+        match error {
+            Some(e) => Err(e),
+            None => Ok(Some(net)),
+        }
     }
 
     /// The header mismatch recorded by [`Update::with`], if any, as an
@@ -280,6 +305,63 @@ impl Update {
         }
         Ok(out)
     }
+}
+
+/// One reported tuple: its codes' offset in the gathered rows, the index
+/// of the report that carries it, and the side (`true` = inserted).
+type Occurrence = (usize, u32, bool);
+
+/// The net of one relation's deltas in stream order (report index,
+/// delta; one header), or `None` when some tuple is inserted twice or
+/// deleted twice with nothing in between — see [`Update::net`].
+fn net_delta(deltas: &[(u32, &Delta)]) -> Option<Delta> {
+    let header = deltas[0].1.insert.attrs();
+    let arity = header.len();
+    let mut rows: Vec<Code> = Vec::new();
+    let mut seen: Vec<Occurrence> = Vec::new();
+    for &(k, delta) in deltas {
+        for (side, rel) in [(true, &delta.insert), (false, &delta.delete)] {
+            let cols = rel.columns();
+            for i in 0..cols.len() {
+                seen.push((rows.len(), k, side));
+                rows.extend((0..arity).map(|j| cols.col(j)[i]));
+            }
+        }
+    }
+    // Equal codes are equal tuples, so raw code order groups each
+    // tuple's occurrences together, in stream order within the group.
+    let row = |at: usize| &rows[at..at + arity];
+    seen.sort_unstable_by(|a, b| row(a.0).cmp(row(b.0)).then(a.1.cmp(&b.1)));
+    let (mut ins, mut del) = ((Vec::new(), 0), (Vec::new(), 0));
+    let mut group = seen.as_slice();
+    while let Some(&(at, _, _)) = group.first() {
+        let len = group.iter().take_while(|o| row(o.0) == row(at)).count();
+        // (in the net's insert, in the net's delete), composed with each
+        // report's (inserted, deleted) for this tuple in turn.
+        let (mut i, mut d) = (false, false);
+        let mut occ = &group[..len];
+        while let Some(&(_, k, _)) = occ.first() {
+            let n = occ.iter().take_while(|o| o.1 == k).count();
+            let a = occ[..n].iter().any(|o| o.2);
+            let b = occ[..n].iter().any(|o| !o.2);
+            if (i && a) || (d && b) {
+                return None;
+            }
+            (i, d) = ((i && !b) || (a && !d), (d && !a) || (b && !i));
+            occ = &occ[n..];
+        }
+        for (keep, (flat, count)) in [(i, &mut ins), (d, &mut del)] {
+            if keep {
+                flat.extend_from_slice(row(at));
+                *count += 1;
+            }
+        }
+        group = &group[len..];
+    }
+    let side = |(flat, count): (Vec<Code>, usize)| {
+        Relation::from_parts(header.clone(), Columns::from_unsorted_rows(arity, count, flat))
+    };
+    Some(Delta { insert: side(ins), delete: side(del) })
 }
 
 impl fmt::Display for Update {
@@ -376,33 +458,57 @@ mod tests {
         let mary = rel! { ["clerk", "age"] => ("Mary", 23) };
         let ins = |r: &Relation| Update::inserting("Emp", r.clone());
         let del = |r: &Relation| Update::deleting("Emp", r.clone());
+        let net = |reports: &[Update]| Update::net(reports);
         // insert → delete and delete → re-insert cancel to the no-op
         // update: no relation touched, not merely an empty delta.
-        let n = ins(&zoe).then_net(&del(&zoe)).unwrap().unwrap();
+        let n = net(&[ins(&zoe), del(&zoe)]).unwrap().unwrap();
         assert_eq!(n, Update::new());
-        let n = del(&mary).then_net(&ins(&mary)).unwrap().unwrap();
+        let n = net(&[del(&mary), ins(&mary)]).unwrap().unwrap();
         assert_eq!(n.touched().count(), 0);
         // insert → delete → insert is one net insert.
-        let n = ins(&zoe)
-            .then_net(&del(&zoe))
-            .and_then(|n| n.unwrap().then_net(&ins(&zoe)))
-            .unwrap()
-            .unwrap();
+        let n = net(&[ins(&zoe), del(&zoe), ins(&zoe)]).unwrap().unwrap();
         assert_eq!(n, ins(&zoe));
         // Independent tuples and relations accumulate.
-        let n = ins(&zoe)
-            .then_net(&del(&mary).with("Sale", Delta::insert_only(rel! { ["item"] => ("Mac",) })))
-            .unwrap()
-            .unwrap();
+        let n = net(&[
+            ins(&zoe),
+            del(&mary).with("Sale", Delta::insert_only(rel! { ["item"] => ("Mac",) })),
+        ])
+        .unwrap()
+        .unwrap();
         assert_eq!(n.len(), 3);
         assert_eq!(n.touched().count(), 2);
         // Twice the same way with nothing in between: not sequentially
         // normalized, and visibly so.
-        assert_eq!(ins(&zoe).then_net(&ins(&zoe)).unwrap(), None);
-        assert_eq!(del(&mary).then_net(&del(&mary)).unwrap(), None);
+        assert_eq!(net(&[ins(&zoe), ins(&zoe)]).unwrap(), None);
+        assert_eq!(net(&[del(&mary), del(&mary)]).unwrap(), None);
         // A recorded header mismatch stays an error.
         let bad = ins(&zoe).with("Emp", Delta::insert_only(rel! { ["other"] => (1,) }));
-        assert!(ins(&mary).then_net(&bad).is_err());
+        assert!(net(&[ins(&mary), bad]).is_err());
+    }
+
+    #[test]
+    fn net_of_nothing_and_of_one_report() {
+        assert_eq!(Update::net([]).unwrap(), Some(Update::new()));
+        let u = Update::inserting("Emp", rel! { ["clerk", "age"] => ("Zoe", 40) })
+            .with("Sale", Delta::delete_only(rel! { ["item"] => ("Mac",) }));
+        assert_eq!(Update::net([&u]).unwrap(), Some(u));
+        // A report's empty delta leaves no trace in the net.
+        let empty = Update::inserting("Emp", Relation::empty(AttrSet::from_names(&["clerk", "age"])));
+        assert_eq!(Update::net([&empty]).unwrap(), Some(Update::new()));
+    }
+
+    #[test]
+    fn a_breach_before_an_error_is_a_breach_and_after_it_an_error() {
+        let zoe = rel! { ["clerk", "age"] => ("Zoe", 40) };
+        let ins = || Update::inserting("Emp", zoe.clone());
+        let bad = ins().with("Emp", Delta::insert_only(rel! { ["other"] => (1,) }));
+        assert_eq!(Update::net(&[ins(), ins(), bad.clone()]).unwrap(), None);
+        assert!(Update::net(&[ins(), bad, ins()]).is_err());
+        // A relation reported under two headers is an error, too.
+        let other = Update::inserting("Emp", rel! { ["other"] => (1,) });
+        let err = Update::net(&[ins(), other.clone()]).unwrap_err();
+        assert!(matches!(err, RelalgError::HeaderMismatch { .. }));
+        assert_eq!(Update::net(&[ins(), ins(), other]).unwrap(), None);
     }
 
     #[test]

@@ -21,15 +21,18 @@ use crate::error::Result;
 use crate::integrator::{SourceSite, SourceStats};
 use dwc_relalg::{Catalog, DbState, Update};
 use std::fmt;
+use std::sync::Arc;
 
-/// Identifier of a reporting source site (e.g. `"paris"`).
+/// Identifier of a reporting source site (e.g. `"paris"`). Shared, not
+/// copied: every envelope, cursor and ack of a source names it, so a
+/// clone is a reference-count bump.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SourceId(String);
+pub struct SourceId(Arc<str>);
 
 impl SourceId {
     /// Wraps a source name.
     pub fn new(name: impl Into<String>) -> SourceId {
-        SourceId(name.into())
+        SourceId(Arc::from(name.into()))
     }
 
     /// The name as text.

@@ -28,7 +28,11 @@
 //!   slice puts in sequence are maintained together, in one pass over
 //!   their net delta ([`IngestingIntegrator::offer_batch`]); Theorem 4.1
 //!   holds for an arbitrary update, so how a stream is sliced never
-//!   shows in the state.
+//!   shows in the state. Sequencing only collects the slice's reports —
+//!   borrowed from its envelopes, never cloned — and the net is folded
+//!   from all of them in one step ([`Update::net`]) before the pass, so
+//!   a slice costs its pass plus work linear (up to a sort) in the
+//!   tuples it reports.
 //!
 //! Every decision is counted in [`IngestStats`], the channel-side
 //! sibling of [`crate::integrator::SourceStats`].
@@ -37,6 +41,7 @@ use crate::channel::{Envelope, SourceId};
 use crate::error::{Result, WarehouseError};
 use crate::integrator::{Integrator, IntegratorStats};
 use dwc_relalg::{DbState, RaExpr, Relation, Update};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Tuning of the ingestion layer.
@@ -131,24 +136,26 @@ pub(crate) struct Cursor {
 }
 
 /// The in-sequence reports a coalescing slice has accepted but not yet
-/// maintained.
-struct Accepted {
-    /// Their cancelled sequential composition, normalized w.r.t. the
-    /// pre-slice state ([`Update::then_net`]); `None` once a report
-    /// would not compose.
-    net: Option<Update>,
-    /// The non-empty reports folded in — what
+/// maintained. Sequencing only collects them; once the whole slice is
+/// sequenced, [`IngestingIntegrator::offer_coalesced`] folds them into
+/// their net delta in one step ([`Update::net`]).
+struct Accepted<'a> {
+    /// The reports in sequence order: borrowed from the slice's
+    /// envelopes, owned only when a parked successor drained out of the
+    /// reorder window.
+    reports: Vec<Cow<'a, Update>>,
+    /// The non-empty reports among them — what
     /// [`IntegratorStats::updates_processed`] counts.
     counted: usize,
     /// Their tuples — what [`IntegratorStats::delta_tuples`] counts.
     tuples: usize,
 }
 
-impl Accepted {
-    fn push(&mut self, report: &Update) {
+impl<'a> Accepted<'a> {
+    fn push(&mut self, report: Cow<'a, Update>) {
         self.counted += usize::from(!report.is_empty());
         self.tuples += report.len();
-        self.net = self.net.take().and_then(|net| net.then_net(report).ok().flatten());
+        self.reports.push(report);
     }
 }
 
@@ -258,9 +265,9 @@ impl IngestingIntegrator {
     /// Sequencing — dedup, validation, epochs, the reorder window,
     /// quarantine — is decided per envelope exactly as if each were
     /// offered alone, but the slice's in-sequence reports are maintained
-    /// together: composed in order into their net delta
-    /// ([`Update::then_net`]) and run through **one** maintenance pass
-    /// (none when everything cancels). Theorem 4.1 holds for an
+    /// together: folded in one step into their net delta
+    /// ([`Update::net`]) and run through **one** maintenance pass (none
+    /// when everything cancels). Theorem 4.1 holds for an
     /// arbitrary update, so the pass lands on the state the per-report
     /// passes would have reached. If the composition shows a malformed
     /// stream, or the pass fails, the slice is rolled back and re-run one
@@ -280,18 +287,17 @@ impl IngestingIntegrator {
         envelopes.iter().map(|e| self.sequence(e, None)).collect()
     }
 
-    /// Sequences the whole slice, folding its in-sequence reports into
-    /// one net delta, then maintains that once. `None` — with cursors,
-    /// counters and quarantine possibly advanced, the warehouse state
-    /// not — when the slice has to go one report per pass instead.
+    /// Sequences the whole slice, collecting its in-sequence reports,
+    /// folds them into one net delta and maintains that once. `None` —
+    /// with cursors, counters and quarantine possibly advanced, the
+    /// warehouse state not — when the slice has to go one report per
+    /// pass instead: the reports would not fold, or the pass failed.
     fn offer_coalesced(&mut self, envelopes: &[Envelope]) -> Option<Vec<IngestOutcome>> {
-        let mut accepted = Accepted { net: Some(Update::new()), counted: 0, tuples: 0 };
-        let mut outcomes = Vec::with_capacity(envelopes.len());
-        for envelope in envelopes {
-            outcomes.push(self.sequence(envelope, Some(&mut accepted)));
-            accepted.net.as_ref()?;
-        }
-        let net = accepted.net.take()?;
+        let mut accepted =
+            Accepted { reports: Vec::with_capacity(envelopes.len()), counted: 0, tuples: 0 };
+        let outcomes =
+            envelopes.iter().map(|e| self.sequence(e, Some(&mut accepted))).collect();
+        let net = Update::net(accepted.reports.iter().map(|r| r.as_ref())).ok().flatten()?;
         self.maintain(&net, accepted.counted, accepted.tuples).ok()?;
         Some(outcomes)
     }
@@ -320,23 +326,33 @@ impl IngestingIntegrator {
         self.quarantine.truncate(undo.quarantined);
     }
 
-    fn sequence(
+    fn sequence<'a>(
         &mut self,
-        envelope: &Envelope,
-        accepted: Option<&mut Accepted>,
+        envelope: &'a Envelope,
+        accepted: Option<&mut Accepted<'a>>,
     ) -> IngestOutcome {
         self.stats.delivered += 1;
-        let mut cursor = self.cursors.remove(&envelope.source).unwrap_or_default();
+        // The cursor is taken out and put back in place: no map node
+        // is freed and re-allocated per envelope.
+        let mut cursor = match self.cursors.get_mut(&envelope.source) {
+            Some(cursor) => std::mem::take(cursor),
+            None => Cursor::default(),
+        };
         let outcome = self.sequence_at(&mut cursor, envelope, accepted);
-        self.cursors.insert(envelope.source.clone(), cursor);
+        match self.cursors.get_mut(&envelope.source) {
+            Some(slot) => *slot = cursor,
+            None => {
+                self.cursors.insert(envelope.source.clone(), cursor);
+            }
+        }
         outcome
     }
 
-    fn sequence_at(
+    fn sequence_at<'a>(
         &mut self,
         cursor: &mut Cursor,
-        envelope: &Envelope,
-        mut accepted: Option<&mut Accepted>,
+        envelope: &'a Envelope,
+        mut accepted: Option<&mut Accepted<'a>>,
     ) -> IngestOutcome {
         // An older epoch is a stale replay from before the source's
         // sequencer restarted.
@@ -390,16 +406,11 @@ impl IngestingIntegrator {
         // slice's one pass), then drain every parked successor that
         // became contiguous.
         let mut applied = 0;
-        let mut report = envelope.report.clone();
+        let mut report = Cow::Borrowed(&envelope.report);
         loop {
-            let result = match accepted.as_deref_mut() {
-                Some(accepted) => {
-                    accepted.push(&report);
-                    Ok(())
-                }
-                None => self.apply_one(&report),
-            };
-            if let Err(e) = result {
+            if let Some(accepted) = accepted.as_deref_mut() {
+                accepted.push(report);
+            } else if let Err(e) = self.apply_one(&report) {
                 // The report is well-formed but failed evaluation; park
                 // it in quarantine without consuming its sequence so
                 // recovery (or an operator) can deal with it.
@@ -407,7 +418,7 @@ impl IngestingIntegrator {
                     source: envelope.source.clone(),
                     epoch: cursor.epoch,
                     seq: cursor.next_seq,
-                    report,
+                    report: report.into_owned(),
                 };
                 let outcome = self.reject(&failed, e);
                 // A failing *successor* is quarantined under its own
@@ -418,7 +429,7 @@ impl IngestingIntegrator {
             self.stats.applied += 1;
             cursor.next_seq += 1;
             match cursor.pending.remove(&cursor.next_seq) {
-                Some(next) => report = next,
+                Some(next) => report = Cow::Owned(next),
                 None => break,
             }
         }
@@ -475,8 +486,8 @@ impl IngestingIntegrator {
     /// Structural validation of a report against the warehouse catalog:
     /// known relations, schema headers, normalization shape, and no
     /// header mismatch recorded while the report was composed
-    /// ([`Update::check_valid`]). State-free and cheap; runs before any
-    /// sequencing decision.
+    /// ([`Update::check_valid`]). State-free, allocation-free on a valid
+    /// report, and run before any sequencing decision.
     fn validate(&self, report: &Update) -> Result<()> {
         report.check_valid()?;
         let catalog = self.integ.warehouse().catalog();
@@ -492,13 +503,12 @@ impl IngestingIntegrator {
                     got: delta.inserted().attrs().clone(),
                 });
             }
-            let overlap = delta.inserted().intersect(delta.deleted())?;
-            if !overlap.is_empty() {
+            let overlap = delta.inserted().intersection_len(delta.deleted())?;
+            if overlap > 0 {
                 return Err(WarehouseError::MalformedReport {
                     relation: name,
                     detail: format!(
-                        "{} tuple(s) both inserted and deleted — not a normalized report",
-                        overlap.len()
+                        "{overlap} tuple(s) both inserted and deleted — not a normalized report"
                     ),
                 });
             }

@@ -203,12 +203,29 @@ impl RetryPolicy {
 
 /// A batch the pipeline accepted but could not yet durably commit.
 /// `outcomes` is `Some` iff the batch was already applied in memory
-/// (the batch in flight when the failure struck); later arrivals park
-/// unapplied and apply on drain, preserving arrival order end to end.
+/// (the batch in flight when the failure struck) — its reports then
+/// live on in the warehouse's unlogged queue, and `items` keep only
+/// what their acks need; later arrivals park unapplied and apply on
+/// drain, preserving arrival order end to end.
 #[derive(Debug)]
 struct ParkedBatch {
     items: Vec<BatchItem>,
     outcomes: Option<Vec<IngestOutcome>>,
+}
+
+/// The batch's envelopes, to be applied and logged. Each report moves
+/// out of its item, which keeps the session, source, epoch and sequence
+/// number its ack is minted from; the source is shared, not copied.
+fn take_envelopes(items: &mut [BatchItem]) -> Vec<Envelope> {
+    items
+        .iter_mut()
+        .map(|item| Envelope {
+            source: item.envelope.source.clone(),
+            epoch: item.envelope.epoch,
+            seq: item.envelope.seq,
+            report: std::mem::take(&mut item.envelope.report),
+        })
+        .collect()
 }
 
 /// What [`CommitPipeline::submit`] did with a batch.
@@ -266,7 +283,7 @@ impl<M: StorageMedium> CommitPipeline<M> {
     ///   everything after this).
     pub fn submit(
         &mut self,
-        batch: Vec<BatchItem>,
+        mut batch: Vec<BatchItem>,
         now: u64,
     ) -> Result<Submitted, StorageError> {
         if self.health != Health::Healthy {
@@ -274,8 +291,7 @@ impl<M: StorageMedium> CommitPipeline<M> {
             self.park(batch);
             return Ok(Submitted::Parked { next_retry_at });
         }
-        let envelopes: Vec<Envelope> = batch.iter().map(|item| item.envelope.clone()).collect();
-        let outcomes = self.warehouse.apply_batch(&envelopes);
+        let outcomes = self.warehouse.apply_envelopes(take_envelopes(&mut batch));
         match self.warehouse.commit_applied() {
             Ok(()) => {
                 let epoch = self.epochs.publish(self.warehouse.state().clone());
@@ -335,9 +351,8 @@ impl<M: StorageMedium> CommitPipeline<M> {
             let outcomes = match self.parked[0].outcomes.take() {
                 Some(outcomes) => outcomes,
                 None => {
-                    let envelopes: Vec<Envelope> =
-                        self.parked[0].items.iter().map(|i| i.envelope.clone()).collect();
-                    self.warehouse.apply_batch(&envelopes)
+                    let envelopes = take_envelopes(&mut self.parked[0].items);
+                    self.warehouse.apply_envelopes(envelopes)
                 }
             };
             match self.warehouse.commit_applied() {

@@ -619,7 +619,7 @@ impl<M: StorageMedium> DurableWarehouse<M> {
     pub fn offer(&mut self, envelope: &Envelope) -> Result<IngestOutcome, StorageError> {
         self.ensure_live()?;
         let outcome = self.ingest.offer(envelope);
-        self.log(&WalRecord::Offered(envelope.clone()))?;
+        self.log(WalRecord::Offered(envelope.clone()))?;
         self.maybe_auto_snapshot()?;
         Ok(outcome)
     }
@@ -656,10 +656,20 @@ impl<M: StorageMedium> DurableWarehouse<M> {
     /// storage. Pair with [`DurableWarehouse::commit_applied`] — the
     /// split lets the server park an already-applied batch when the
     /// commit fails retryably, instead of losing it or applying it
-    /// twice.
+    /// twice. The queued records are copies of the envelopes; a caller
+    /// that owns them hands them over with
+    /// [`DurableWarehouse::apply_envelopes`] instead.
     pub fn apply_batch(&mut self, envelopes: &[Envelope]) -> Vec<IngestOutcome> {
-        let outcomes = self.ingest.offer_batch(envelopes);
-        self.unlogged.extend(envelopes.iter().cloned().map(WalRecord::Offered));
+        self.apply_envelopes(envelopes.to_vec())
+    }
+
+    /// [`DurableWarehouse::apply_batch`] for a batch the caller owns: the
+    /// envelopes are offered where they lie and then *move* into the
+    /// unlogged queue as its WAL records, so the group-commit path copies
+    /// no report between the wire and the log.
+    pub fn apply_envelopes(&mut self, envelopes: Vec<Envelope>) -> Vec<IngestOutcome> {
+        let outcomes = self.ingest.offer_batch(&envelopes);
+        self.unlogged.extend(envelopes.into_iter().map(WalRecord::Offered));
         outcomes
     }
 
@@ -720,7 +730,7 @@ impl<M: StorageMedium> DurableWarehouse<M> {
         let Some(outcome) = self.ingest.requeue_quarantined(index) else {
             return Ok(None);
         };
-        self.log(&WalRecord::Requeued { index: index as u64 })?;
+        self.log(WalRecord::Requeued { index: index as u64 })?;
         self.maybe_auto_snapshot()?;
         Ok(Some(outcome))
     }
@@ -739,7 +749,7 @@ impl<M: StorageMedium> DurableWarehouse<M> {
             return Ok(None);
         };
         let entry = entry.clone();
-        self.log(&WalRecord::Discarded { index: index as u64, reason: reason.to_owned() })?;
+        self.log(WalRecord::Discarded { index: index as u64, reason: reason.to_owned() })?;
         self.maybe_auto_snapshot()?;
         Ok(Some(entry))
     }
@@ -787,7 +797,7 @@ impl<M: StorageMedium> DurableWarehouse<M> {
     ) -> Result<usize, StorageError> {
         self.ensure_live()?;
         let n = self.ingest.recover_from_log(source, log)?;
-        self.log(&WalRecord::Recovered { source: source.clone(), log: log.to_vec() })?;
+        self.log(WalRecord::Recovered { source: source.clone(), log: log.to_vec() })?;
         self.maybe_auto_snapshot()?;
         Ok(n)
     }
@@ -853,9 +863,9 @@ impl<M: StorageMedium> DurableWarehouse<M> {
     /// [`DurabilityConfig::sync_every_append`]. A fatal failure poisons
     /// the instance; a retryable one leaves it dirty with the record
     /// safe in the unlogged queue.
-    fn log(&mut self, record: &WalRecord) -> Result<(), StorageError> {
+    fn log(&mut self, record: WalRecord) -> Result<(), StorageError> {
         let sync = self.config.sync_every_append;
-        self.unlogged.push(record.clone());
+        self.unlogged.push(record);
         self.flush_unlogged(sync)
     }
 
@@ -1008,11 +1018,11 @@ impl<M: StorageMedium> DurableWarehouse<M> {
     }
 }
 
-/// Most `Offered` records [`Recovery::open`] replays as one slice.
-/// Composing a run is linear in the delta accumulated so far, so an
-/// unbounded run would be quadratic in the WAL tail, while the pass a
-/// group buys costs the same whatever its size: on the star spec replay
-/// reads 40 µs per record at 64, 14 µs at 256 and no better at 1024.
+/// Most `Offered` records [`Recovery::open`] replays as one slice. The
+/// pass a group buys costs about the same whatever its size (on the
+/// star spec replay read 40 µs per record at 64, 14 µs at 256 and no
+/// better at 1024), so larger slices buy nothing; the cap bounds what
+/// one replay slice holds at once.
 const REPLAY_GROUP: usize = 256;
 
 /// Opens a medium holding a committed warehouse and restores it; see

@@ -28,7 +28,7 @@ use super::{StorageError, StorageMedium};
 use crate::channel::{Envelope, SourceId};
 use crate::ingest::{IngestConfig, IngestStats};
 use crate::integrator::IntegratorStats;
-use dwc_relalg::io::{check_crc, decode_relation, encode_relation, ByteReader, ByteWriter};
+use dwc_relalg::io::{check_crc, decode_relation, ByteReader, ByteWriter};
 use dwc_relalg::{DbState, RelalgError, Update};
 use std::collections::BTreeMap;
 
@@ -282,13 +282,10 @@ fn take_stats(
 
 fn put_image(w: &mut ByteWriter, image: &WarehouseImage) {
     // Relations.
-    let rels: Vec<_> = image.warehouse.iter().collect();
-    w.put_u32(rels.len() as u32);
-    for (name, rel) in rels {
+    w.put_u32(image.warehouse.iter().count() as u32);
+    for (name, rel) in image.warehouse.iter() {
         w.put_str(name.as_str());
-        let blob = encode_relation(rel);
-        w.put_u32(blob.len() as u32);
-        w.put_bytes(&blob);
+        w.put_relation(rel);
     }
     // Tuning. The first byte is the inverse-mirror flag of the format;
     // this build keeps no mirrors, so it writes 0 and ignores it on read.
@@ -449,6 +446,27 @@ mod tests {
         let back = read_snapshot(&m, &name, 3).unwrap();
         assert_eq!(back, image);
     }
+
+    /// The whole snapshot file of [`sample_image`] — relation blobs,
+    /// cursors with a parked update, quarantine and discard envelopes —
+    /// fingerprinted when relations were encoded through owned tuples.
+    /// The file format is shared with every older build's store.
+    #[test]
+    fn snapshot_keeps_the_pinned_bytes() {
+        let m = DiskMedium::default();
+        let name = write_snapshot(&m, 3, &sample_image()).unwrap();
+        let bytes = m.read(&name).unwrap();
+        assert_eq!(bytes.len(), PINNED_SNAPSHOT.0, "snapshot bytes");
+        assert_eq!(crate::storage::wal::tests::fnv64(&bytes), PINNED_SNAPSHOT.1, "snapshot bytes");
+        let blob = dwc_relalg::io::encode_relation(&rel! { ["age", "clerk"] => (32, "Paula"), (19, "Ed") });
+        assert_eq!(blob.len(), PINNED_BLOB.0, "relation blob bytes");
+        assert_eq!(crate::storage::wal::tests::fnv64(&blob), PINNED_BLOB.1, "relation blob bytes");
+    }
+
+    /// Length and FNV-64 of [`snapshot_keeps_the_pinned_bytes`]' file.
+    const PINNED_SNAPSHOT: (usize, u64) = (684, 0x080f_dd92_3c77_90e5);
+    /// Length and FNV-64 of its relation blob.
+    const PINNED_BLOB: (usize, u64) = (72, 0x5382_c1ad_f39e_ece7);
 
     #[test]
     fn every_single_byte_corruption_is_snapshot_corrupt() {

@@ -30,7 +30,7 @@
 
 use super::{StorageError, StorageMedium};
 use crate::channel::{Envelope, SourceId};
-use dwc_relalg::io::{crc32, decode_relation, encode_relation, ByteReader, ByteWriter};
+use dwc_relalg::io::{crc32, decode_relation, ByteReader, ByteWriter};
 use dwc_relalg::{Delta, RelalgError, Update};
 
 /// Magic bytes opening every WAL segment.
@@ -92,7 +92,7 @@ pub(crate) fn create_segment<M: StorageMedium>(
 /// (whatever `out` already holds is kept) and returns the frame's
 /// length. A group commit encodes all of its frames into one buffer
 /// and hands the medium a single append.
-pub(crate) fn encode_frame(out: &mut Vec<u8>, record: &WalRecord) -> usize {
+pub fn encode_frame(out: &mut Vec<u8>, record: &WalRecord) -> usize {
     let start = out.len();
     out.extend_from_slice(&[0; 8]);
     let mut w = ByteWriter::from_vec(std::mem::take(out));
@@ -262,18 +262,13 @@ pub(crate) fn take_envelope(r: &mut ByteReader<'_>) -> Result<Envelope, RelalgEr
 /// Writes one update: relation count, then per relation the name and
 /// length-prefixed insert/delete relation blobs (each blob is the
 /// canonical encoding of [`dwc_relalg::io::encode_relation`], own CRC
-/// included).
+/// included), written in place by [`ByteWriter::put_relation`].
 pub(crate) fn put_update(w: &mut ByteWriter, update: &Update) {
-    let rels: Vec<_> = update.iter().collect();
-    w.put_u32(rels.len() as u32);
-    for (name, delta) in rels {
+    w.put_u32(update.iter().count() as u32);
+    for (name, delta) in update.iter() {
         w.put_str(name.as_str());
-        let ins = encode_relation(delta.inserted());
-        w.put_u32(ins.len() as u32);
-        w.put_bytes(&ins);
-        let del = encode_relation(delta.deleted());
-        w.put_u32(del.len() as u32);
-        w.put_bytes(&del);
+        w.put_relation(delta.inserted());
+        w.put_relation(delta.deleted());
     }
 }
 
@@ -297,10 +292,10 @@ pub(crate) fn take_update(r: &mut ByteReader<'_>) -> Result<Update, RelalgError>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::testutil::DiskMedium;
-    use dwc_relalg::rel;
+    use dwc_relalg::{rel, Relation};
 
     fn sample_envelope(seq: u64) -> Envelope {
         Envelope {
@@ -427,6 +422,64 @@ mod tests {
         m.write_all(&seg, &good[..10]).unwrap();
         assert_eq!(scan_segment(&m, &seg, 1).unwrap_err().code(), "DWC-S101");
     }
+
+    /// FNV-1a, 64 bit: a stable fingerprint of encoded bytes.
+    pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The frames of a fixed set of records — every record kind, every
+    /// value kind, inserts and deletes, several relations — fingerprinted
+    /// when the encoder still built one owned tuple per row and one blob
+    /// per side. Any encoder must reproduce these bytes exactly: segments
+    /// written by older builds are replayed by newer ones.
+    #[test]
+    fn frames_keep_the_pinned_bytes() {
+        let mixed = Update::new()
+            .with(
+                "Sale",
+                Delta::new(
+                    rel! { ["clerk", "item"] => ("Mary", "PC"), ("Zoe", "TV"), ("Ann", "Mac") },
+                    rel! { ["clerk", "item"] => ("John", "Modem") },
+                )
+                .unwrap(),
+            )
+            .with("Emp", Delta::delete_only(rel! { ["age", "clerk"] => (23, "Mary"), (-7, "Lu") }))
+            .with("Flag", Delta::insert_only(rel! { ["on", "w"] => (true, 0.5), (false, -2.25) }))
+            .with("Unit", Delta::insert_only(Relation::empty(dwc_relalg::AttrSet::empty())));
+        let records = vec![
+            WalRecord::Offered(sample_envelope(0)),
+            WalRecord::Offered(Envelope {
+                source: SourceId::new("lyon"),
+                epoch: 7,
+                seq: 41,
+                report: mixed.clone(),
+            }),
+            WalRecord::Recovered {
+                source: SourceId::new("paris"),
+                log: vec![sample_envelope(1), sample_envelope(2)],
+            },
+            WalRecord::Offered(Envelope {
+                source: SourceId::new(""),
+                epoch: 0,
+                seq: u64::MAX,
+                report: Update::new(),
+            }),
+            WalRecord::Requeued { index: 2 },
+            WalRecord::Discarded { index: 0, reason: "ghost relation".to_owned() },
+        ];
+        let mut buf = Vec::new();
+        for r in &records {
+            encode_frame(&mut buf, r);
+        }
+        assert_eq!(buf.len(), PINNED_FRAMES.0, "frame bytes");
+        assert_eq!(fnv64(&buf), PINNED_FRAMES.1, "frame bytes");
+    }
+
+    /// Length and FNV-64 of [`frames_keep_the_pinned_bytes`]' frames.
+    const PINNED_FRAMES: (usize, u64) = (1056, 0x8a56_2a90_a349_549b);
 
     #[test]
     fn update_codec_handles_mixed_deltas() {

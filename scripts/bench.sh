@@ -92,8 +92,10 @@ echo "wrote $(grep -c '^{' "$RECOVERY_OUT") results to $RECOVERY_OUT"
 # fsync-accounting rows, and "claim/..." rows carrying the batch>=16
 # vs batch=1 speedup against threshold_x100=500 (the 5x headline), then
 # the star-spec ingest rows, the maintain-pass/star-b{1,64}/sf{0.05,0.5}
-# rows (one maintenance pass in process, with its rows_touched) and the
-# query-reply/{miss,hit} rows (one `query` reply evaluated and memoised
+# rows (one maintenance pass in process, with its rows_touched), the
+# ingest-step / ingest-pass / wal-encode rows (the engine's in-memory
+# step for one group commit, its pass alone, one commit's WAL frames)
+# and the query-reply/{miss,hit} rows (one `query` reply evaluated and memoised
 # vs one served from the memo).
 SERVER_OUT="$(sibling server)"
 echo "=== server: BENCH group commit ==="

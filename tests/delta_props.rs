@@ -112,7 +112,7 @@ fn sequential_composition() {
 
 /// The lemma behind one maintenance pass per group commit: a stream of
 /// updates, each normalized w.r.t. the state it meets, folds through
-/// `Update::then_net` into one update that is normalized w.r.t. the
+/// `Update::net` into one update that is normalized w.r.t. the
 /// *first* state and reaches the same final state. The tiny value
 /// domain makes insert→delete, delete→re-insert and longer alternations
 /// on the same tuple the common case, across all three relations.
@@ -131,15 +131,18 @@ fn net_composition_of_normalized_streams_is_normalized_and_exact() {
             |(state_rows, stream)| {
                 let first = chain_state(state_rows);
                 let mut current = first.clone();
-                let mut net = dwcomplements::relalg::Update::new();
+                let mut normalized = Vec::new();
                 for rows in stream {
                     let u = chain_update(rows).normalize(&current).expect("normalizes");
                     current = u.apply(&current).expect("applies");
-                    net = match net.then_net(&u).expect("same headers") {
-                        Some(n) => n,
-                        None => return Err("a sequentially normalized stream must compose".into()),
-                    };
+                    normalized.push(u);
                 }
+                let net = match dwcomplements::relalg::Update::net(&normalized)
+                    .expect("same headers")
+                {
+                    Some(n) => n,
+                    None => return Err("a sequentially normalized stream must compose".into()),
+                };
                 tk_ensure_eq!(net.apply(&first).expect("applies"), current);
                 tk_ensure_eq!(net.normalize(&first).expect("normalizes"), net);
                 Ok(())
